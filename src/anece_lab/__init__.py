@@ -23,7 +23,7 @@ from .pilots import (
 from .numkernel import (
     ChannelRealization,
     eig_growth_count,
-    logdet_hpd,
+    log2det_grid,
     numerical_rank,
     sample_channels,
     substream,

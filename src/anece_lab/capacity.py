@@ -1,11 +1,12 @@
 """Gaussian-computable secret-key-capacity terms.
 
-The pilot-phase SKC is exact: its covariances depend only on the pilots,
-so no sampling is involved.  The symbol-phase terms are Monte Carlo
-averages over channel draws; each sample uses a substream keyed by
-(seed, purpose, sample index), which makes the returned means
-bit-reproducible and, because the key excludes sigma^2, gives common
-random numbers across an SNR grid evaluated with a shared seed.
+Every term is a weighted sum of log2|I + s2 * A A^H| over factor matrices
+A, evaluated for a whole SNR grid at once by ``numkernel.log2det_grid``.
+The pilot-phase SKC is exact: its factors depend only on the pilots.  The
+symbol-phase terms are Monte Carlo means over channel draws from one
+``(seed, purpose)`` stream per curve, read in sample order; every grid
+point reuses the same draws (common random numbers), and the means are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -16,7 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import NetworkConfig, SnrGrid, TwoUserModifiedConfig
-from .numkernel import draw_user_channels, logdet_hpd, sample_cn, substream
+from .numkernel import (
+    channel_basis,
+    cn_blocks,
+    log2det_grid,
+    split_user_channels,
+    synth_phase1,
+    user_channel_dim,
+    vec_batch,
+)
 
 LOG2_E_PI = math.log2(math.e * math.pi)
 
@@ -44,12 +53,8 @@ class CapacityCurve:
 
 def pilot_gram_excluding(ps, i: int) -> np.ndarray:
     """K_1 x K_1 Gram of the pilots user i hears: sum_{l != i} P_l^T P_l^*."""
-    k1 = ps.k1
-    g = np.zeros((k1, k1), dtype=complex)
-    for l, block in enumerate(ps.blocks):
-        if l != i:
-            g += block.T @ block.conj()
-    return g
+    p = ps.without(i)
+    return p.T @ p.conj()
 
 
 def phase1_cov_single(ps, i: int, sigma2: float) -> np.ndarray:
@@ -75,21 +80,35 @@ def phase1_cov_joint(ps, i: int, j: int, sigma2: float) -> np.ndarray:
     return np.block([[top_left, cross], [cross.conj().T, bottom_right]])
 
 
+def phase1_factor_joint(ps, i: int, j: int) -> np.ndarray:
+    """Factor J with J J^H = phase1_cov_joint(ps, i, j, 1) - I.
+
+    J is the Jacobian of the noiseless ``synth_phase1`` receptions
+    [vec(Y_i); vec(Y_j^T)] at sigma = 1 over the user-channel entries,
+    less the zero columns of entries neither user hears.
+    """
+    if i == j:
+        raise ValueError("need two distinct users")
+    rx = synth_phase1(channel_basis(ps.antennas), ps, 1.0, 0, noise_scale=0.0).user_rx
+    jac = np.concatenate([vec_batch(rx[i]), vec_batch(np.swapaxes(rx[j], 1, 2))], axis=1).T
+    return jac[:, np.any(jac != 0, axis=0)]
+
+
+def _phase1_values(cfg: NetworkConfig, ps, i: int, j: int, sigma2) -> np.ndarray:
+    if ps.antennas != tuple(cfg.antennas):
+        raise ValueError("pilot set does not match config")
+    joint = log2det_grid(phase1_factor_joint(ps, i, j), sigma2)
+    return sum(cfg.antennas[u] * log2det_grid(ps.without(u).T, sigma2) for u in (i, j)) - joint
+
+
 def phase1_skc_exact(cfg: NetworkConfig, ps, i: int, j: int, sigma2: float) -> float:
     """Exact pilot-phase SKC between users i and j, in bits.
 
     Evaluates log2|R_i| + log2|R_j| - log2|R_joint| for the Gaussian
     reception model; the single-user determinants reduce to N_i times the
-    determinant of the K_1 x K_1 pilot Gram.
+    determinant of the K_1 x K_1 pilot Gram, factored as P_(i)^T.
     """
-    if i == j:
-        raise ValueError("need two distinct users")
-    if ps.antennas != tuple(cfg.antennas):
-        raise ValueError("pilot set does not match config")
-    k1 = ps.k1
-    term_i = cfg.antennas[i] * logdet_hpd(sigma2 * pilot_gram_excluding(ps, i) + np.eye(k1))
-    term_j = cfg.antennas[j] * logdet_hpd(sigma2 * pilot_gram_excluding(ps, j) + np.eye(k1))
-    return term_i + term_j - logdet_hpd(phase1_cov_joint(ps, i, j, sigma2))
+    return float(_phase1_values(cfg, ps, i, j, (sigma2,))[0])
 
 
 # --------------------------------------------------------------------------
@@ -97,11 +116,50 @@ def phase1_skc_exact(cfg: NetworkConfig, ps, i: int, j: int, sigma2: float) -> f
 # --------------------------------------------------------------------------
 
 
-def _mean_stderr(values: list[float]) -> tuple[float, float]:
-    arr = np.asarray(values)
-    if arr.size <= 1:
-        return float(arr.mean()) if arr.size else 0.0, 0.0
-    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
+def _mc_mean(spec, sigma2, n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean and standard error of sum_w w * log2|I + s2 A A^H|, per s2.
+
+    ``spec`` is (purpose, dim, factors): ``factors`` maps a (b, dim) block of
+    ``cn_blocks(seed, purpose, ...)`` to (weight, factor stack) pairs.
+    """
+    purpose, dim, factors = spec
+    values = np.concatenate([
+        sum(w * log2det_grid(a, sigma2) for w, a in factors(z))
+        for z in cn_blocks(seed, purpose, n_samples, dim)
+    ], axis=1)
+    if n_samples == 1:
+        return values[:, 0], np.zeros(len(values))
+    return values.mean(axis=1), values.std(axis=1, ddof=1) / math.sqrt(n_samples)
+
+
+def _cij_spec(cfg: NetworkConfig, i: int, j: int):
+    """R_i, R_j and R_ij factors: H_(i), H_(j) and [H_il; H_jl] over l outside {i, j}."""
+    if i == j:
+        raise ValueError("need two distinct users")
+    others = [l for l in range(cfg.m) if l not in (i, j)]
+
+    def factors(z):
+        ch = split_user_channels(cfg.antennas, z)
+        terms = [(cfg.k2, np.concatenate([ch[(u, l)] for l in range(cfg.m) if l != u], axis=-1))
+                 for u in (i, j)]
+        if others:  # for M = 2 the stack has no columns and adds nothing
+            stack = [np.concatenate([ch[(i, l)], ch[(j, l)]], axis=-2) for l in others]
+            terms.append((-cfg.k2, np.concatenate(stack, axis=-1)))
+        return terms
+
+    return "cij", user_channel_dim(cfg.antennas), factors
+
+
+def _ckey0_spec(cfg2u: TwoUserModifiedConfig):
+    """|I + s2 H12 H12^H| = |I + s2 H21 H21^H|, so H21 carries both weights."""
+    n1, n2, k = cfg2u.n1, cfg2u.n2, cfg2u.k_total
+    return "ckey0", n1 * n2, lambda z: [(2 * k - n1 - n2, z.reshape(-1, n2, n1))]
+
+
+def _entropy_spec(m: int, n: int, k: int):
+    if min(m, n, k) < 1:
+        raise ValueError("dimensions must be >= 1")
+    return "gauss-entropy", m * n, lambda z: [(k, z.reshape(-1, m, n))]
 
 
 def cij_phase2_mc(cfg: NetworkConfig, i: int, j: int, sigma2: float,
@@ -112,29 +170,7 @@ def cij_phase2_mc(cfg: NetworkConfig, i: int, j: int, sigma2: float,
     over channel draws, where R_i sums H_il H_il^H over l != i and R_ij sums
     the stacked blocks over l outside {i, j} (the zero matrix when M = 2).
     """
-    if i == j:
-        raise ValueError("need two distinct users")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    m = cfg.m
-    n_i, n_j, k2 = cfg.antennas[i], cfg.antennas[j], cfg.k2
-    values = []
-    for s in range(n_samples):
-        ch = draw_user_channels(cfg.antennas, substream(seed, "cij", s))
-        r_i = sum(ch[(i, l)] @ ch[(i, l)].conj().T for l in range(m) if l != i)
-        r_j = sum(ch[(j, l)] @ ch[(j, l)].conj().T for l in range(m) if l != j)
-        r_ij = np.zeros((n_i + n_j, n_i + n_j), dtype=complex)
-        for l in range(m):
-            if l not in (i, j):
-                stack = np.vstack([ch[(i, l)], ch[(j, l)]])
-                r_ij += stack @ stack.conj().T
-        value = k2 * (
-            logdet_hpd(sigma2 * r_i + np.eye(n_i))
-            + logdet_hpd(sigma2 * r_j + np.eye(n_j))
-            - logdet_hpd(sigma2 * r_ij + np.eye(n_i + n_j))
-        )
-        values.append(value)
-    return _mean_stderr(values)
+    return tuple(float(v[0]) for v in _mc_mean(_cij_spec(cfg, i, j), (sigma2,), n_samples, seed))
 
 
 def ckey0_modified_mc(cfg2u: TwoUserModifiedConfig, sigma2: float,
@@ -144,18 +180,7 @@ def ckey0_modified_mc(cfg2u: TwoUserModifiedConfig, sigma2: float,
     Averages (K-N_1) * log2|s2*H21 H21^H + I| + (K-N_2) * log2|s2*H12 H12^H + I|
     over reciprocal channel draws (H12 = H21^T).
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    n1, n2, k = cfg2u.n1, cfg2u.n2, cfg2u.k_total
-    values = []
-    for s in range(n_samples):
-        h21 = sample_cn(substream(seed, "ckey0", s), (n2, n1))
-        h12 = h21.T
-        value = (k - n1) * logdet_hpd(sigma2 * h21 @ h21.conj().T + np.eye(n2)) + (
-            k - n2
-        ) * logdet_hpd(sigma2 * h12 @ h12.conj().T + np.eye(n1))
-        values.append(value)
-    return _mean_stderr(values)
+    return tuple(float(v[0]) for v in _mc_mean(_ckey0_spec(cfg2u), (sigma2,), n_samples, seed))
 
 
 def entropy_cond_gaussian_mc(m: int, n: int, k: int, sigma2: float,
@@ -166,15 +191,8 @@ def entropy_cond_gaussian_mc(m: int, n: int, k: int, sigma2: float,
     form is m*k*log2(e*pi) + k*E{log2|s2*H H^H + I_m|}, whose high-SNR slope
     is min(m, n)*k.
     """
-    if min(m, n, k) < 1:
-        raise ValueError("dimensions must be >= 1")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    total = 0.0
-    for s in range(n_samples):
-        h = sample_cn(substream(seed, "gauss-entropy", s), (m, n))
-        total += k * logdet_hpd(sigma2 * h @ h.conj().T + np.eye(m))
-    return m * k * LOG2_E_PI + total / n_samples
+    mean, _ = _mc_mean(_entropy_spec(m, n, k), (sigma2,), n_samples, seed)
+    return m * k * LOG2_E_PI + float(mean[0])
 
 
 # --------------------------------------------------------------------------
@@ -182,24 +200,26 @@ def entropy_cond_gaussian_mc(m: int, n: int, k: int, sigma2: float,
 # --------------------------------------------------------------------------
 
 
+def _curve(grid: SnrGrid, n_samples: int, values, stderr) -> CapacityCurve:
+    return CapacityCurve(grid, tuple(values.tolist()), n_samples, tuple(stderr.tolist()))
+
+
 def phase1_curve(cfg: NetworkConfig, ps, i: int, j: int, grid: SnrGrid) -> CapacityCurve:
-    values = tuple(phase1_skc_exact(cfg, ps, i, j, s2) for s2 in grid.sigma2())
-    return CapacityCurve(grid, values, 0, (0.0,) * len(values))
+    values = _phase1_values(cfg, ps, i, j, grid.sigma2())
+    return _curve(grid, 0, values, np.zeros(len(values)))
 
 
 def cij_curve(cfg: NetworkConfig, i: int, j: int, grid: SnrGrid,
               n_samples: int, seed: int) -> CapacityCurve:
-    pairs = [cij_phase2_mc(cfg, i, j, s2, n_samples, seed) for s2 in grid.sigma2()]
-    return CapacityCurve(grid, tuple(p[0] for p in pairs), n_samples, tuple(p[1] for p in pairs))
+    return _curve(grid, n_samples, *_mc_mean(_cij_spec(cfg, i, j), grid.sigma2(), n_samples, seed))
 
 
 def ckey0_curve(cfg2u: TwoUserModifiedConfig, grid: SnrGrid,
                 n_samples: int, seed: int) -> CapacityCurve:
-    pairs = [ckey0_modified_mc(cfg2u, s2, n_samples, seed) for s2 in grid.sigma2()]
-    return CapacityCurve(grid, tuple(p[0] for p in pairs), n_samples, tuple(p[1] for p in pairs))
+    return _curve(grid, n_samples, *_mc_mean(_ckey0_spec(cfg2u), grid.sigma2(), n_samples, seed))
 
 
 def cond_entropy_curve(m: int, n: int, k: int, grid: SnrGrid,
                        n_samples: int, seed: int) -> CapacityCurve:
-    values = tuple(entropy_cond_gaussian_mc(m, n, k, s2, n_samples, seed) for s2 in grid.sigma2())
-    return CapacityCurve(grid, values, n_samples, (0.0,) * len(values))
+    mean, stderr = _mc_mean(_entropy_spec(m, n, k), grid.sigma2(), n_samples, seed)
+    return _curve(grid, n_samples, m * k * LOG2_E_PI + mean, stderr)

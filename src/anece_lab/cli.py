@@ -113,17 +113,40 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
+def _integer(value, path: str) -> int:
+    """``value`` if it is a JSON integer; floats and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{path}: expected an integer, got {json.dumps(value)}")
+    return value
+
+
+class _Constant(str):
+    """A JSON NaN or Infinity literal, kept as text until its key path is known."""
+
+
+def _reject_constants(node, path: str) -> None:
+    if isinstance(node, _Constant):
+        raise ScenarioError(f"{path}: {node} is not a finite number")
+    if isinstance(node, dict):
+        for key, child in node.items():
+            _reject_constants(child, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for idx, child in enumerate(node):
+            _reject_constants(child, f"{path}[{idx}]")
+
+
 def parse_scenario(path: str) -> Scenario:
     """Strictly parse and validate a scenario file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_Constant)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"malformed scenario file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario file must hold a JSON object")
+    _reject_constants(raw, "")
     _reject_unknown(raw, _TOP_KEYS, "")
     version = _require(raw, "schema_version", "")
     if version != SCHEMA_VERSION:
@@ -138,23 +161,21 @@ def parse_scenario(path: str) -> Scenario:
 
     if scheme == "modified_two_user":
         cfg = TwoUserModifiedConfig(
-            n1=int(_require(network, "n1", "network.")),
-            n2=int(_require(network, "n2", "network.")),
-            k_total=int(_require(network, "k_total", "network.")),
-            n_eve=int(_require(network, "n_eve", "network.")),
+            **{key: _integer(_require(network, key, "network."), f"network.{key}")
+               for key in ("n1", "n2", "k_total", "n_eve")}
         )
         problems = validate_modified_config(cfg)
     else:
         antennas = _require(network, "antennas", "network.")
         if not isinstance(antennas, list) or not antennas:
             raise ScenarioError("network.antennas: must be a non-empty list")
-        antennas = tuple(int(n) for n in antennas)
-        if "m" in network and int(network["m"]) != len(antennas):
+        antennas = tuple(_integer(n, f"network.antennas[{idx}]") for idx, n in enumerate(antennas))
+        if "m" in network and _integer(network["m"], "network.m") != len(antennas):
             raise ScenarioError("network.m: does not match the antennas list length")
-        n_eve = int(_require(network, "n_eve", "network."))
-        k2 = int(network.get("k2", 1))
+        n_eve = _integer(_require(network, "n_eve", "network."), "network.n_eve")
+        k2 = _integer(network.get("k2", 1), "network.k2")
         if scheme == "pairwise":
-            k1 = int(network.get("k1", max(antennas)))
+            k1 = _integer(network.get("k1", max(antennas)), "network.k1")
             cfg = NetworkConfig(antennas, n_eve, k1=k1, k2=k2)
             problems = []
             if len(antennas) < 3:
@@ -169,21 +190,27 @@ def parse_scenario(path: str) -> Scenario:
                 problems.append("K_2 < 0")
         else:
             k1 = network.get("k1")
-            cfg = NetworkConfig(antennas, n_eve, k1=None if k1 is None else int(k1), k2=k2)
+            if k1 is not None:
+                k1 = _integer(k1, "network.k1")
+            cfg = NetworkConfig(antennas, n_eve, k1=k1, k2=k2)
             problems = validate_config(cfg)
     if problems:
         details = "; ".join(f"network.{_violation_field(p)}: {p}" for p in problems)
         raise ScenarioError(details)
 
     grid_points = raw.get("snr_grid", list(default_grid().points))
+    if not isinstance(grid_points, list) or not all(
+        isinstance(p, (int, float)) and not isinstance(p, bool) for p in grid_points
+    ):
+        raise ScenarioError("snr_grid: must be a list of numbers")
     try:
-        grid = SnrGrid(tuple(float(p) for p in grid_points))
-    except (TypeError, ValueError) as exc:
+        grid = SnrGrid(tuple(grid_points))
+    except ValueError as exc:
         raise ScenarioError(f"snr_grid: {exc}") from exc
-    mc_samples = int(raw.get("mc_samples", 2000))
+    mc_samples = _integer(raw.get("mc_samples", 2000), "mc_samples")
     if mc_samples < 1:
         raise ScenarioError("mc_samples: must be >= 1")
-    seed = int(raw.get("seed", 0))
+    seed = _integer(raw.get("seed", 0), "seed")
     return Scenario(scheme, cfg, grid, mc_samples, seed)
 
 

@@ -70,6 +70,10 @@ class TwoUserModifiedConfig:
         return self.n2 - self.n1
 
 
+# |log2(sigma^2)| beyond this overflows 2**p or leaves too little float64 headroom
+MAX_ABS_LOG2_SIGMA2 = 1000.0
+
+
 @dataclass(frozen=True)
 class SnrGrid:
     """Ordered log2(sigma^2) evaluation points for slope estimation."""
@@ -77,6 +81,11 @@ class SnrGrid:
     points: tuple[float, ...]
 
     def __post_init__(self):
+        # compared before float() so that a huge integer cannot overflow it
+        if not all(abs(p) <= MAX_ABS_LOG2_SIGMA2 for p in self.points):
+            raise ValueError(
+                f"SnrGrid points must be finite with |log2 sigma^2| <= {MAX_ABS_LOG2_SIGMA2:g}"
+            )
         pts = tuple(float(p) for p in self.points)
         if len(pts) < 3:
             raise ValueError("SnrGrid needs at least 3 points")

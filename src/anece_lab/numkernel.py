@@ -2,13 +2,16 @@
 
 Randomness convention: every sampling entry point takes an integer seed and
 derives an independent substream from ``(seed, purpose, index...)``, so
-adding a new consumer never perturbs existing draws and results do not
-depend on evaluation order.  Complex Gaussian CN(0,1) means unit *total*
-variance (1/2 per real component).
+adding a new consumer never perturbs existing draws.  A Monte Carlo curve
+reads its one ``(seed, purpose)`` stream in sample order and evaluates every
+SNR grid point from those draws.  Complex Gaussian CN(0,1) means unit
+*total* variance (1/2 per real component).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -18,6 +21,9 @@ _MASK64 = (1 << 64) - 1
 
 DEFAULT_POWER_RATIO = 2.0**10
 DEFAULT_GROWTH_FRACTION = 0.1
+
+# Samples per Monte Carlo block; bounds the scratch memory of a curve.
+MC_BLOCK = 256
 
 
 def substream(seed: int, *path: int | str) -> np.random.Generator:
@@ -34,6 +40,20 @@ def substream(seed: int, *path: int | str) -> np.random.Generator:
 def sample_cn(rng: np.random.Generator, shape) -> np.ndarray:
     """i.i.d. CN(0,1) matrix: unit total variance per complex entry."""
     return np.sqrt(0.5) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def cn_blocks(seed: int, purpose: str, n_samples: int, dim: int):
+    """Yield ``n_samples`` CN(0,1) vectors of length ``dim`` as (b, dim) blocks.
+
+    Each block is one (b, dim, 2) real draw from ``substream(seed, purpose)``,
+    so sample s does not depend on ``n_samples`` or ``MC_BLOCK``.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    rng = substream(seed, purpose)
+    for start in range(0, n_samples, MC_BLOCK):
+        b = min(MC_BLOCK, n_samples - start)
+        yield np.sqrt(0.5) * rng.standard_normal((b, dim, 2)).view(np.complex128)[..., 0]
 
 
 # --------------------------------------------------------------------------
@@ -57,29 +77,55 @@ class ChannelRealization:
     @property
     def eve_stacked(self) -> np.ndarray:
         """N_E x N_T horizontal stack of Eve's per-user channels."""
-        return np.hstack(self.eve_channels)
+        return np.concatenate(self.eve_channels, axis=-1)
 
     def channel_to(self, i: int) -> np.ndarray:
-        """N_i x (N_T - N_i) stack of H[(i, j)] over j != i in user order."""
-        return np.hstack([self.user_channels[(i, j)] for j in range(len(self.antennas)) if j != i])
+        """N_i x (N_T - N_i) stack of H[(i, j)] over j != i, along the last axis."""
+        users = range(len(self.antennas))
+        return np.concatenate([self.user_channels[(i, j)] for j in users if j != i], axis=-1)
 
 
-def draw_user_channels(antennas, rng: np.random.Generator) -> dict[tuple[int, int], np.ndarray]:
-    """Reciprocal user-to-user channels: H[(j, i)] = H[(i, j)].T exactly."""
-    channels = {}
-    m = len(antennas)
-    for a in range(m):
-        for b in range(a + 1, m):
-            mat = sample_cn(rng, (antennas[a], antennas[b]))
-            channels[(a, b)] = mat
-            channels[(b, a)] = mat.T
+def user_channel_dim(antennas) -> int:
+    """Number of independent user-channel entries: sum of N_a*N_b over a < b."""
+    return (sum(antennas) ** 2 - sum(n * n for n in antennas)) // 2
+
+
+def split_user_channels(antennas, z: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+    """Reciprocal user channels, H[(b, a)] = H[(a, b)].T, from entries ``z[..., D]``.
+
+    Pairs a < b take consecutive row-major slices of the last axis, with
+    D = ``user_channel_dim(antennas)``; leading axes are batch axes.
+    """
+    channels, off = {}, 0
+    for a, b in itertools.combinations(range(len(antennas)), 2):
+        mat = z[..., off:off + antennas[a] * antennas[b]]
+        channels[(a, b)] = mat.reshape(z.shape[:-1] + (antennas[a], antennas[b]))
+        channels[(b, a)] = np.swapaxes(channels[(a, b)], -1, -2)
+        off += antennas[a] * antennas[b]
     return channels
+
+
+def channel_basis(antennas) -> ChannelRealization:
+    """D realizations on a leading axis, the e-th with only user-channel entry e at 1.
+
+    Eve has no antennas.  Through a map linear in the user channels, such as
+    noiseless signal synthesis, it gives that map's Jacobian.
+    """
+    dim = user_channel_dim(antennas)
+    no_eve = tuple(np.zeros((dim, 0, n)) for n in antennas)
+    return ChannelRealization(tuple(antennas), 0, split_user_channels(antennas, np.eye(dim)),
+                              no_eve)
+
+
+def vec_batch(x: np.ndarray) -> np.ndarray:
+    """Column-major vec of each matrix of a (B, r, c) stack, as a (B, r*c) array."""
+    return np.swapaxes(x, -1, -2).reshape(len(x), -1)
 
 
 def draw_channels(antennas, n_eve: int, rng: np.random.Generator) -> ChannelRealization:
     """Draw one realization (users first, then Eve) from an existing stream."""
     antennas = tuple(int(n) for n in antennas)
-    user = draw_user_channels(antennas, rng)
+    user = split_user_channels(antennas, sample_cn(rng, user_channel_dim(antennas)))
     eve = tuple(sample_cn(rng, (n_eve, n)) for n in antennas)
     return ChannelRealization(antennas, int(n_eve), user, eve)
 
@@ -124,7 +170,10 @@ class ModifiedSessionSignals:
 
 def synth_phase1(ch: ChannelRealization, ps, sigma: float, seed: int,
                  noise_scale: float = 1.0) -> Phase1Signals:
-    """Pilot-phase receptions: Y_i = sigma*H_i*P_(i) + W_i, Y_E = sigma*H_E*P + W_E."""
+    """Pilot-phase receptions: Y_i = sigma*H_i*P_(i) + W_i, Y_E = sigma*H_E*P + W_E.
+
+    Channels may carry a leading batch axis, as ``channel_basis`` gives them.
+    """
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     m = len(ch.antennas)
@@ -199,19 +248,18 @@ def synth_modified_session(cfg2u, pp, ch: ChannelRealization, sigma: float, seed
 # --------------------------------------------------------------------------
 
 
-def logdet_hpd(m: np.ndarray) -> float:
-    """Base-2 log-determinant of a Hermitian positive definite matrix.
+def log2det_grid(a: np.ndarray, sigma2) -> np.ndarray:
+    """log2|I + s2 A A^H| for each s2 in ``sigma2`` and A in the (..., p, q) stack ``a``.
 
-    Uses a Cholesky factorization; raises ``numpy.linalg.LinAlgError`` when
-    the input is not positive definite.
+    Returns shape (len(sigma2), ...): sum_k log2(1 + s2 s_k^2) over the
+    singular values of A, from one batched SVD.  The factor, unlike its Gram,
+    keeps a null direction at s_k^2 ~ 1e-32 s_max^2, so the value is finite
+    for any s2 float64 holds; for a singular A A^H, a Cholesky of
+    s2 A A^H + I fails from s2 ~ 2^50 on.
     """
-    a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("logdet_hpd needs a square matrix")
-    if a.shape[0] == 0:
-        return 0.0
-    chol = np.linalg.cholesky(a)
-    return float(2.0 * np.sum(np.log2(np.real(np.diag(chol)))))
+    sv = np.linalg.svd(np.asarray(a), compute_uv=False)
+    s2 = np.asarray(sigma2, dtype=float)
+    return np.log1p(s2.reshape(s2.shape + (1,) * sv.ndim) * sv**2).sum(axis=-1) / math.log(2.0)
 
 
 def numerical_rank(m: np.ndarray, rtol: float | None = None) -> int:
@@ -256,35 +304,15 @@ def eig_growth_count(r_lo: np.ndarray, r_hi: np.ndarray,
 def reciprocal_channel_covariance(antennas, i: int, j: int) -> np.ndarray:
     """Exact covariance of the stacked receive-channel vectors of users i, j.
 
-    The vector for user i stacks vec(H[(i, l)]) over l != i; reciprocity
-    makes exactly N_i * N_j coordinates of the two vectors identical (the
-    entries of H[(i, j)]), so the covariance is unit-diagonal with a 0/1
-    cross block and rank deficiency N_i * N_j.
+    The vector for user i is vec(H_(i)), stacking vec(H[(i, l)]) over
+    l != i; each coordinate is one unit-variance channel entry, and
+    reciprocity makes exactly N_i * N_j coordinates of the two vectors
+    identical (the entries of H[(i, j)]), so the covariance is unit-diagonal
+    with a 0/1 cross block and rank deficiency N_i * N_j.
     """
-    antennas = tuple(int(n) for n in antennas)
     m = len(antennas)
     if i == j or not (0 <= i < m and 0 <= j < m):
         raise ValueError("need two distinct user indices")
-
-    def _positions(owner):
-        # position of H[(owner, l)][r, c] inside the stacked vector, vec column-major
-        offsets, off = {}, 0
-        for l in range(m):
-            if l == owner:
-                continue
-            offsets[l] = off
-            off += antennas[owner] * antennas[l]
-        return offsets, off
-
-    off_i, dim_i = _positions(i)
-    off_j, dim_j = _positions(j)
-    cov = np.eye(dim_i + dim_j)
-    # shared scalars: H[(i, j)][r, c] appears in user i's block l=j and,
-    # transposed, as H[(j, i)][c, r] in user j's block l=i
-    for c in range(antennas[j]):
-        for r in range(antennas[i]):
-            a = off_i[j] + c * antennas[i] + r
-            b = dim_i + off_j[i] + r * antennas[j] + c
-            cov[a, b] = 1.0
-            cov[b, a] = 1.0
-    return cov
+    basis = channel_basis(tuple(int(n) for n in antennas))
+    jac = np.concatenate([vec_batch(basis.channel_to(u)) for u in (i, j)], axis=1)
+    return jac.T @ jac

@@ -13,6 +13,7 @@ from anece_lab.capacity import (
     entropy_cond_gaussian_mc,
     phase1_cov_joint,
     phase1_curve,
+    phase1_factor_joint,
     phase1_skc_exact,
 )
 from anece_lab.model import NetworkConfig, SnrGrid, TwoUserModifiedConfig
@@ -160,11 +161,13 @@ def test_cij_value_matches_quadrature_oracle():
 
 
 def test_cond_entropy_value_matches_quadrature_oracle():
+    # the standard error at 40,000 samples is about 0.005, a quarter of the
+    # tolerance, so the check does not hang on the luck of one draw
     s2 = 4.0
     x = np.linspace(0.0, 80.0, 400_001)
     integral = float(np.trapezoid(np.log2(s2 * x + 1.0) * np.exp(-x), x))
     expected = math.log2(math.e * math.pi) + integral
-    assert abs(entropy_cond_gaussian_mc(1, 1, 1, s2, 4000, 22) - expected) <= 0.02
+    assert abs(entropy_cond_gaussian_mc(1, 1, 1, s2, 40_000, 22) - expected) <= 0.02
 
 
 def test_phase1_covariance_matches_synthesized_signals():
@@ -188,6 +191,69 @@ def test_phase1_covariance_matches_synthesized_signals():
         acc += np.outer(v, v.conj())
     est = acc / n_draws
     assert np.linalg.norm(est - target) / np.linalg.norm(target) <= 0.05
+
+
+@pytest.mark.parametrize("antennas", [(2, 2, 2), (1, 2, 3, 4), (2, 3)])
+def test_phase1_factor_reproduces_joint_covariance(antennas):
+    ps = build_pilots(NetworkConfig(antennas, 0, k2=1), 4)
+    for i, j in ((0, 1), (1, 0), (0, len(antennas) - 1)):
+        jac = phase1_factor_joint(ps, i, j)
+        cov = phase1_cov_joint(ps, i, j, 1.0)
+        assert np.max(np.abs(jac @ jac.conj().T - (cov - np.eye(len(cov))))) <= 1e-12
+
+
+def test_cij_curve_matches_per_sample_gram_reference():
+    # reference: per sample and grid point, log-determinants of s2 * R + I
+    # built from the Gram matrices R_i, R_j and R_ij of the same draws
+    from anece_lab.numkernel import cn_blocks, split_user_channels, user_channel_dim
+
+    cfg = NetworkConfig((1, 2, 3, 2), 0, k2=2)
+    grid, n = default_grid(), 30
+    z = np.concatenate(list(cn_blocks(5, "cij", n, user_channel_dim(cfg.antennas))))
+
+    def logdet(r, s2):
+        return np.linalg.slogdet(s2 * r + np.eye(len(r)))[1] / math.log(2.0)
+
+    expected = np.zeros(len(grid.points))
+    for sample in z:
+        ch = split_user_channels(cfg.antennas, sample)
+        h_0 = np.hstack([ch[(0, l)] for l in (1, 2, 3)])
+        h_1 = np.hstack([ch[(1, l)] for l in (0, 2, 3)])
+        stack = np.hstack([np.vstack([ch[(0, l)], ch[(1, l)]]) for l in (2, 3)])
+        for g, s2 in enumerate(grid.sigma2()):
+            expected[g] += cfg.k2 * (logdet(h_0 @ h_0.conj().T, s2) + logdet(h_1 @ h_1.conj().T, s2)
+                                     - logdet(stack @ stack.conj().T, s2)) / n
+    got = np.asarray(cij_curve(cfg, 0, 1, grid, n, 5).values)
+    assert np.max(np.abs(got - expected)) <= 1e-6
+
+
+@pytest.mark.parametrize("block", [1, 7, 256])
+def test_curve_does_not_depend_on_the_block_size(monkeypatch, block):
+    cfg = NetworkConfig((2, 2, 2), 4, k2=2)
+    reference = cij_curve(cfg, 0, 1, default_grid(), 40, 8)
+    monkeypatch.setattr("anece_lab.numkernel.MC_BLOCK", block)
+    assert cij_curve(cfg, 0, 1, default_grid(), 40, 8) == reference
+
+
+def test_cij_curve_draws_once_and_batches_linalg(monkeypatch):
+    # one generator per curve, and linear algebra per block of samples,
+    # not per (sample, grid point)
+    counts = {"rng": 0, "linalg": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.random, "default_rng", counted("rng", np.random.default_rng))
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, counted("linalg", fn))
+    cij_curve(NetworkConfig((2, 2, 2), 4, k2=2), 0, 1, default_grid(), 2000, 7)
+    assert counts["rng"] == 1
+    assert counts["linalg"] < 50
 
 
 def test_capacity_curve_validation():

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import pytest
 from conftest import run_cli
 
 FAST_MC = {"mc_samples": 300, "seed": 7}
@@ -62,6 +63,32 @@ def test_short_pilot_phase_is_rejected_with_bound(write_scenario):
     assert ">= 4" in proc.stderr
 
 
+@pytest.mark.parametrize("grid", [[12, float("nan"), 16, 18], [12, 14, float("inf")],
+                                  [12, 30, 1100], [12, 30, 10**400], ["12", 14, 16],
+                                  [-1, True, 3], 12])
+def test_malformed_grid_is_rejected(write_scenario, grid):
+    path = write_scenario("all_user", {"antennas": [2, 2, 2], "n_eve": 4, "k2": 2},
+                          snr_grid=grid, **FAST_MC)
+    proc = run_cli("verify", "--scenario", path)
+    assert proc.returncode == 2
+    assert "snr_grid" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("scheme, network, overrides, key", [
+    ("all_user", {"antennas": [2, 2.7, 2], "n_eve": 4, "k2": 2}, {}, "network.antennas[1]"),
+    ("all_user", {"antennas": [2, 2, 2], "n_eve": 4, "k2": True}, {}, "network.k2"),
+    ("modified_two_user", {"n1": 2.0, "n2": 3, "k_total": 7, "n_eve": 6}, {}, "network.n1"),
+    ("all_user", {"antennas": [2, 2], "n_eve": 3}, {"mc_samples": 300.5}, "mc_samples"),
+    ("all_user", {"antennas": [2, 2], "n_eve": 3}, {"seed": False}, "seed"),
+])
+def test_non_integer_counts_are_rejected(write_scenario, scheme, network, overrides, key):
+    path = write_scenario(scheme, network, **{**FAST_MC, **overrides})
+    proc = run_cli("formula", "--scenario", path)
+    assert proc.returncode == 2
+    assert f"{key}: expected an integer" in proc.stderr
+
+
 def test_missing_scenario_file():
     proc = run_cli("formula", "--scenario", "/nonexistent/path.json")
     assert proc.returncode == 2
@@ -104,6 +131,24 @@ def test_verify_runs_green_and_is_deterministic(tmp_path, write_scenario):
     assert controls and all(r["passed"] == "false" for r in controls)
     real = [r for r in rows if not r["name"].startswith("negctrl:")]
     assert real and all(r["passed"] == "true" for r in real)
+
+
+@pytest.mark.parametrize("top", [60, 1000])
+@pytest.mark.parametrize("scheme, network", [
+    ("all_user", {"antennas": [2, 2, 2], "n_eve": 4, "k2": 2}),
+    ("modified_two_user", {"n1": 2, "n2": 3, "k_total": 6, "n_eve": 2}),
+])
+def test_verify_holds_at_extreme_snr(tmp_path, write_scenario, scheme, network, top):
+    # in float64, s2 * R + I stops being numerically positive definite from
+    # about log2(sigma^2) = 50 on, so no log-determinant may factor it
+    path = write_scenario(scheme, network, snr_grid=[12, 30, top], **FAST_MC)
+    out = tmp_path / "v.csv"
+    proc = run_cli("verify", "--scenario", path, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "nan" not in out.read_text(encoding="utf-8")
+    slopes = [r for r in read_csv_rows(out) if r["name"].startswith("slope:")]
+    assert len(slopes) >= 2 and all(r["passed"] == "true" for r in slopes)
 
 
 def test_verify_csv_numbers_round_trip(tmp_path, write_scenario):

@@ -72,6 +72,10 @@ def test_snr_grid_validation():
         SnrGrid((1.0, 3.0, 2.0))
     with pytest.raises(ValueError):
         SnrGrid((1.0, 1.0, 2.0))
+    for bad in ((12.0, float("nan"), 16.0), (12.0, 14.0, float("inf")), (12.0, 30.0, 1000.5)):
+        with pytest.raises(ValueError):
+            SnrGrid(bad)
+    assert SnrGrid((-1000.0, 0.0, 1000.0)).sigma2()[2] == 2.0**1000
 
 
 def test_snr_grid_powers():

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from anece_lab.model import NetworkConfig, TwoUserModifiedConfig
 from anece_lab.numkernel import (
+    cn_blocks,
     eig_growth_count,
-    logdet_hpd,
+    log2det_grid,
     numerical_rank,
     reciprocal_channel_covariance,
     sample_channels,
@@ -175,33 +178,47 @@ def test_modified_session_rejects_mismatched_channels():
 
 
 def test_logdet_examples():
-    assert logdet_hpd(np.eye(3)) == 0.0
-    assert abs(logdet_hpd(np.diag([2.0, 4.0])) - 3.0) < 1e-12
+    assert np.all(log2det_grid(np.zeros((3, 3)), [1.0, 2.0**40]) == 0.0)
+    assert log2det_grid(np.eye(3), [0.0])[0] == 0.0
+    # I + A A^H = diag(2, 4)
+    assert abs(log2det_grid(np.diag([1.0, math.sqrt(3.0)]), [1.0])[0] - 3.0) < 1e-12
+    assert log2det_grid(np.zeros((5, 2, 3)), [1.0, 2.0, 4.0, 8.0]).shape == (4, 5)
 
 
 def test_logdet_gram_plus_identity_is_nonnegative():
-    rng = substream(0, "test-logdet")
-    for _ in range(20):
-        a = sample_cn(rng, (4, 4))
-        assert logdet_hpd(a @ a.conj().T + np.eye(4)) >= 0.0
+    a = sample_cn(substream(0, "test-logdet"), (20, 4, 4))
+    assert np.all(log2det_grid(a, [2.0**-10, 1.0, 2.0**20]) >= 0.0)
 
 
 def test_logdet_block_additivity():
     rng = substream(1, "test-logdet")
     a = sample_cn(rng, (3, 3))
     b = sample_cn(rng, (2, 2))
-    ha = a @ a.conj().T + np.eye(3)
-    hb = b @ b.conj().T + np.eye(2)
     block = np.zeros((5, 5), dtype=complex)
-    block[:3, :3], block[3:, 3:] = ha, hb
-    assert abs(logdet_hpd(ha) + logdet_hpd(hb) - logdet_hpd(block)) <= 1e-8
+    block[:3, :3], block[3:, 3:] = a, b
+    grid = [1.0, 2.0**12, 2.0**24]
+    diff = log2det_grid(a, grid) + log2det_grid(b, grid) - log2det_grid(block, grid)
+    assert np.max(np.abs(diff)) <= 1e-8
 
 
-def test_logdet_rejects_indefinite():
-    with pytest.raises(np.linalg.LinAlgError):
-        logdet_hpd(np.diag([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        logdet_hpd(np.ones((2, 3)))
+def test_logdet_rank_deficient_factor_is_finite_at_huge_power():
+    # a Cholesky of s2 * A A^H + I fails here; the singular-value form does not
+    rng = substream(2, "test-logdet")
+    a = sample_cn(rng, (4, 2)) @ sample_cn(rng, (2, 3))
+    s2 = 2.0**1000
+    value = log2det_grid(a, [s2])[0]
+    assert math.isfinite(value)
+    top_two = np.linalg.svd(a, compute_uv=False)[:2]
+    assert value >= float(np.sum(np.log2(s2 * top_two**2))) - 1e-9
+
+
+def test_cn_blocks_are_prefix_stable():
+    # the first S samples of a 2S-sample draw equal an S-sample draw
+    long = np.concatenate(list(cn_blocks(3, "test-blocks", 600, 5)))
+    short = np.concatenate(list(cn_blocks(3, "test-blocks", 300, 5)))
+    assert long.shape == (600, 5)
+    assert np.array_equal(long[:300], short)
+    assert abs(float(np.mean(np.abs(long) ** 2)) - 1.0) <= 0.1
 
 
 def test_numerical_rank_examples():
@@ -255,3 +272,6 @@ def test_reciprocal_covariance_rank_deficiency(antennas):
             dim_j = antennas[j] * (n_t - antennas[j])
             expected = dim_i + dim_j - antennas[i] * antennas[j]
             assert numerical_rank(cov) == expected
+            # unit diagonal plus one symmetric pair of ones per shared entry
+            assert set(np.unique(cov)) <= {0.0, 1.0} and np.all(np.diag(cov) == 1.0)
+            assert cov.sum() == len(cov) + 2 * antennas[i] * antennas[j]
