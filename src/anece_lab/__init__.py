@@ -8,6 +8,7 @@ from .model import (
     TwoUserModifiedConfig,
     validate_config,
     validate_modified_config,
+    validate_pairwise_config,
 )
 from .pilots import (
     ModifiedPilotPair,
@@ -50,7 +51,6 @@ from .dofcalc import (
     dof_phase2_lower,
     dof_phase2_lower_plus,
     dof_phase2_upper,
-    dof_total,
     dof_two_user_original,
     freedom_count_oracle,
 )

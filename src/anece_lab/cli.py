@@ -2,10 +2,11 @@
 sweeps, pilot generation, and scheme comparison.
 
 Scenario files are strict JSON with a versioned schema; unknown keys are
-rejected with their key path.  All randomness flows from the single
-scenario seed through purpose-named substreams, so outputs are
-byte-reproducible.  Exit codes: 0 success, 1 verification failure,
-2 usage/config error.
+rejected with their key path.  Each ANECE variant is one ``Scheme`` record
+in ``SCHEMES``, and every subcommand looks its scheme up there.  All
+randomness flows from the single scenario seed through purpose-named
+substreams, so outputs are byte-reproducible.  Exit codes: 0 success,
+1 verification failure, 2 usage/config error.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from .capacity import ckey0_curve, cij_curve, cond_entropy_curve, phase1_curve
 from .dofcalc import (
@@ -27,8 +29,8 @@ from .dofcalc import (
     dof_phase2_lower,
     dof_phase2_lower_plus,
     dof_phase2_upper,
-    dof_total,
     dof_two_user_original,
+    pos,
 )
 from .model import (
     CheckResult,
@@ -38,6 +40,7 @@ from .model import (
     TwoUserModifiedConfig,
     validate_config,
     validate_modified_config,
+    validate_pairwise_config,
 )
 from .pilots import build_pairwise_matrix, build_pilots, build_square_pilots, validate_pilots, write_matrix_text
 from .numkernel import numerical_rank, sample_cn, substream
@@ -57,8 +60,6 @@ EXIT_USAGE = 2
 
 MIN_TRUSTED_MC_SAMPLES = 100
 
-SCHEMES = ("all_user", "pairwise", "modified_two_user")
-
 
 class ScenarioError(Exception):
     """Configuration or usage problem; maps to exit code 2."""
@@ -73,32 +74,32 @@ class Scenario:
     seed: int
 
 
+@dataclass(frozen=True)
+class Scheme:
+    """Everything the CLI knows of one ANECE variant.
+
+    ``parse`` builds the config from the ``network`` object, ``validate``
+    lists its ``(field, message)`` violations, ``formula`` gives its DoF
+    entries, ``checks`` its verify rows and ``pilots`` writes and audits its
+    pilot matrices.  ``compare`` runs on ``compare_input``'s all-user config
+    and slot budget ``k2``; the ``k2`` sweep axis moves ``k2_field``.
+    """
+
+    network_keys: frozenset[str]
+    parse: Callable[[dict], NetworkConfig | TwoUserModifiedConfig]
+    validate: Callable[..., list[tuple[str, str]]]
+    formula: Callable[..., dict[str, int]]
+    checks: Callable[[Scenario], list[CheckResult]]
+    pilots: Callable[[Scenario, str], int]
+    compare_input: Callable[..., NetworkConfig]
+    k2_field: str
+
+
 # --------------------------------------------------------------------------
 # scenario parsing
 # --------------------------------------------------------------------------
 
 _TOP_KEYS = {"schema_version", "scheme", "network", "snr_grid", "mc_samples", "seed"}
-_NETWORK_KEYS = {
-    "all_user": {"m", "antennas", "n_eve", "k1", "k2"},
-    "pairwise": {"m", "antennas", "n_eve", "k1", "k2"},
-    "modified_two_user": {"n1", "n2", "k_total", "n_eve"},
-}
-
-
-def _violation_field(text: str) -> str:
-    for prefix, field in (
-        ("K_1", "k1"),
-        ("K_2", "k2"),
-        ("K <", "k_total"),
-        ("N_E", "n_eve"),
-        ("M <", "antennas"),
-        ("antenna", "antennas"),
-        ("N_1", "n1"),
-        ("eve_noise_var", "eve_noise_var"),
-    ):
-        if text.startswith(prefix):
-            return field
-    return ""
 
 
 def _reject_unknown(mapping: dict, allowed: set, path: str) -> None:
@@ -135,6 +136,13 @@ def _reject_constants(node, path: str) -> None:
             _reject_constants(child, f"{path}[{idx}]")
 
 
+def _check_network(scheme: str, cfg) -> None:
+    """Raise every violated constraint of ``cfg``, each under its scenario key."""
+    problems = SCHEMES[scheme].validate(cfg)
+    if problems:
+        raise ScenarioError("; ".join(f"network.{field}: {text}" for field, text in problems))
+
+
 def parse_scenario(path: str) -> Scenario:
     """Strictly parse and validate a scenario file."""
     try:
@@ -152,51 +160,15 @@ def parse_scenario(path: str) -> Scenario:
     if version != SCHEMA_VERSION:
         raise ScenarioError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
     scheme = _require(raw, "scheme", "")
-    if scheme not in SCHEMES:
-        raise ScenarioError(f"scheme: expected one of {SCHEMES}, got {scheme!r}")
+    names = tuple(SCHEMES)
+    if scheme not in names:
+        raise ScenarioError(f"scheme: expected one of {names}, got {scheme!r}")
     network = _require(raw, "network", "")
     if not isinstance(network, dict):
         raise ScenarioError("network: must be an object")
-    _reject_unknown(network, _NETWORK_KEYS[scheme], "network.")
-
-    if scheme == "modified_two_user":
-        cfg = TwoUserModifiedConfig(
-            **{key: _integer(_require(network, key, "network."), f"network.{key}")
-               for key in ("n1", "n2", "k_total", "n_eve")}
-        )
-        problems = validate_modified_config(cfg)
-    else:
-        antennas = _require(network, "antennas", "network.")
-        if not isinstance(antennas, list) or not antennas:
-            raise ScenarioError("network.antennas: must be a non-empty list")
-        antennas = tuple(_integer(n, f"network.antennas[{idx}]") for idx, n in enumerate(antennas))
-        if "m" in network and _integer(network["m"], "network.m") != len(antennas):
-            raise ScenarioError("network.m: does not match the antennas list length")
-        n_eve = _integer(_require(network, "n_eve", "network."), "network.n_eve")
-        k2 = _integer(network.get("k2", 1), "network.k2")
-        if scheme == "pairwise":
-            k1 = _integer(network.get("k1", max(antennas)), "network.k1")
-            cfg = NetworkConfig(antennas, n_eve, k1=k1, k2=k2)
-            problems = []
-            if len(antennas) < 3:
-                problems.append("M < 3 (pair-wise scheme needs at least 3 users)")
-            if any(n < 1 for n in antennas):
-                problems.append("antenna counts must be >= 1")
-            if k1 < max(antennas):
-                problems.append(f"K_1 < max antenna count (need >= {max(antennas)})")
-            if n_eve < 0:
-                problems.append("N_E < 0")
-            if k2 < 0:
-                problems.append("K_2 < 0")
-        else:
-            k1 = network.get("k1")
-            if k1 is not None:
-                k1 = _integer(k1, "network.k1")
-            cfg = NetworkConfig(antennas, n_eve, k1=k1, k2=k2)
-            problems = validate_config(cfg)
-    if problems:
-        details = "; ".join(f"network.{_violation_field(p)}: {p}" for p in problems)
-        raise ScenarioError(details)
+    _reject_unknown(network, SCHEMES[scheme].network_keys, "network.")
+    cfg = SCHEMES[scheme].parse(network)
+    _check_network(scheme, cfg)
 
     grid_points = raw.get("snr_grid", list(default_grid().points))
     if not isinstance(grid_points, list) or not all(
@@ -212,63 +184,6 @@ def parse_scenario(path: str) -> Scenario:
         raise ScenarioError("mc_samples: must be >= 1")
     seed = _integer(raw.get("seed", 0), "seed")
     return Scenario(scheme, cfg, grid, mc_samples, seed)
-
-
-# --------------------------------------------------------------------------
-# formula reports
-# --------------------------------------------------------------------------
-
-
-def formula_report(sc: Scenario) -> DofReport:
-    """All applicable formula values, keyed by stable identifiers.
-
-    All-user pair values are reported for the user pair (1, 2);
-    dof_phase2_lower_plus is the clamped better ordering, which is what
-    dof_total adds on top of the pilot phase.
-    """
-    if sc.scheme == "modified_two_user":
-        c = sc.network
-        md = dof_modified_two_user(c)
-        entries = {
-            "dof_phase1": dof_phase1(c.n1, c.n2),
-            "dof_phase2": md.upper,
-            "dof_phase2_lower_12": md.lower_12,
-            "dof_phase2_lower_21": md.lower_21,
-            "dof_total": dof_total("modified_two_user", c),
-            "dof_original_phase2": dof_two_user_original(c.n1, c.n2, c.n_eve, c.k_total - c.n2),
-            "dof_gain_over_original": md.lower_12
-            - dof_two_user_original(c.n1, c.n2, c.n_eve, c.k_total - c.n2),
-        }
-        return DofReport(entries)
-
-    cfg = sc.network
-    if sc.scheme == "pairwise":
-        n_i, n_j = cfg.antennas[0], cfg.antennas[1]
-        pair = dof_pairwise(n_i, n_j, cfg.n_eve, cfg.k2)
-        entries = {
-            "dof_phase1": dof_phase1(n_i, n_j),
-            "dof_phase2_lower": pair.lower,
-            "dof_phase2_upper": pair.upper,
-            "dof_gap": pair.gap,
-            "dof_total": dof_total("pairwise", (n_i, n_j, cfg.n_eve, cfg.k2)),
-        }
-        return DofReport(entries)
-
-    s = DofScenario(cfg, 0, 1)
-    entries = {
-        "dof_phase1": dof_phase1(s.n_i, s.n_j),
-        "dof_cij": dof_cij(s),
-        "dof_leakage": dof_leakage(s),
-        "dof_phase2_lower": dof_phase2_lower(s),
-        "dof_phase2_lower_plus": max(dof_phase2_lower_plus(s), dof_phase2_lower_plus(s.swapped())),
-        "dof_phase2_upper": dof_phase2_upper(s),
-        "dof_gap": dof_gap(s),
-        "dof_total": dof_total("all_user", s),
-    }
-    if cfg.m == 2:
-        n1, n2 = sorted(cfg.antennas)
-        entries["dof_two_user_original"] = dof_two_user_original(n1, n2, cfg.n_eve, cfg.k2)
-    return DofReport(entries)
 
 
 # --------------------------------------------------------------------------
@@ -300,60 +215,215 @@ def checks_to_csv(rows: list[CheckResult]) -> list[str]:
     return lines
 
 
+def _suffixed(path: str, suffix: str) -> str:
+    stem, dot, ext = path.rpartition(".")
+    if dot and "/" not in ext:
+        return f"{stem}{suffix}.{ext}"
+    return f"{path}{suffix}"
+
+
+# --------------------------------------------------------------------------
+# schemes: one record per ANECE variant in SCHEMES; a new scheme is one more
+# --------------------------------------------------------------------------
+
+
+def _parse_users(network: dict) -> tuple[tuple[int, ...], int, int]:
+    """Antenna counts, N_E and K_2 of an all-user or pair-wise network object."""
+    antennas = _require(network, "antennas", "network.")
+    if not isinstance(antennas, list) or not antennas:
+        raise ScenarioError("network.antennas: must be a non-empty list")
+    antennas = tuple(_integer(n, f"network.antennas[{idx}]") for idx, n in enumerate(antennas))
+    if "m" in network and _integer(network["m"], "network.m") != len(antennas):
+        raise ScenarioError("network.m: does not match the antennas list length")
+    n_eve = _integer(_require(network, "n_eve", "network."), "network.n_eve")
+    return antennas, n_eve, _integer(network.get("k2", 1), "network.k2")
+
+
+# all-user ANECE
+def _parse_all_user(network: dict) -> NetworkConfig:
+    antennas, n_eve, k2 = _parse_users(network)
+    k1 = network.get("k1")
+    return NetworkConfig(antennas, n_eve, k2=k2,
+                         k1=None if k1 is None else _integer(k1, "network.k1"))
+
+
+def _all_user_formula(cfg: NetworkConfig) -> dict[str, int]:
+    """Pair values for the users (1, 2); dof_phase2_lower_plus is the clamped
+    better ordering, which dof_total adds on top of the pilot phase."""
+    s = DofScenario(cfg, 0, 1)
+    lower_plus = max(dof_phase2_lower_plus(s), dof_phase2_lower_plus(s.swapped()))
+    entries = {
+        "dof_phase1": dof_phase1(s.n_i, s.n_j),
+        "dof_cij": dof_cij(s),
+        "dof_leakage": dof_leakage(s),
+        "dof_phase2_lower": dof_phase2_lower(s),
+        "dof_phase2_lower_plus": lower_plus,
+        "dof_phase2_upper": dof_phase2_upper(s),
+        "dof_gap": dof_gap(s),
+        "dof_total": dof_phase1(s.n_i, s.n_j) + lower_plus,
+    }
+    if cfg.m == 2:
+        n1, n2 = sorted(cfg.antennas)
+        entries["dof_two_user_original"] = dof_two_user_original(n1, n2, cfg.n_eve, cfg.k2)
+    return entries
+
+
+def _all_user_checks(sc: Scenario) -> list[CheckResult]:
+    cfg = sc.network
+    s = DofScenario(cfg, 0, 1)
+    ps = build_pilots(cfg, sc.seed)
+    p1_curve = phase1_curve(cfg, ps, 0, 1, sc.snr_grid)
+    rows = [
+        verify_slope("slope:phase1[1-2]", p1_curve, dof_phase1(s.n_i, s.n_j)),
+        verify_slope("negctrl:slope:phase1-wrong-target", p1_curve, dof_phase1(s.n_i, s.n_j) + 3),
+    ]
+    if cfg.k2 >= 1:
+        c_curve = cij_curve(cfg, 0, 1, sc.snr_grid, sc.mc_samples, sc.seed)
+        rows.append(verify_slope("slope:cij[1-2]", c_curve, dof_cij(s)))
+    rows.append(CheckResult("negctrl:identity:tampered-gap",
+                            float(dof_phase2_upper(s) - dof_phase2_lower(s) + 1),
+                            float(dof_gap(s)), 0.0))
+    return rows + eig_growth_suite(cfg, ps) + rank_oracle_suite(cfg, sc.seed)
+
+
+def _all_user_pilots(sc: Scenario, out_path: str) -> int:
+    cfg = sc.network
+    ps = build_pilots(cfg, sc.seed)
+    write_matrix_text(out_path, ps.stacked)
+    rank = numerical_rank(ps.stacked)
+    want = cfg.n_total - cfg.n_min
+    print(f"wrote {out_path}: rank(P)={rank} {'OK' if rank == want else 'BAD'}")
+    for i, block in enumerate(ps.blocks):
+        block_rank = numerical_rank(block)
+        status = "OK" if block_rank == cfg.antennas[i] else "BAD"
+        print(f"  rank(P_{i + 1})={block_rank} {status}")
+    problems = validate_pilots(ps, cfg)
+    if problems:
+        print("rank audit problems: " + "; ".join(problems))
+        return EXIT_CHECK_FAILED
+    return EXIT_OK
+
+
+# pair-wise ANECE: k1 and k2 count the slots of one session
+def _parse_pairwise(network: dict) -> NetworkConfig:
+    antennas, n_eve, k2 = _parse_users(network)
+    return NetworkConfig(antennas, n_eve, k2=k2,
+                         k1=_integer(network.get("k1", max(antennas)), "network.k1"))
+
+
+def _pairwise_formula(cfg: NetworkConfig) -> dict[str, int]:
+    n_i, n_j = cfg.antennas[0], cfg.antennas[1]
+    pair = dof_pairwise(n_i, n_j, cfg.n_eve, cfg.k2)
+    return {
+        "dof_phase1": dof_phase1(n_i, n_j),
+        "dof_phase2_lower": pair.lower,
+        "dof_phase2_upper": pair.upper,
+        "dof_gap": pair.gap,
+        "dof_total": dof_phase1(n_i, n_j) + pos(pair.upper),
+    }
+
+
+def _pairwise_checks(sc: Scenario) -> list[CheckResult]:
+    cfg = sc.network
+    pair = dof_pairwise(cfg.antennas[0], cfg.antennas[1], cfg.n_eve, cfg.k2)
+    return [CheckResult("negctrl:identity:tampered-pairwise-gap",
+                        float(pair.upper - pair.lower + 1), float(pair.gap), 0.0),
+            *rank_oracle_suite(cfg, sc.seed)]
+
+
+def _pairwise_pilots(sc: Scenario, out_path: str) -> int:
+    cfg = sc.network
+    rng = substream(sc.seed, "pilots-pairwise")
+    blocks = [sample_cn(rng, (n, cfg.k1)) for n in cfg.antennas]
+    pair = build_pairwise_matrix(cfg, blocks)
+    write_matrix_text(out_path, pair.matrix)
+    rank = numerical_rank(pair.matrix)
+    print(f"wrote {out_path}: rank(P_pair)={rank} {'OK' if rank == cfg.n_total else 'BAD'}")
+    return EXIT_OK
+
+
+# modified two-user ANECE
+def _parse_modified(network: dict) -> TwoUserModifiedConfig:
+    return TwoUserModifiedConfig(
+        **{key: _integer(_require(network, key, "network."), f"network.{key}")
+           for key in ("n1", "n2", "k_total", "n_eve")}
+    )
+
+
+def _modified_formula(c: TwoUserModifiedConfig) -> dict[str, int]:
+    md = dof_modified_two_user(c)
+    original = dof_two_user_original(c.n1, c.n2, c.n_eve, c.k_total - c.n2)
+    return {
+        "dof_phase1": dof_phase1(c.n1, c.n2),
+        "dof_phase2": md.upper,
+        "dof_phase2_lower_12": md.lower_12,
+        "dof_phase2_lower_21": md.lower_21,
+        "dof_total": dof_phase1(c.n1, c.n2) + pos(md.upper),
+        "dof_original_phase2": original,
+        "dof_gain_over_original": md.lower_12 - original,
+    }
+
+
+def _modified_checks(sc: Scenario) -> list[CheckResult]:
+    c = sc.network
+    curve = ckey0_curve(c, sc.snr_grid, sc.mc_samples, sc.seed)
+    target = c.n1 * (c.k_total - c.n1) + c.n1 * (c.k_total - c.n2)
+    md = dof_modified_two_user(c)
+    rows = [verify_slope("slope:modified-ckey0", curve, target),
+            CheckResult("negctrl:identity:tampered-modified", float(md.upper + 1),
+                        float(md.lower_12), 0.0)]
+    rank_cfg = NetworkConfig((c.n1, c.n2), c.n_eve, k2=max(c.k_total - c.n2, 1))
+    ps = build_pilots(rank_cfg, sc.seed)
+    return rows + eig_growth_suite(rank_cfg, ps) + rank_oracle_suite(rank_cfg, sc.seed)
+
+
+def _modified_pilots(sc: Scenario, out_path: str) -> int:
+    pp = build_square_pilots(sc.network, sc.seed)
+    for tag, mat, n in (("_p1", pp.p1, sc.network.n1), ("_p2", pp.p2, sc.network.n2)):
+        target = _suffixed(out_path, tag)
+        write_matrix_text(target, mat)
+        rank = numerical_rank(mat)
+        print(f"wrote {target}: rank(P{tag[-1]})={rank} {'OK' if rank == n else 'BAD'}")
+    return EXIT_OK
+
+
+_USER_KEYS = frozenset({"m", "antennas", "n_eve", "k1", "k2"})
+
+SCHEMES = {
+    "all_user": Scheme(_USER_KEYS, _parse_all_user, validate_config, _all_user_formula,
+                       _all_user_checks, _all_user_pilots, lambda cfg: cfg, "k2"),
+    # compare splits an aggregate budget over the M(M-1)/2 sessions
+    "pairwise": Scheme(
+        _USER_KEYS, _parse_pairwise, validate_pairwise_config, _pairwise_formula,
+        _pairwise_checks, _pairwise_pilots,
+        lambda cfg: NetworkConfig(cfg.antennas, cfg.n_eve, k2=cfg.k2 * cfg.m * (cfg.m - 1) // 2),
+        "k2"),
+    # compare runs the two-user schemes over the same K - N_2 symbol slots
+    "modified_two_user": Scheme(
+        frozenset({"n1", "n2", "k_total", "n_eve"}), _parse_modified, validate_modified_config,
+        _modified_formula, _modified_checks, _modified_pilots,
+        lambda c: NetworkConfig((c.n1, c.n2), c.n_eve, k2=c.k_total - c.n2), "k_total"),
+}
+
+
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
 
 
-def cmd_formula(sc: Scenario) -> int:
-    print(json.dumps(formula_report(sc).entries))
-    return EXIT_OK
+def formula_report(sc: Scenario) -> DofReport:
+    """All applicable formula values, keyed by stable identifiers."""
+    return DofReport(SCHEMES[sc.scheme].formula(sc.network))
 
 
 def _verify_rows(sc: Scenario) -> list[CheckResult]:
-    rows: list[CheckResult] = []
-    grid = sc.snr_grid
-
-    entropy_curve = cond_entropy_curve(2, 3, 4, grid, sc.mc_samples, sc.seed)
-    rows.append(verify_slope("slope:cond-entropy[2x3x4]", entropy_curve, 2 * 4))
-    rows.append(verify_slope("negctrl:slope:cond-entropy-wrong-target", entropy_curve, 2 * 4 + 3))
-
-    if sc.scheme == "modified_two_user":
-        c = sc.network
-        curve = ckey0_curve(c, grid, sc.mc_samples, sc.seed)
-        target = c.n1 * (c.k_total - c.n1) + c.n1 * (c.k_total - c.n2)
-        rows.append(verify_slope("slope:modified-ckey0", curve, target))
-        md = dof_modified_two_user(c)
-        rows.append(CheckResult("negctrl:identity:tampered-modified", float(md.upper + 1),
-                                float(md.lower_12), 0.0))
-        rank_cfg = NetworkConfig((c.n1, c.n2), c.n_eve, k2=max(c.k_total - c.n2, 1))
-        ps = build_pilots(rank_cfg, sc.seed)
-        rows += eig_growth_suite(rank_cfg, ps)
-        rows += rank_oracle_suite(rank_cfg, sc.seed)
-    elif sc.scheme == "pairwise":
-        cfg = sc.network
-        pair = dof_pairwise(cfg.antennas[0], cfg.antennas[1], cfg.n_eve, cfg.k2)
-        rows.append(CheckResult("negctrl:identity:tampered-pairwise-gap",
-                                float(pair.upper - pair.lower + 1), float(pair.gap), 0.0))
-        rows += rank_oracle_suite(cfg, sc.seed)
-    else:
-        cfg = sc.network
-        s = DofScenario(cfg, 0, 1)
-        ps = build_pilots(cfg, sc.seed)
-        p1_curve = phase1_curve(cfg, ps, 0, 1, grid)
-        rows.append(verify_slope("slope:phase1[1-2]", p1_curve, dof_phase1(s.n_i, s.n_j)))
-        rows.append(verify_slope("negctrl:slope:phase1-wrong-target", p1_curve,
-                                 dof_phase1(s.n_i, s.n_j) + 3))
-        if cfg.k2 >= 1:
-            c_curve = cij_curve(cfg, 0, 1, grid, sc.mc_samples, sc.seed)
-            rows.append(verify_slope("slope:cij[1-2]", c_curve, dof_cij(s)))
-        rows.append(CheckResult("negctrl:identity:tampered-gap",
-                                float(dof_phase2_upper(s) - dof_phase2_lower(s) + 1),
-                                float(dof_gap(s)), 0.0))
-        rows += eig_growth_suite(cfg, ps)
-        rows += rank_oracle_suite(cfg, sc.seed)
-
-    rows += identity_suite()
+    entropy_curve = cond_entropy_curve(2, 3, 4, sc.snr_grid, sc.mc_samples, sc.seed)
+    rows = [
+        verify_slope("slope:cond-entropy[2x3x4]", entropy_curve, 2 * 4),
+        verify_slope("negctrl:slope:cond-entropy-wrong-target", entropy_curve, 2 * 4 + 3),
+        *SCHEMES[sc.scheme].checks(sc),
+        *identity_suite(),
+    ]
     return sorted(rows, key=lambda r: r.name)
 
 
@@ -377,30 +447,20 @@ def cmd_verify(sc: Scenario, out_path: str | None, allow_low_samples: bool,
 
 
 def _sweep_scenario(sc: Scenario, axis: str, value: int) -> Scenario:
-    if axis == "n_eve":
-        if sc.scheme == "modified_two_user":
-            return replace(sc, network=replace(sc.network, n_eve=value))
-        cfg = sc.network
-        return replace(sc, network=NetworkConfig(cfg.antennas, value, k1=cfg.k1, k2=cfg.k2))
-    if axis == "k2":
-        if sc.scheme == "modified_two_user":
-            if value < sc.network.n2:
-                raise ScenarioError(f"k_total={value} below N_2={sc.network.n2}")
-            return replace(sc, network=replace(sc.network, k_total=value))
-        cfg = sc.network
-        if value < 0:
-            raise ScenarioError("k2 must be non-negative")
-        return replace(sc, network=NetworkConfig(cfg.antennas, cfg.n_eve, k1=cfg.k1, k2=value))
+    """The scenario with one axis set to ``value``, validated like a scenario file."""
+    cfg = sc.network
     if axis == "m":
         if sc.scheme != "all_user":
             raise ScenarioError("the m axis applies only to the all_user scheme")
-        cfg = sc.network
         if len(set(cfg.antennas)) != 1:
             raise ScenarioError("the m axis needs a symmetric antenna layout")
-        if value < 2:
-            raise ScenarioError("m must be >= 2")
-        return replace(sc, network=NetworkConfig((cfg.antennas[0],) * value, cfg.n_eve, k2=cfg.k2))
-    raise ScenarioError(f"unknown sweep axis {axis!r}")
+        cfg = NetworkConfig((cfg.antennas[0],) * value, cfg.n_eve, k2=cfg.k2)
+    elif axis in ("n_eve", "k2"):
+        cfg = replace(cfg, **{SCHEMES[sc.scheme].k2_field if axis == "k2" else axis: value})
+    else:
+        raise ScenarioError(f"unknown sweep axis {axis!r}")
+    _check_network(sc.scheme, cfg)
+    return replace(sc, network=cfg)
 
 
 def cmd_sweep(sc: Scenario, axis: str, span: tuple[int, int], out_path: str) -> int:
@@ -422,63 +482,10 @@ def cmd_sweep(sc: Scenario, axis: str, span: tuple[int, int], out_path: str) -> 
     return EXIT_OK
 
 
-def _suffixed(path: str, suffix: str) -> str:
-    stem, dot, ext = path.rpartition(".")
-    if dot and "/" not in ext:
-        return f"{stem}{suffix}.{ext}"
-    return f"{path}{suffix}"
-
-
-def cmd_pilots(sc: Scenario, out_path: str) -> int:
-    if sc.scheme == "modified_two_user":
-        pp = build_square_pilots(sc.network, sc.seed)
-        for tag, mat, n in (("_p1", pp.p1, sc.network.n1), ("_p2", pp.p2, sc.network.n2)):
-            target = _suffixed(out_path, tag)
-            write_matrix_text(target, mat)
-            rank = numerical_rank(mat)
-            print(f"wrote {target}: rank(P{tag[-1]})={rank} {'OK' if rank == n else 'BAD'}")
-        return EXIT_OK
-    if sc.scheme == "pairwise":
-        cfg = sc.network
-        rng = substream(sc.seed, "pilots-pairwise")
-        blocks = [sample_cn(rng, (n, cfg.k1)) for n in cfg.antennas]
-        pair = build_pairwise_matrix(cfg, blocks)
-        write_matrix_text(out_path, pair.matrix)
-        rank = numerical_rank(pair.matrix)
-        print(f"wrote {out_path}: rank(P_pair)={rank} {'OK' if rank == cfg.n_total else 'BAD'}")
-        return EXIT_OK
-    cfg = sc.network
-    ps = build_pilots(cfg, sc.seed)
-    write_matrix_text(out_path, ps.stacked)
-    rank = numerical_rank(ps.stacked)
-    want = cfg.n_total - cfg.n_min
-    print(f"wrote {out_path}: rank(P)={rank} {'OK' if rank == want else 'BAD'}")
-    for i, block in enumerate(ps.blocks):
-        block_rank = numerical_rank(block)
-        status = "OK" if block_rank == cfg.antennas[i] else "BAD"
-        print(f"  rank(P_{i + 1})={block_rank} {status}")
-    problems = validate_pilots(ps, cfg)
-    if problems:
-        print("rank audit problems: " + "; ".join(problems))
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
-
-
 def cmd_compare(sc: Scenario, out_path: str | None) -> int:
-    if sc.scheme == "modified_two_user":
-        c = sc.network
-        cfg = NetworkConfig((c.n1, c.n2), c.n_eve, k2=c.k_total - c.n2)
-        k2 = c.k_total - c.n2
-    elif sc.scheme == "pairwise":
-        cfg = sc.network
-        p0 = cfg.m * (cfg.m - 1) // 2
-        cfg = NetworkConfig(cfg.antennas, cfg.n_eve, k2=cfg.k2 * p0)
-        k2 = cfg.k2
-    else:
-        cfg = sc.network
-        k2 = cfg.k2
+    cfg = SCHEMES[sc.scheme].compare_input(sc.network)
     try:
-        table = compare_schemes(cfg, k2)
+        table = compare_schemes(cfg, cfg.k2)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     lines = ["scheme,phase1_dof,phase2_dof,total_dof,phase1_slots,phase2_slots"]
@@ -554,13 +561,14 @@ def main(argv: list[str] | None = None) -> int:
                 raise ScenarioError("mc_samples: must be >= 1")
             sc = replace(sc, mc_samples=args.mc_samples)
         if args.command == "formula":
-            return cmd_formula(sc)
+            print(json.dumps(formula_report(sc).entries))
+            return EXIT_OK
         if args.command == "verify":
             return cmd_verify(sc, args.out, args.allow_low_samples, args.inject_wrong_target)
         if args.command == "sweep":
             return cmd_sweep(sc, args.axis, _parse_span(args.span), args.out)
         if args.command == "pilots":
-            return cmd_pilots(sc, args.out)
+            return SCHEMES[sc.scheme].pilots(sc, args.out)
         return cmd_compare(sc, args.out)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -292,31 +292,6 @@ def modified_lower_12_piecewise(cfg2u: TwoUserModifiedConfig) -> int:
 
 
 # --------------------------------------------------------------------------
-# scheme totals
-# --------------------------------------------------------------------------
-
-
-def dof_total(scheme: str, params) -> int:
-    """Pilot-phase SDoF plus the clamped symbol-phase SDoF of a scheme.
-
-    ``params`` is a DofScenario for "all_user", an (N_i, N_j, N_E, k_2)
-    tuple for "pairwise", and a TwoUserModifiedConfig for
-    "modified_two_user".
-    """
-    if scheme == "all_user":
-        s = params
-        phase2 = max(dof_phase2_lower(s), dof_phase2_lower(s.swapped()))
-        return dof_phase1(s.n_i, s.n_j) + pos(phase2)
-    if scheme == "pairwise":
-        n_ip, n_jp, n_eve, k2_session = params
-        return dof_phase1(n_ip, n_jp) + pos(dof_pairwise(n_ip, n_jp, n_eve, k2_session).upper)
-    if scheme == "modified_two_user":
-        cfg2u = params
-        return dof_phase1(cfg2u.n1, cfg2u.n2) + pos(dof_modified_two_user(cfg2u).upper)
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
-# --------------------------------------------------------------------------
 # structural freedom-counting oracle
 # --------------------------------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Domain types shared by every part of the ANECE laboratory.
 
 All types here are immutable value objects.  Configuration problems are
-reported as lists of human-readable violation strings rather than raised,
-so callers can collect and display them; malformed *values* (wrong types,
+returned as lists of ``(field, message)`` pairs, not raised, so callers can
+collect them and name each one's key; malformed *values* (wrong types,
 impossible grids) still raise ``ValueError`` at construction time.
 """
 
@@ -27,7 +27,6 @@ class NetworkConfig:
     n_eve: int
     k1: int | None = None
     k2: int = 1
-    eve_noise_var: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "antennas", tuple(int(n) for n in self.antennas))
@@ -128,35 +127,49 @@ class CheckResult:
         object.__setattr__(self, "passed", bool(ok))
 
 
-def validate_config(cfg: NetworkConfig) -> list[str]:
+def validate_config(cfg: NetworkConfig) -> list[tuple[str, str]]:
     """Return every violated constraint of an all-user config; [] if valid."""
     violations = []
     if cfg.m < 2:
-        violations.append("M < 2")
+        violations.append(("antennas", "M < 2"))
     for idx, n in enumerate(cfg.antennas):
         if n < 1:
-            violations.append(f"antenna count must be >= 1 (user {idx + 1})")
+            violations.append(("antennas", f"antenna count must be >= 1 (user {idx + 1})"))
     if cfg.n_eve < 0:
-        violations.append("N_E < 0")
+        violations.append(("n_eve", "N_E < 0"))
     if cfg.k2 < 0:
-        violations.append("K_2 < 0")
+        violations.append(("k2", "K_2 < 0"))
     bound = cfg.n_total - cfg.n_min
     if cfg.k1 < bound:
-        violations.append(f"K_1 < N_T-N_min (need >= {bound})")
-    if cfg.eve_noise_var != 1.0:
-        violations.append(f"eve_noise_var must be 1 (got {cfg.eve_noise_var})")
+        violations.append(("k1", f"K_1 < N_T-N_min (need >= {bound})"))
     return violations
 
 
-def validate_modified_config(cfg: TwoUserModifiedConfig) -> list[str]:
+def validate_pairwise_config(cfg: NetworkConfig) -> list[tuple[str, str]]:
+    """Return every violated constraint of a pair-wise config; k1 is per session."""
+    violations = []
+    if cfg.m < 3:
+        violations.append(("antennas", "M < 3 (pair-wise scheme needs at least 3 users)"))
+    if any(n < 1 for n in cfg.antennas):
+        violations.append(("antennas", "antenna counts must be >= 1"))
+    if cfg.k1 < max(cfg.antennas):
+        violations.append(("k1", f"K_1 < max antenna count (need >= {max(cfg.antennas)})"))
+    if cfg.n_eve < 0:
+        violations.append(("n_eve", "N_E < 0"))
+    if cfg.k2 < 0:
+        violations.append(("k2", "K_2 < 0"))
+    return violations
+
+
+def validate_modified_config(cfg: TwoUserModifiedConfig) -> list[tuple[str, str]]:
     """Return every violated constraint of a modified two-user config."""
     violations = []
     if cfg.n1 < 1:
-        violations.append("N_1 < 1")
+        violations.append(("n1", "N_1 < 1"))
     if cfg.n1 > cfg.n2:
-        violations.append("N_1 > N_2")
+        violations.append(("n1", "N_1 > N_2"))
     if cfg.k_total < cfg.n2:
-        violations.append(f"K < N_2 (need >= {cfg.n2})")
+        violations.append(("k_total", f"K < N_2 (need >= {cfg.n2})"))
     if cfg.n_eve < 0:
-        violations.append("N_E < 0")
+        violations.append(("n_eve", "N_E < 0"))
     return violations

@@ -173,19 +173,20 @@ def synth_phase1(ch: ChannelRealization, ps, sigma: float, seed: int,
     """Pilot-phase receptions: Y_i = sigma*H_i*P_(i) + W_i, Y_E = sigma*H_E*P + W_E.
 
     Channels may carry a leading batch axis, as ``channel_basis`` gives them.
+    At ``noise_scale`` 0 no noise generator is built and no noise is drawn.
     """
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     m = len(ch.antennas)
     if len(ps.blocks) != m:
         raise ValueError("pilot block count does not match channel realization")
-    rng = substream(seed, "phase1-noise")
+    rng = substream(seed, "phase1-noise") if noise_scale else None
     user_rx = []
     for i in range(m):
         p_without_i = np.vstack([ps.blocks[l] for l in range(m) if l != i])
-        w = noise_scale * sample_cn(rng, (ch.antennas[i], ps.k1))
+        w = noise_scale * sample_cn(rng, (ch.antennas[i], ps.k1)) if rng else 0.0
         user_rx.append(sigma * ch.channel_to(i) @ p_without_i + w)
-    w_eve = noise_scale * sample_cn(rng, (ch.n_eve, ps.k1))
+    w_eve = noise_scale * sample_cn(rng, (ch.n_eve, ps.k1)) if rng else 0.0
     eve_rx = sigma * ch.eve_stacked @ ps.stacked + w_eve
     return Phase1Signals(tuple(user_rx), eve_rx)
 

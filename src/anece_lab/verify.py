@@ -425,7 +425,7 @@ def compare_schemes(cfg: NetworkConfig, k2: int) -> ComparisonTable:
     """
     problems = validate_config(cfg)
     if problems:
-        raise ValueError("; ".join(problems))
+        raise ValueError("; ".join(text for _, text in problems))
     if k2 < 0:
         raise ValueError("k2 must be non-negative")
     n_i, n_j = cfg.antennas[0], cfg.antennas[1]

@@ -46,6 +46,65 @@ def test_formula_pairwise_blocked_by_large_eve(write_scenario):
     assert report["dof_total"] == 4
 
 
+# one scenario per scheme: exact `formula` stdout (key order included),
+# exact `compare` stdout and the header of an n_eve `sweep` CSV
+PINNED = [
+    ("all_user", {"antennas": [2, 3], "n_eve": 2, "k2": 3},
+     '{"dof_phase1": 6, "dof_cij": 12, "dof_leakage": 1, "dof_phase2_lower": 11, '
+     '"dof_phase2_lower_plus": 11, "dof_phase2_upper": 11, "dof_gap": 0, "dof_total": 17, '
+     '"dof_two_user_original": 11}\n',
+     "all_user,6,11,17,3,3\nmodified_two_user,6,13,19,3,3\n",
+     "dof_phase1,dof_cij,dof_leakage,dof_phase2_lower,dof_phase2_lower_plus,dof_phase2_upper,"
+     "dof_gap,dof_total,dof_two_user_original"),
+    ("pairwise", {"antennas": [2, 2, 2], "n_eve": 4, "k2": 1},
+     '{"dof_phase1": 4, "dof_phase2_lower": 0, "dof_phase2_upper": 0, "dof_gap": 0, '
+     '"dof_total": 4}\n',
+     "all_user,4,4,8,4,3\npairwise,4,0,4,6,3\n",
+     "dof_phase1,dof_phase2_lower,dof_phase2_upper,dof_gap,dof_total"),
+    ("modified_two_user", {"n1": 2, "n2": 3, "k_total": 7, "n_eve": 6},
+     '{"dof_phase1": 6, "dof_phase2": 10, "dof_phase2_lower_12": 10, "dof_phase2_lower_21": 8, '
+     '"dof_total": 16, "dof_original_phase2": 8, "dof_gain_over_original": 2}\n',
+     "all_user,6,8,14,3,4\nmodified_two_user,6,10,16,3,4\n",
+     "dof_phase1,dof_phase2,dof_phase2_lower_12,dof_phase2_lower_21,dof_total,"
+     "dof_original_phase2,dof_gain_over_original"),
+]
+
+
+@pytest.mark.parametrize("scheme, network, formula, compare, sweep_keys", PINNED,
+                         ids=[case[0] for case in PINNED])
+def test_outputs_are_pinned(tmp_path, write_scenario, scheme, network, formula, compare,
+                            sweep_keys):
+    path = write_scenario(scheme, network, **FAST_MC)
+    assert run_cli("formula", "--scenario", path).stdout == formula
+    header = "scheme,phase1_dof,phase2_dof,total_dof,phase1_slots,phase2_slots\n"
+    assert run_cli("compare", "--scenario", path).stdout == header + compare
+    out = tmp_path / "s.csv"
+    proc = run_cli("sweep", "--scenario", path, "--axis", "n_eve", "--range", "0:2",
+                   "--out", str(out))
+    assert proc.returncode == 0
+    assert out.read_text(encoding="utf-8").splitlines()[0] == "axis,value," + sweep_keys
+
+
+@pytest.mark.parametrize("scheme, network, message", [
+    ("bogus", {}, "scheme: expected one of ('all_user', 'pairwise', 'modified_two_user'), "
+                  "got 'bogus'"),
+    ("all_user", {"antennas": [2, 0], "n_eve": -1, "k1": 5, "k2": -1},
+     "network.antennas: antenna count must be >= 1 (user 2); network.n_eve: N_E < 0; "
+     "network.k2: K_2 < 0"),
+    ("pairwise", {"antennas": [0, 2], "n_eve": -1, "k1": 1, "k2": -1},
+     "network.antennas: M < 3 (pair-wise scheme needs at least 3 users); "
+     "network.antennas: antenna counts must be >= 1; "
+     "network.k1: K_1 < max antenna count (need >= 2); network.n_eve: N_E < 0; "
+     "network.k2: K_2 < 0"),
+    ("modified_two_user", {"n1": 0, "n2": 3, "k_total": 2, "n_eve": -1},
+     "network.n1: N_1 < 1; network.k_total: K < N_2 (need >= 3); network.n_eve: N_E < 0"),
+], ids=["bogus", "all_user", "pairwise", "modified_two_user"])
+def test_invalid_scenario_names_every_violation(write_scenario, scheme, network, message):
+    proc = run_cli("formula", "--scenario", write_scenario(scheme, network, **FAST_MC))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"
+
+
 def test_unknown_key_is_rejected(write_scenario):
     path = write_scenario("all_user", {"antennas": [2, 2], "n_eve": 4, "n_eves": 4}, **FAST_MC)
     proc = run_cli("formula", "--scenario", path)
@@ -233,6 +292,34 @@ def test_sweep_symmetric_network_size(tmp_path, write_scenario):
     assert proc.returncode == 0
     values = [int(r["dof_phase2_lower_plus"]) for r in read_csv_rows(out)]
     assert values == [8, 4, 0, 0, 0]
+
+
+AU_222 = ("all_user", {"antennas": [2, 2, 2], "n_eve": 4, "k2": 2})
+PW_222 = ("pairwise", {"antennas": [2, 2, 2], "n_eve": 4, "k2": 2})
+MOD_2362 = ("modified_two_user", {"n1": 2, "n2": 3, "k_total": 6, "n_eve": 2})
+
+
+@pytest.mark.parametrize("scenario, axis, span, message", [
+    (AU_222, "n_eve", "-2:1", "network.n_eve: N_E < 0"),
+    (("all_user", {"antennas": [2, 3], "n_eve": 2, "k2": 3}), "n_eve", "-2:1",
+     "network.n_eve: N_E < 0"),
+    (PW_222, "n_eve", "-2:1", "network.n_eve: N_E < 0"),
+    (MOD_2362, "n_eve", "-2:1", "network.n_eve: N_E < 0"),
+    (AU_222, "k2", "-1:1", "network.k2: K_2 < 0"),
+    (PW_222, "k2", "-1:1", "network.k2: K_2 < 0"),
+    (MOD_2362, "k2", "-1:1", "network.k_total: K < N_2 (need >= 3)"),
+    (AU_222, "m", "0:3", "network.antennas: M < 2"),
+], ids=["all_user-n_eve", "all_user-2x3-n_eve", "pairwise-n_eve", "modified-n_eve",
+        "all_user-k2", "pairwise-k2", "modified-k2", "all_user-m"])
+def test_sweep_validates_every_value(tmp_path, write_scenario, scenario, axis, span, message):
+    # swept values go through the same validator as the scenario file
+    out = tmp_path / "s.csv"
+    proc = run_cli("sweep", "--scenario", write_scenario(*scenario, **FAST_MC), "--axis", axis,
+                   f"--range={span}", "--out", str(out))
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_sweep_rejects_mismatched_axis(tmp_path, write_scenario):

@@ -1,5 +1,6 @@
 import pytest
 
+from anece_lab.cli import SCHEMES
 from anece_lab.dofcalc import (
     DofScenario,
     dof_cij,
@@ -12,7 +13,6 @@ from anece_lab.dofcalc import (
     dof_phase2_lower,
     dof_phase2_lower_plus,
     dof_phase2_upper,
-    dof_total,
     dof_two_user_original,
     freedom_count_oracle,
     modified_entropy_terms,
@@ -225,17 +225,17 @@ def test_modified_rejects_bad_configs():
 
 
 def test_dof_total_examples():
-    assert dof_total("modified_two_user", TwoUserModifiedConfig(2, 3, 7, 6)) == 16
-    assert dof_total("all_user", scenario((2, 2, 2), 4, 2)) == 8
-    assert dof_total("pairwise", (2, 2, 4, 1)) == 4
-    with pytest.raises(ValueError):
-        dof_total("bogus", None)
+    # dof_total is each scheme record's pilot-phase SDoF plus its clamped
+    # symbol-phase SDoF
+    assert SCHEMES["modified_two_user"].formula(TwoUserModifiedConfig(2, 3, 7, 6))["dof_total"] == 16
+    assert SCHEMES["all_user"].formula(NetworkConfig((2, 2, 2), 4, k2=2))["dof_total"] == 8
+    assert SCHEMES["pairwise"].formula(NetworkConfig((2, 2, 2), 4, k2=1))["dof_total"] == 4
 
 
 def test_dof_total_clamps_negative_phase2():
     s = scenario((1, 3, 3), 12, 3)
     assert dof_phase2_lower(s) < 0 and dof_phase2_lower(s.swapped()) < 0
-    assert dof_total("all_user", s) == dof_phase1(1, 3)
+    assert SCHEMES["all_user"].formula(s.cfg)["dof_total"] == dof_phase1(1, 3)
 
 
 def test_freedom_oracle_examples():
