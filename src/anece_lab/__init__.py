@@ -13,12 +13,10 @@ from .model import (
 from .pilots import (
     ModifiedPilotPair,
     PairwisePilotMatrix,
-    PilotQrSplit,
     PilotSet,
     build_pairwise_matrix,
     build_pilots,
     build_square_pilots,
-    qr_split,
     validate_pilots,
 )
 from .numkernel import (
@@ -52,7 +50,8 @@ from .dofcalc import (
     dof_phase2_lower_plus,
     dof_phase2_upper,
     dof_two_user_original,
-    freedom_count_oracle,
+    freedom_oracle,
+    modified_freedom_oracle,
 )
 from .verify import (
     SlopeFit,

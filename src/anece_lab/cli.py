@@ -250,7 +250,7 @@ def _parse_all_user(network: dict) -> NetworkConfig:
 def _all_user_formula(cfg: NetworkConfig) -> dict[str, int]:
     """Pair values for the users (1, 2); dof_phase2_lower_plus is the clamped
     better ordering, which dof_total adds on top of the pilot phase."""
-    s = DofScenario(cfg, 0, 1)
+    s = DofScenario.pair(cfg, 0, 1)
     lower_plus = max(dof_phase2_lower_plus(s), dof_phase2_lower_plus(s.swapped()))
     entries = {
         "dof_phase1": dof_phase1(s.n_i, s.n_j),
@@ -270,7 +270,7 @@ def _all_user_formula(cfg: NetworkConfig) -> dict[str, int]:
 
 def _all_user_checks(sc: Scenario) -> list[CheckResult]:
     cfg = sc.network
-    s = DofScenario(cfg, 0, 1)
+    s = DofScenario.pair(cfg, 0, 1)
     ps = build_pilots(cfg, sc.seed)
     p1_curve = phase1_curve(cfg, ps, 0, 1, sc.snr_grid)
     rows = [
@@ -485,7 +485,7 @@ def cmd_sweep(sc: Scenario, axis: str, span: tuple[int, int], out_path: str) -> 
 def cmd_compare(sc: Scenario, out_path: str | None) -> int:
     cfg = SCHEMES[sc.scheme].compare_input(sc.network)
     try:
-        table = compare_schemes(cfg, cfg.k2)
+        table = compare_schemes(cfg)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     lines = ["scheme,phase1_dof,phase2_dof,total_dof,phase1_slots,phase2_slots"]

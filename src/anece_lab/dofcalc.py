@@ -1,15 +1,16 @@
 """Closed-form secure-degree-of-freedom evaluators for all ANECE variants.
 
 Every function here is exact integer arithmetic with (x)^+ = max(x, 0);
-no floats enter.  Alongside the closed forms, ``freedom_count_oracle``
-recomputes the non-Gaussian entropy DoFs by summing per-block freedoms
-(min of observed dimension and unknown-factor dimension, times columns),
-giving an independent route against which the closed forms are checked.
+no floats enter.  Alongside the closed forms, ``freedom_oracle`` and
+``modified_freedom_oracle`` recompute the non-Gaussian entropy DoFs by
+summing per-block freedoms (min of observed dimension and unknown-factor
+dimension, times columns), giving an independent route against which the
+closed forms are checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .model import NetworkConfig, TwoUserModifiedConfig
 
@@ -21,57 +22,33 @@ def pos(x: int) -> int:
 
 @dataclass(frozen=True)
 class DofScenario:
-    """One ordered user pair (i, j) inside an all-user configuration.
+    """The numbers of one ordered user pair (i, j) of an all-user network.
 
-    All derived quantities are recomputed properties so they can never go
-    stale against the underlying config.
+    Every all-user closed form reads the network only through N_i, N_j,
+    N_T, N_min, N_E and K_2.
     """
 
-    cfg: NetworkConfig
-    i: int
-    j: int
+    n_i: int
+    n_j: int
+    n_t: int
+    n_min: int
+    n_eve: int
+    k2: int
 
-    def __post_init__(self):
-        m = self.cfg.m
-        if not (0 <= self.i < m and 0 <= self.j < m) or self.i == self.j:
+    @classmethod
+    def pair(cls, cfg: NetworkConfig, i: int, j: int) -> "DofScenario":
+        """The pair (i, j) of ``cfg``."""
+        if not (0 <= i < cfg.m and 0 <= j < cfg.m) or i == j:
             raise ValueError("need two distinct user indices inside the config")
-
-    @property
-    def n_i(self) -> int:
-        return self.cfg.antennas[self.i]
-
-    @property
-    def n_j(self) -> int:
-        return self.cfg.antennas[self.j]
-
-    @property
-    def n_t(self) -> int:
-        return self.cfg.n_total
-
-    @property
-    def n_min(self) -> int:
-        return self.cfg.n_min
-
-    @property
-    def n_eve(self) -> int:
-        return self.cfg.n_eve
-
-    @property
-    def k2(self) -> int:
-        return self.cfg.k2
+        return cls(cfg.antennas[i], cfg.antennas[j], cfg.n_total, cfg.n_min, cfg.n_eve, cfg.k2)
 
     @property
     def dk2(self) -> int:
         """Symbol slots beyond the pilot-ambiguity width: (K_2 - N_min)^+."""
         return pos(self.k2 - self.n_min)
 
-    @property
-    def dn_eve(self) -> int:
-        """Eve antennas beyond the network total: (N_E - N_T)^+."""
-        return pos(self.n_eve - self.n_t)
-
     def swapped(self) -> "DofScenario":
-        return DofScenario(self.cfg, self.j, self.i)
+        return replace(self, n_i=self.n_j, n_j=self.n_i)
 
 
 @dataclass(frozen=True)
@@ -306,57 +283,46 @@ def _right_unknown(obs_rows: int, unknown_rows: int, cols: int) -> int:
     return min(obs_rows, unknown_rows) * cols
 
 
-def freedom_count_oracle(term: str, dims) -> int:
-    """Recompute an entropy slope by summing per-block freedoms.
+def freedom_oracle(s: DofScenario) -> tuple[int, int, int]:
+    """The entropy slopes h_ye_given_hep, h_joint_i_e and h_joint_i_j_e of
+    ``dof_entropy_terms``, recomputed by summing per-block freedoms.
 
-    ``dims`` is a DofScenario for the all-user terms and a
-    TwoUserModifiedConfig for the modified-scheme terms.  Each observation
-    block contributes min(its row count, rank of its unknown factor) times
-    its column count; blocks that the conditioning pins down contribute
-    zero.  No piecewise closed form is evaluated on this path.
+    Each observation block contributes min(its row count, rank of its
+    unknown factor) times its column count; blocks that the conditioning
+    pins down contribute zero.  No piecewise closed form is evaluated here.
     """
-    if term in ("ye_given_hep", "joint_i_e", "joint_i_j_e"):
-        s = dims
-        ni, nj, nt, nmin, ne, k2 = s.n_i, s.n_j, s.n_t, s.n_min, s.n_eve, s.k2
-        cols_alpha = min(nmin, k2)
-        cols_beta = k2 - cols_alpha
-        if term == "ye_given_hep":
-            # alpha: Eve's channel part orthogonal to the pilots (nmin rows) is free;
-            # beta rows up to N_T stay free through the unknown symbols; the rest is pinned
-            return (
-                _left_unknown(ne, nmin, cols_alpha)
-                + _right_unknown(ne, nt, cols_beta)
-            )
-        if term == "joint_i_e":
-            null_i = pos((nt - ni) - ni)  # unknown factor rows left by user i's reception
-            return (
-                _right_unknown(ni, nt - ni, k2)
-                + _left_unknown(ne, nmin, cols_alpha)
-                + _right_unknown(ne, null_i, cols_beta)
-            )
-        null_after_i = pos(nt - ni - nj - ni)
-        null_after_ij = pos(nt - ni - nj - ni - nj)
-        return (
-            _right_unknown(ni, nt - ni - nj, k2)
-            + _right_unknown(nj, null_after_i, k2)
-            + _left_unknown(ne, nmin, cols_alpha)
-            + _right_unknown(ne, null_after_ij, cols_beta)
-        )
+    ni, nj, nt, nmin, ne, k2 = s.n_i, s.n_j, s.n_t, s.n_min, s.n_eve, s.k2
+    cols_alpha = min(nmin, k2)
+    cols_beta = k2 - cols_alpha
+    # alpha: Eve's channel part orthogonal to the pilots (nmin rows) is free;
+    # beta rows up to N_T stay free through the unknown symbols; the rest is pinned
+    eve_alpha = _left_unknown(ne, nmin, cols_alpha)
+    ye_given_hep = eve_alpha + _right_unknown(ne, nt, cols_beta)
+    null_i = pos((nt - ni) - ni)  # unknown factor rows left by user i's reception
+    joint_i_e = (
+        _right_unknown(ni, nt - ni, k2)
+        + eve_alpha
+        + _right_unknown(ne, null_i, cols_beta)
+    )
+    null_after_i = pos(nt - ni - nj - ni)
+    null_after_ij = pos(nt - ni - nj - ni - nj)
+    joint_i_j_e = (
+        _right_unknown(ni, nt - ni - nj, k2)
+        + _right_unknown(nj, null_after_i, k2)
+        + eve_alpha
+        + _right_unknown(ne, null_after_ij, cols_beta)
+    )
+    return ye_given_hep, joint_i_e, joint_i_j_e
 
-    if term in ("modified_term2", "modified_term3", "modified_term4"):
-        c = dims
-        n1, n2, k, ne = c.n1, c.n2, c.k_total, c.n_eve
-        nt, dn = c.n_total, c.delta_n
-        cols_alpha = min(n2, k - n1)
-        cols_beta = pos(k - nt)
-        if term == "modified_term2":
-            return _left_unknown(ne, n2, cols_alpha) + _right_unknown(ne, nt, cols_beta)
-        if term == "modified_term3":
-            return (
-                _right_unknown(n1, n2, k - n2)
-                + _left_unknown(ne, n2, cols_alpha)
-                + _right_unknown(ne, dn, cols_beta)
-            )
-        return _right_unknown(n2, n1, k - n1) + _left_unknown(ne, n2, cols_alpha)
 
-    raise ValueError(f"unknown freedom-count term {term!r}")
+def modified_freedom_oracle(c: TwoUserModifiedConfig) -> tuple[int, int, int]:
+    """The three slopes of ``modified_entropy_terms``, by the same block count."""
+    n1, n2, k, ne = c.n1, c.n2, c.k_total, c.n_eve
+    nt, dn = c.n_total, c.delta_n
+    cols_alpha = min(n2, k - n1)
+    cols_beta = pos(k - nt)
+    eve_alpha = _left_unknown(ne, n2, cols_alpha)
+    term2 = eve_alpha + _right_unknown(ne, nt, cols_beta)
+    term3 = _right_unknown(n1, n2, k - n2) + eve_alpha + _right_unknown(ne, dn, cols_beta)
+    term4 = _right_unknown(n2, n1, k - n1) + eve_alpha
+    return term2, term3, term4

@@ -19,8 +19,8 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-DEFAULT_POWER_RATIO = 2.0**10
-DEFAULT_GROWTH_FRACTION = 0.1
+POWER_RATIO = 2.0**10
+GROWTH_FRACTION = 0.1
 
 # Samples per Monte Carlo block; bounds the scratch memory of a curve.
 MC_BLOCK = 256
@@ -263,34 +263,28 @@ def log2det_grid(a: np.ndarray, sigma2) -> np.ndarray:
     return np.log1p(s2.reshape(s2.shape + (1,) * sv.ndim) * sv**2).sum(axis=-1) / math.log(2.0)
 
 
-def numerical_rank(m: np.ndarray, rtol: float | None = None) -> int:
-    """Count singular values above ``rtol * s_max``.
-
-    Default ``rtol`` is ``max(rows, cols) * 1e-12``, a scale-invariant
-    threshold adequate for the moderately sized matrices used here.
-    """
+def numerical_rank(m: np.ndarray) -> int:
+    """Count singular values above ``max(rows, cols) * 1e-12 * s_max``, a
+    scale-invariant threshold adequate for the moderately sized matrices
+    used here."""
     a = np.asarray(m)
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
-    if rtol is None:
-        rtol = max(a.shape) * 1e-12
     s_max = s[0]
     if s_max == 0.0:
         return 0
-    return int(np.count_nonzero(s > rtol * s_max))
+    return int(np.count_nonzero(s > max(a.shape) * 1e-12 * s_max))
 
 
-def eig_growth_count(r_lo: np.ndarray, r_hi: np.ndarray,
-                     power_ratio: float = DEFAULT_POWER_RATIO,
-                     growth_fraction: float = DEFAULT_GROWTH_FRACTION) -> int:
+def eig_growth_count(r_lo: np.ndarray, r_hi: np.ndarray) -> int:
     """Number of eigenvalues that scale with the transmit power.
 
     ``r_lo`` and ``r_hi`` are the same Hermitian PSD covariance evaluated at
-    powers sigma2 and power_ratio * sigma2.  Sorted eigenvalues whose ratio
-    exceeds ``growth_fraction * power_ratio`` are counted; with the defaults
-    (ratio 2**10, fraction 0.1) power-scaled eigenvalues clear the threshold
-    by orders of magnitude while bounded ones stay near ratio 1.
+    powers sigma2 and POWER_RATIO * sigma2.  Sorted eigenvalues whose ratio
+    exceeds ``GROWTH_FRACTION * POWER_RATIO`` are counted; at ratio 2**10 and
+    fraction 0.1 power-scaled eigenvalues clear the threshold by orders of
+    magnitude while bounded ones stay near ratio 1.
     """
     lo = np.asarray(r_lo)
     hi = np.asarray(r_hi)
@@ -299,7 +293,7 @@ def eig_growth_count(r_lo: np.ndarray, r_hi: np.ndarray,
     ev_lo = np.sort(np.linalg.eigvalsh(lo))[::-1]
     ev_hi = np.sort(np.linalg.eigvalsh(hi))[::-1]
     ratios = ev_hi / np.maximum(ev_lo, 1e-300)
-    return int(np.count_nonzero(ratios > growth_fraction * power_ratio))
+    return int(np.count_nonzero(ratios > GROWTH_FRACTION * POWER_RATIO))
 
 
 def reciprocal_channel_covariance(antennas, i: int, j: int) -> np.ndarray:

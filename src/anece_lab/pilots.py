@@ -2,9 +2,7 @@
 
 All-user pilots are drawn i.i.d. complex Gaussian and rank-checked: random
 matrices meet the required rank pattern with probability one, and only the
-rank pattern (not any finite-SNR optimality) drives the DoF results.  The
-QR split of the stacked pilot exposes the orthonormal complement that Eve's
-pilot-phase observation cannot resolve.
+rank pattern (not any finite-SNR optimality) drives the DoF results.
 """
 
 from __future__ import annotations
@@ -41,19 +39,6 @@ class PilotSet:
     def without(self, i: int) -> np.ndarray:
         """The stack with block i removed."""
         return np.vstack([b for l, b in enumerate(self.blocks) if l != i])
-
-
-@dataclass(frozen=True)
-class PilotQrSplit:
-    """Orthonormal split P = q_p @ r_p with [q_p, q_perp] unitary.
-
-    ``q_perp`` spans the pilot null directions: the part of Eve's channel
-    that the pilot phase leaves fully random.
-    """
-
-    q_p: np.ndarray  # N_T x (N_T - N_min)
-    q_perp: np.ndarray  # N_T x N_min
-    r_p: np.ndarray  # (N_T - N_min) x K_1
 
 
 @dataclass(frozen=True)
@@ -127,40 +112,6 @@ def build_pilots(cfg: NetworkConfig, seed: int) -> PilotSet:
         if not validate_pilots(ps, cfg):
             return ps
     raise RuntimeError(f"pilot construction failed rank audit after {_MAX_BUILD_ATTEMPTS} attempts")
-
-
-def qr_split(ps: PilotSet) -> PilotQrSplit:
-    """QR-style split of the stacked pilot with unitary [q_p, q_perp].
-
-    The diagonal of r_p is made real non-negative so the output is a
-    deterministic function of the pilots.  Falls back to an SVD basis when
-    the leading columns of P do not expose its full rank.
-    """
-    p = ps.stacked
-    n_t = p.shape[0]
-    rank = n_t - min(ps.antennas)
-    if numerical_rank(p) != rank:
-        raise ValueError(f"stacked pilot rank {numerical_rank(p)} != required {rank}")
-
-    q, r = np.linalg.qr(p, mode="complete")
-    q_p, q_perp, r_p = q[:, :rank].copy(), q[:, rank:].copy(), r[:rank, :].copy()
-    if _split_residual(p, q_p, r_p) > 1e-10:
-        u = np.linalg.svd(p, compute_uv=True)[0]
-        q_p, q_perp = u[:, :rank].copy(), u[:, rank:].copy()
-        r_p = q_p.conj().T @ p
-        if _split_residual(p, q_p, r_p) > 1e-10:
-            raise ValueError("pilot matrix could not be factored to tolerance")
-    for k in range(min(rank, r_p.shape[1])):
-        d = r_p[k, k]
-        if abs(d) > 1e-300:
-            phase = d / abs(d)
-            q_p[:, k] *= phase
-            r_p[k, :] *= np.conj(phase)
-    return PilotQrSplit(q_p, q_perp, r_p)
-
-
-def _split_residual(p, q_p, r_p) -> float:
-    return float(np.linalg.norm(p - q_p @ r_p) / max(np.linalg.norm(p), 1e-300))
 
 
 def build_pairwise_matrix(cfg: NetworkConfig, per_session_blocks) -> PairwisePilotMatrix:

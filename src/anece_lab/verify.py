@@ -27,14 +27,15 @@ from .dofcalc import (
     dof_phase2_lower_plus,
     dof_phase2_upper,
     dof_two_user_original,
-    freedom_count_oracle,
+    freedom_oracle,
     modified_entropy_terms,
+    modified_freedom_oracle,
     modified_lower_12_piecewise,
     pos,
 )
 from .model import CheckResult, NetworkConfig, SnrGrid, TwoUserModifiedConfig, validate_config
 from .numkernel import (
-    DEFAULT_POWER_RATIO,
+    POWER_RATIO,
     draw_channels,
     eig_growth_count,
     numerical_rank,
@@ -85,12 +86,9 @@ def slope_tolerance(target_dof: int) -> float:
     return max(SLOPE_ABS_TOL, SLOPE_REL_TOL * abs(target_dof))
 
 
-def verify_slope(name: str, curve: CapacityCurve, target_dof: int,
-                 tol: float | None = None) -> CheckResult:
+def verify_slope(name: str, curve: CapacityCurve, target_dof: int) -> CheckResult:
     """One slope-versus-analytic-DoF check."""
-    if tol is None:
-        tol = slope_tolerance(target_dof)
-    return CheckResult(name, fit_slope(curve).slope, float(target_dof), tol)
+    return CheckResult(name, fit_slope(curve).slope, float(target_dof), slope_tolerance(target_dof))
 
 
 # --------------------------------------------------------------------------
@@ -98,7 +96,10 @@ def verify_slope(name: str, curve: CapacityCurve, target_dof: int,
 # --------------------------------------------------------------------------
 
 
-def rank_oracle_suite(cfg: NetworkConfig, seed: int, n_draws: int = 100) -> list[CheckResult]:
+RANK_DRAWS = 100
+
+
+def rank_oracle_suite(cfg: NetworkConfig, seed: int) -> list[CheckResult]:
     """Probability-one rank statements checked over repeated channel draws.
 
     Per draw: the analytically assembled reciprocal-channel covariance has
@@ -106,7 +107,7 @@ def rank_oracle_suite(cfg: NetworkConfig, seed: int, n_draws: int = 100) -> list
     has rank min(N_i, N_T-N_i); the [H_ij; H_Ej] stack has rank
     min(N_E+N_i, N_j); and (for M >= 3) a fresh pair-wise pilot matrix has
     full row rank N_T.  Any miss indicates a tolerance or construction bug,
-    not bad sampling luck.  Result rows carry pass counts against n_draws.
+    not bad sampling luck.  Result rows carry pass counts against RANK_DRAWS.
     """
     m = len(cfg.antennas)
     antennas, n_eve, n_t = cfg.antennas, cfg.n_eve, cfg.n_total
@@ -121,7 +122,7 @@ def rank_oracle_suite(cfg: NetworkConfig, seed: int, n_draws: int = 100) -> list
         cov = reciprocal_channel_covariance(antennas, i, j)
         deficiency = cov.shape[0] - numerical_rank(cov)
         cov_ok[(i, j)] = deficiency == antennas[i] * antennas[j]
-    for d in range(n_draws):
+    for d in range(RANK_DRAWS):
         ch = draw_channels(antennas, n_eve, substream(seed, "rank-draws", d))
         for i, j in itertools.combinations(range(m), 2):
             tally(f"rank:reciprocal-cov[{i + 1}-{j + 1}]", cov_ok[(i, j)])
@@ -143,7 +144,7 @@ def rank_oracle_suite(cfg: NetworkConfig, seed: int, n_draws: int = 100) -> list
                 ok = False
             tally("rank:pairwise-pilot", ok)
 
-    results = [CheckResult(name, float(count), float(n_draws), 0.0)
+    results = [CheckResult(name, float(count), float(RANK_DRAWS), 0.0)
                for name, count in passes.items()]
     return sorted(results, key=lambda r: r.name)
 
@@ -163,7 +164,7 @@ def eig_growth_suite(cfg: NetworkConfig, ps) -> list[CheckResult]:
     the joint count being reduced by the reciprocal (shared) coordinates.
     """
     lo = _EIG_SIGMA2_LO
-    hi = lo * DEFAULT_POWER_RATIO
+    hi = lo * POWER_RATIO
     n_t = cfg.n_total
     results = []
     for i in range(cfg.m):
@@ -183,18 +184,15 @@ def eig_growth_suite(cfg: NetworkConfig, ps) -> list[CheckResult]:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityGrid:
-    """Parameter ranges for the exact identity suite."""
-
-    m_values: tuple[int, ...] = (2, 3, 4, 5)
-    n_values: tuple[int, ...] = (1, 2, 3)
-    n_eve_values: tuple[int, ...] = tuple(range(13))
-    k2_values: tuple[int, ...] = tuple(range(9))
-    two_user_n_max: int = 4
-    two_user_n_eve_max: int = 10
-    two_user_k_extra: int = 8
-
+# The identity grid: all-user networks of M users with antenna counts in
+# N_VALUES, and two-user networks with 1 <= N_1 <= N_2 <= TWO_USER_N_MAX.
+# The modified scheme has K = N_2 + K_2 slots and N_E in TWO_USER_N_EVE_VALUES.
+M_VALUES = (2, 3, 4, 5)
+N_VALUES = (1, 2, 3)
+N_EVE_VALUES = tuple(range(13))
+K2_VALUES = tuple(range(9))
+TWO_USER_N_MAX = 4
+TWO_USER_N_EVE_VALUES = tuple(range(11))
 
 IDENTITY_MANIFEST = (
     "identity:gap-consistency",
@@ -217,175 +215,149 @@ IDENTITY_MANIFEST = (
 )
 
 
-def _pair_representatives(grid: IdentityGrid):
-    """Distinct (N_i, N_j, N_T, N_min) pair shapes with one representative each.
+def _pair_shapes() -> list[tuple[int, int, int, int]]:
+    """Distinct (N_i, N_j, N_T, N_min) of the ordered pairs of the grid's networks.
 
     Every DoF formula of the all-user scheme depends on the antenna vector
     only through these four numbers, so the grid can be deduplicated.
     """
-    reps = {}
-    for m in grid.m_values:
-        for antennas in itertools.product(grid.n_values, repeat=m):
-            n_t, n_min = sum(antennas), min(antennas)
-            for i, j in itertools.permutations(range(m), 2):
-                key = (antennas[i], antennas[j], n_t, n_min)
-                reps.setdefault(key, (antennas, i, j))
-    return list(reps.values())
+    return sorted({
+        (antennas[i], antennas[j], sum(antennas), min(antennas))
+        for m in M_VALUES
+        for antennas in itertools.product(N_VALUES, repeat=m)
+        for i, j in itertools.permutations(range(m), 2)
+    })
 
 
-def identity_suite(grid: IdentityGrid | None = None) -> list[CheckResult]:
+def _rises(values) -> bool:
+    return any(b > a for a, b in itertools.pairwise(values))
+
+
+def _falls(values) -> bool:
+    return any(b < a for a, b in itertools.pairwise(values))
+
+
+def identity_suite() -> list[CheckResult]:
     """Evaluate every algebraic identity across the grid, one row each.
 
     Rows report the number of violating grid points against a target of
-    zero; the final row checks the produced rows against the manifest so a
-    silently dropped identity fails the suite.
+    zero (the two-user monotonicity checks count violating sequences); the
+    final row checks the produced rows against the manifest so a silently
+    dropped identity fails the suite.
     """
-    grid = grid or IdentityGrid()
-    violations = {name: 0 for name in IDENTITY_MANIFEST}
+    violations = dict.fromkeys(IDENTITY_MANIFEST, 0)
 
-    def scenarios_for(antennas, i, j):
-        for n_eve in grid.n_eve_values:
-            for k2 in grid.k2_values:
-                cfg = NetworkConfig(antennas, n_eve, k2=k2)
-                yield DofScenario(cfg, i, j)
+    def flag(name: str, bad: bool) -> None:
+        violations[name] += bad
 
-    # pair-shape identities
-    for antennas, i, j in _pair_representatives(grid):
-        for s in scenarios_for(antennas, i, j):
-            lower, upper = dof_phase2_lower(s), dof_phase2_upper(s)
-            if upper - lower != dof_gap(s):
-                violations["identity:gap-consistency"] += 1
-            if lower != dof_cij(s) - dof_leakage(s):
-                violations["identity:lower-decomposition"] += 1
-            terms = dof_entropy_terms(s)
-            if freedom_count_oracle("ye_given_hep", s) != terms.h_ye_given_hep:
-                violations["identity:freedom-oracle-eve-reception"] += 1
-            if freedom_count_oracle("joint_i_e", s) != terms.h_joint_i_e:
-                violations["identity:freedom-oracle-joint-user-eve"] += 1
-            if freedom_count_oracle("joint_i_j_e", s) != terms.h_joint_i_j_e:
-                violations["identity:freedom-oracle-joint-pair-eve"] += 1
+    # pair-shape identities, and the lower bound along N_E
+    for n_i, n_j, n_t, n_min in _pair_shapes():
+        for k2 in K2_VALUES:
+            prev_raw = prev_plus = None
+            for n_eve in N_EVE_VALUES:
+                s = DofScenario(n_i, n_j, n_t, n_min, n_eve, k2)
+                lower, plus = dof_phase2_lower(s), dof_phase2_lower_plus(s)
+                flag("identity:gap-consistency", dof_phase2_upper(s) - lower != dof_gap(s))
+                flag("identity:lower-decomposition", lower != dof_cij(s) - dof_leakage(s))
+                terms = dof_entropy_terms(s)
+                eve, joint_i, joint_ij = freedom_oracle(s)
+                flag("identity:freedom-oracle-eve-reception", eve != terms.h_ye_given_hep)
+                flag("identity:freedom-oracle-joint-user-eve", joint_i != terms.h_joint_i_e)
+                flag("identity:freedom-oracle-joint-pair-eve", joint_ij != terms.h_joint_i_j_e)
+                if prev_raw is not None:
+                    flag("identity:monotonic-in-eve-antennas",
+                         lower > prev_raw or plus > prev_plus)
+                prev_raw, prev_plus = lower, plus
 
     # symmetric-network reductions
-    for m in grid.m_values:
-        for n in grid.n_values:
-            for n_eve in grid.n_eve_values:
-                for k2 in grid.k2_values:
-                    cfg = NetworkConfig((n,) * m, n_eve, k2=k2)
-                    s = DofScenario(cfg, 0, 1)
-                    lower, upper, gap = dof_phase2_lower(s), dof_phase2_upper(s), dof_gap(s)
-                    dk2 = pos(k2 - n)
-                    if m == 2:
-                        expected_gap = 0
-                    elif m == 3:
-                        expected_gap = dk2 * min(n_eve, n)
-                    else:
-                        expected_gap = dk2 * (min(n_eve, (m - 2) * n) - min(n_eve, (m - 4) * n))
-                    if gap != expected_gap:
-                        violations["identity:symmetric-gap-table"] += 1
-                    if m >= 4 + -(-n_eve // n) and not lower == upper == 0:
-                        violations["identity:symmetric-large-m-zero"] += 1
-                    if n_eve >= m * n:
-                        if m == 2:
-                            expected_low = 2 * n * min(n, k2)
-                        elif m == 3:
-                            expected_low = n * pos(2 * min(n, k2) - k2)
-                        else:
-                            expected_low = 0
-                        bad = dof_phase2_lower_plus(s) != expected_low
-                        if m >= 4 and upper != 0:
-                            bad = True
-                        if bad:
-                            violations["identity:symmetric-eve-large"] += 1
-                    if k2 == n and m in (2, 3):
-                        expected = 2 * n * n if m == 2 else n * n
-                        if not lower == upper == expected:
-                            violations["identity:symmetric-k2-equals-n"] += 1
+    for m, n, n_eve, k2 in itertools.product(M_VALUES, N_VALUES, N_EVE_VALUES, K2_VALUES):
+        s = DofScenario(n, n, m * n, n, n_eve, k2)
+        lower, upper, gap = dof_phase2_lower(s), dof_phase2_upper(s), dof_gap(s)
+        dk2 = pos(k2 - n)
+        if m == 2:
+            expected_gap = 0
+        elif m == 3:
+            expected_gap = dk2 * min(n_eve, n)
+        else:
+            expected_gap = dk2 * (min(n_eve, (m - 2) * n) - min(n_eve, (m - 4) * n))
+        flag("identity:symmetric-gap-table", gap != expected_gap)
+        flag("identity:symmetric-large-m-zero",
+             m >= 4 + -(-n_eve // n) and not lower == upper == 0)
+        if n_eve >= m * n:
+            if m == 2:
+                expected_low = 2 * n * min(n, k2)
+            elif m == 3:
+                expected_low = n * pos(2 * min(n, k2) - k2)
+            else:
+                expected_low = 0
+            flag("identity:symmetric-eve-large",
+                 dof_phase2_lower_plus(s) != expected_low or (m >= 4 and upper != 0))
+        if k2 == n and m in (2, 3):
+            expected = 2 * n * n if m == 2 else n * n
+            flag("identity:symmetric-k2-equals-n", not lower == upper == expected)
 
-    # two-user scheme against the closed form
-    two_user_pairs = [
-        (n1, n2)
-        for n1 in range(1, grid.two_user_n_max + 1)
-        for n2 in range(n1, grid.two_user_n_max + 1)
-    ]
-    for n1, n2 in two_user_pairs:
-        for n_eve in grid.n_eve_values:
-            for k2 in grid.k2_values:
-                cfg = NetworkConfig((n1, n2), n_eve, k2=k2)
-                s = DofScenario(cfg, 0, 1)
-                if dof_phase2_lower(s) != dof_two_user_original(n1, n2, n_eve, k2):
-                    violations["identity:two-user-lower-matches-closed-form"] += 1
-
-    # modified two-user scheme
-    for n1, n2 in two_user_pairs:
-        for n_eve in range(grid.two_user_n_eve_max + 1):
-            for k in range(n2, n2 + grid.two_user_k_extra + 1):
-                c = TwoUserModifiedConfig(n1, n2, k, n_eve)
-                md = dof_modified_two_user(c)
-                if not md.upper == md.lower_12 == modified_lower_12_piecewise(c):
-                    violations["identity:modified-upper-equals-lower"] += 1
-                expected_drop = min(n_eve, c.delta_n) * pos(k - c.n_total)
-                if md.lower_12 - md.lower_21 != expected_drop:
-                    violations["identity:modified-lower-ordering"] += 1
-                original = dof_two_user_original(n1, n2, n_eve, k - n2)
-                if md.lower_12 - original != n1 * (n2 - n1):
-                    violations["identity:modified-minus-original"] += 1
-                for term in ("modified_term2", "modified_term3", "modified_term4"):
-                    idx = int(term[-1]) - 2
-                    if freedom_count_oracle(term, c) != modified_entropy_terms(c)[idx]:
-                        violations["identity:freedom-oracle-modified-terms"] += 1
-
-    # piecewise branch agreement at the region boundaries
-    for n1, n2 in two_user_pairs:
-        dn, nt = n2 - n1, n1 + n2
-        for k2 in grid.k2_values:
-            dk2 = pos(k2 - n1)
-            if 2 * k2 * n1 != 2 * k2 * n1 - dk2 * (dn - dn):
-                violations["identity:piecewise-boundary-agreement"] += 1
-            if 2 * k2 * n1 - dk2 * (nt - dn) != 2 * min(n1, k2) * n1:
-                violations["identity:piecewise-boundary-agreement"] += 1
-        for k in range(n2, n2 + grid.two_user_k_extra + 1):
-            at_dn_c1 = n1 * (2 * k - nt)
-            at_dn_c2 = n1 * (2 * k - nt) - (dn - dn) * pos(k - nt)
-            at_nt_c2 = n1 * (2 * k - nt) - (nt - dn) * pos(k - nt)
-            at_nt_c3 = n1 * (2 * k - nt - pos(2 * k - 2 * nt))
-            if at_dn_c1 != at_dn_c2 or at_nt_c2 != at_nt_c3:
-                violations["identity:piecewise-boundary-agreement"] += 1
-
-    # monotonicity along N_E (all claims) and along the slot axis where claimed
-    for antennas, i, j in _pair_representatives(grid):
-        for k2 in grid.k2_values:
-            prev_raw = prev_plus = None
-            for n_eve in grid.n_eve_values:
-                s = DofScenario(NetworkConfig(antennas, n_eve, k2=k2), i, j)
-                raw, plus = dof_phase2_lower(s), dof_phase2_lower_plus(s)
-                if prev_raw is not None and (raw > prev_raw or plus > prev_plus):
-                    violations["identity:monotonic-in-eve-antennas"] += 1
-                prev_raw, prev_plus = raw, plus
-    for n1, n2 in two_user_pairs:
-        for k2 in grid.k2_values:
-            values = [dof_two_user_original(n1, n2, ne, k2) for ne in grid.n_eve_values]
-            if any(b > a for a, b in zip(values, values[1:])):
-                violations["identity:monotonic-in-eve-antennas"] += 1
-        for n_eve in range(grid.two_user_n_eve_max + 1):
-            values = [dof_two_user_original(n1, n2, n_eve, k2) for k2 in grid.k2_values]
-            if any(b < a for a, b in zip(values, values[1:])):
-                violations["identity:monotonic-in-slots"] += 1
-            ks = range(n2, n2 + grid.two_user_k_extra + 1)
-            mods = [dof_modified_two_user(TwoUserModifiedConfig(n1, n2, k, n_eve)).lower_12
-                    for k in ks]
-            if any(b < a for a, b in zip(mods, mods[1:])):
-                violations["identity:monotonic-in-slots"] += 1
-        for k in range(n2, n2 + grid.two_user_k_extra + 1):
-            mods = [dof_modified_two_user(TwoUserModifiedConfig(n1, n2, k, ne)).lower_12
-                    for ne in range(grid.two_user_n_eve_max + 1)]
-            if any(b > a for a, b in zip(mods, mods[1:])):
-                violations["identity:monotonic-in-eve-antennas"] += 1
+    # two-user schemes, each tabled once over its (N_E, K_2) grid
+    for n1 in range(1, TWO_USER_N_MAX + 1):
+        for n2 in range(n1, TWO_USER_N_MAX + 1):
+            _two_user_identities(n1, n2, flag)
 
     results = [CheckResult(name, float(violations[name]), 0.0, 0.0)
                for name in IDENTITY_MANIFEST]
     names_ok = sorted(r.name for r in results) == sorted(IDENTITY_MANIFEST)
     results.append(CheckResult("identity:manifest-complete", 1.0 if names_ok else 0.0, 1.0, 0.0))
     return sorted(results, key=lambda r: r.name)
+
+
+def _two_user_identities(n1: int, n2: int, flag) -> None:
+    """The original and the modified two-user scheme of one pair N_1 <= N_2."""
+    dn, nt = n2 - n1, n1 + n2
+    original = {(n_eve, k2): dof_two_user_original(n1, n2, n_eve, k2)
+                for n_eve in N_EVE_VALUES for k2 in K2_VALUES}
+    for (n_eve, k2), value in original.items():
+        s = DofScenario(n1, n2, nt, n1, n_eve, k2)
+        flag("identity:two-user-lower-matches-closed-form", dof_phase2_lower(s) != value)
+
+    # the modified scheme spends K = N_2 + K_2 slots, N_2 of them on pilots
+    modified = {}
+    for n_eve in TWO_USER_N_EVE_VALUES:
+        for k2 in K2_VALUES:
+            k = n2 + k2
+            c = TwoUserModifiedConfig(n1, n2, k, n_eve)
+            md = dof_modified_two_user(c)
+            modified[n_eve, k2] = md.lower_12
+            flag("identity:modified-upper-equals-lower",
+                 not md.upper == md.lower_12 == modified_lower_12_piecewise(c))
+            flag("identity:modified-lower-ordering",
+                 md.lower_12 - md.lower_21 != min(n_eve, dn) * pos(k - nt))
+            flag("identity:modified-minus-original",
+                 md.lower_12 - original[n_eve, k2] != n1 * (n2 - n1))
+            for oracle, closed in zip(modified_freedom_oracle(c), modified_entropy_terms(c)):
+                flag("identity:freedom-oracle-modified-terms", oracle != closed)
+
+    # monotonicity, one count per violating sequence
+    for k2 in K2_VALUES:
+        flag("identity:monotonic-in-eve-antennas",
+             _rises([original[n_eve, k2] for n_eve in N_EVE_VALUES]))
+        flag("identity:monotonic-in-eve-antennas",
+             _rises([modified[n_eve, k2] for n_eve in TWO_USER_N_EVE_VALUES]))
+    for n_eve in TWO_USER_N_EVE_VALUES:
+        flag("identity:monotonic-in-slots", _falls([original[n_eve, k2] for k2 in K2_VALUES]))
+        flag("identity:monotonic-in-slots", _falls([modified[n_eve, k2] for k2 in K2_VALUES]))
+
+    # piecewise branch agreement at the region boundaries
+    for k2 in K2_VALUES:
+        dk2 = pos(k2 - n1)
+        flag("identity:piecewise-boundary-agreement",
+             2 * k2 * n1 != 2 * k2 * n1 - dk2 * (dn - dn))
+        flag("identity:piecewise-boundary-agreement",
+             2 * k2 * n1 - dk2 * (nt - dn) != 2 * min(n1, k2) * n1)
+        k = n2 + k2
+        at_dn_c1 = n1 * (2 * k - nt)
+        at_dn_c2 = n1 * (2 * k - nt) - (dn - dn) * pos(k - nt)
+        at_nt_c2 = n1 * (2 * k - nt) - (nt - dn) * pos(k - nt)
+        at_nt_c3 = n1 * (2 * k - nt - pos(2 * k - 2 * nt))
+        flag("identity:piecewise-boundary-agreement",
+             at_dn_c1 != at_dn_c2 or at_nt_c2 != at_nt_c3)
 
 
 # --------------------------------------------------------------------------
@@ -413,26 +385,23 @@ class ComparisonTable:
                 raise ValueError(f"inconsistent totals in comparison row {row.scheme}")
 
 
-def compare_schemes(cfg: NetworkConfig, k2: int) -> ComparisonTable:
+def compare_schemes(cfg: NetworkConfig) -> ComparisonTable:
     """Side-by-side DoFs and slot counts for the applicable schemes.
 
     The pair (1, 2) anchors the per-pair values.  All-user phase 1 uses
     K_1 slots; the pair-wise schedule spends max(N_i) pilot slots per
     session over M(M-1)/2 sessions and splits the aggregate symbol budget
-    k2 evenly (non-divisible budgets are rejected rather than rounded).
+    K_2 evenly (non-divisible budgets are rejected rather than rounded).
     For M = 2 the comparison is against the modified two-user scheme over
-    the same N_2 + k2 total slots.
+    the same N_2 + K_2 total slots.
     """
     problems = validate_config(cfg)
     if problems:
         raise ValueError("; ".join(text for _, text in problems))
-    if k2 < 0:
-        raise ValueError("k2 must be non-negative")
-    n_i, n_j = cfg.antennas[0], cfg.antennas[1]
+    n_i, n_j, k2 = cfg.antennas[0], cfg.antennas[1], cfg.k2
     rows = []
 
-    cfg_k2 = NetworkConfig(cfg.antennas, cfg.n_eve, k1=cfg.k1, k2=k2)
-    s = DofScenario(cfg_k2, 0, 1)
+    s = DofScenario.pair(cfg, 0, 1)
     phase2 = max(dof_phase2_lower(s), dof_phase2_lower(s.swapped()))
     phase1 = dof_phase1(n_i, n_j)
     rows.append(ComparisonRow("all_user", phase1, phase2, phase1 + pos(phase2), cfg.k1, k2))

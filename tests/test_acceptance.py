@@ -19,7 +19,6 @@ from anece_lab.model import NetworkConfig, TwoUserModifiedConfig
 from anece_lab.numkernel import eig_growth_count
 from anece_lab.pilots import build_pilots
 from anece_lab.verify import (
-    IdentityGrid,
     compare_schemes,
     default_grid,
     fit_slope,
@@ -114,7 +113,7 @@ def test_criterion_06_rank_oracle_suite():
         for n in (1, 2):
             for n_eve in (1, 3, 5):
                 cfg = NetworkConfig((n,) * m, n_eve, k2=1)
-                rows = rank_oracle_suite(cfg, 7, n_draws=100)
+                rows = rank_oracle_suite(cfg, 7)
                 checked += len(rows)
                 ok = ok and all(r.passed for r in rows)
     elapsed = time.perf_counter() - start
@@ -124,7 +123,7 @@ def test_criterion_06_rank_oracle_suite():
 
 def test_criterion_07_identity_suite():
     start = time.perf_counter()
-    rows = identity_suite(IdentityGrid())
+    rows = identity_suite()
     elapsed = time.perf_counter() - start
     failures = [r.name for r in rows if not r.passed]
     ok = not failures and elapsed < 10.0
@@ -133,7 +132,7 @@ def test_criterion_07_identity_suite():
 
 
 def test_criterion_08_scheme_comparison_numbers():
-    table = compare_schemes(NetworkConfig((2, 2, 2), 7, k2=1), 3)
+    table = compare_schemes(NetworkConfig((2, 2, 2), 7, k2=3))
     rows = {r.scheme: r for r in table.rows}
     ok = (
         rows["all_user"].phase2_dof == 2

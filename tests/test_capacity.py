@@ -139,7 +139,7 @@ def test_slopes_for_a_non_adjacent_user_pair():
     from anece_lab.dofcalc import DofScenario, dof_cij
 
     cfg = NetworkConfig((1, 2, 3), 4, k2=2)
-    target = dof_cij(DofScenario(cfg, 0, 2))
+    target = dof_cij(DofScenario.pair(cfg, 0, 2))
     assert target == 4  # 2*[min(1,5) + min(3,3) - min(4,2)]
     slope = fit_slope(cij_curve(cfg, 0, 2, default_grid(), 800, 3)).slope
     assert abs(slope - target) <= 0.15

@@ -14,8 +14,9 @@ from anece_lab.dofcalc import (
     dof_phase2_lower_plus,
     dof_phase2_upper,
     dof_two_user_original,
-    freedom_count_oracle,
+    freedom_oracle,
     modified_entropy_terms,
+    modified_freedom_oracle,
     modified_lower_12_piecewise,
     pos,
 )
@@ -23,7 +24,7 @@ from anece_lab.model import NetworkConfig, TwoUserModifiedConfig
 
 
 def scenario(antennas, n_eve, k2, i=0, j=1):
-    return DofScenario(NetworkConfig(antennas, n_eve, k2=k2), i, j)
+    return DofScenario.pair(NetworkConfig(antennas, n_eve, k2=k2), i, j)
 
 
 def test_pos_clamp():
@@ -34,18 +35,17 @@ def test_pos_clamp():
 
 def test_scenario_derived_quantities_track_the_config():
     s = scenario((2, 3), 7, 4)
-    assert (s.n_i, s.n_j, s.n_t, s.n_min) == (2, 3, 5, 2)
+    assert s == DofScenario(n_i=2, n_j=3, n_t=5, n_min=2, n_eve=7, k2=4)
     assert s.dk2 == 2  # (4 - 2)^+
-    assert s.dn_eve == 2  # (7 - 5)^+
-    assert s.swapped().n_i == 3
+    assert s.swapped() == scenario((2, 3), 7, 4, i=1, j=0)
 
 
 def test_scenario_rejects_bad_indices():
     cfg = NetworkConfig((2, 2), 0, k2=1)
     with pytest.raises(ValueError):
-        DofScenario(cfg, 0, 0)
+        DofScenario.pair(cfg, 0, 0)
     with pytest.raises(ValueError):
-        DofScenario(cfg, 0, 2)
+        DofScenario.pair(cfg, 0, 2)
 
 
 def test_dof_phase1_examples():
@@ -233,15 +233,16 @@ def test_dof_total_examples():
 
 
 def test_dof_total_clamps_negative_phase2():
-    s = scenario((1, 3, 3), 12, 3)
+    cfg = NetworkConfig((1, 3, 3), 12, k2=3)
+    s = DofScenario.pair(cfg, 0, 1)
     assert dof_phase2_lower(s) < 0 and dof_phase2_lower(s.swapped()) < 0
-    assert SCHEMES["all_user"].formula(s.cfg)["dof_total"] == dof_phase1(1, 3)
+    assert SCHEMES["all_user"].formula(cfg)["dof_total"] == dof_phase1(1, 3)
 
 
 def test_freedom_oracle_examples():
-    assert freedom_count_oracle("ye_given_hep", scenario((2, 2), 5, 3)) == 14  # 10 + 4 + 0
-    assert freedom_count_oracle("joint_i_j_e", scenario((2, 2, 2), 4, 3)) == 14
-    assert freedom_count_oracle("modified_term3", TwoUserModifiedConfig(2, 3, 7, 6)) == 28
+    assert freedom_oracle(scenario((2, 2), 5, 3))[0] == 14  # 10 + 4 + 0
+    assert freedom_oracle(scenario((2, 2, 2), 4, 3))[2] == 14
+    assert modified_freedom_oracle(TwoUserModifiedConfig(2, 3, 7, 6))[1] == 28
 
 
 def test_freedom_oracle_matches_closed_forms_on_a_grid():
@@ -250,18 +251,9 @@ def test_freedom_oracle_matches_closed_forms_on_a_grid():
             for k2 in range(0, 7):
                 s = scenario(antennas, n_eve, k2)
                 t = dof_entropy_terms(s)
-                assert freedom_count_oracle("ye_given_hep", s) == t.h_ye_given_hep
-                assert freedom_count_oracle("joint_i_e", s) == t.h_joint_i_e
-                assert freedom_count_oracle("joint_i_j_e", s) == t.h_joint_i_j_e
+                assert freedom_oracle(s) == (t.h_ye_given_hep, t.h_joint_i_e, t.h_joint_i_j_e)
     for n1, n2 in ((1, 1), (2, 3), (2, 2), (1, 4)):
         for n_eve in range(0, 9, 2):
             for k in range(n2, n2 + 7):
                 c = TwoUserModifiedConfig(n1, n2, k, n_eve)
-                terms = modified_entropy_terms(c)
-                for idx, name in enumerate(("modified_term2", "modified_term3", "modified_term4")):
-                    assert freedom_count_oracle(name, c) == terms[idx]
-
-
-def test_freedom_oracle_rejects_unknown_term():
-    with pytest.raises(ValueError):
-        freedom_count_oracle("nope", scenario((1, 1), 0, 1))
+                assert modified_freedom_oracle(c) == modified_entropy_terms(c)

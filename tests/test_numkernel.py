@@ -17,7 +17,7 @@ from anece_lab.numkernel import (
     synth_phase1,
     synth_phase2,
 )
-from anece_lab.pilots import PilotSet, build_pilots, build_square_pilots, qr_split
+from anece_lab.pilots import PilotSet, build_pilots, build_square_pilots
 
 
 # --------------------------------------------------------------------------
@@ -86,10 +86,9 @@ def test_phase1_high_power_reveals_the_channel():
 def test_phase1_noiseless_matches_orthonormal_factorization():
     cfg = NetworkConfig((2, 3), 4, k2=2)
     ps = build_pilots(cfg, 1)
-    split = qr_split(ps)
     ch = sample_channels(cfg, 2)
     sig = synth_phase1(ch, ps, 3.0, 0, noise_scale=0.0)
-    expected = 3.0 * (ch.eve_stacked @ split.q_p) @ split.r_p
+    expected = 3.0 * ch.eve_stacked @ ps.stacked
     resid = np.linalg.norm(sig.eve_rx - expected) / np.linalg.norm(expected)
     assert resid <= 1e-10
 

@@ -8,7 +8,6 @@ from anece_lab.pilots import (
     build_pairwise_matrix,
     build_pilots,
     build_square_pilots,
-    qr_split,
     read_matrix_text,
     validate_pilots,
     write_matrix_text,
@@ -99,65 +98,6 @@ def test_validate_pilots_shape_mismatch_raises():
     ps = build_pilots(NetworkConfig((1, 1), 0, k2=1), 0)
     with pytest.raises(ValueError):
         validate_pilots(ps, cfg)
-
-
-def test_qr_split_two_by_one():
-    ps = PilotSet((np.array([[1.0 + 0j]]), np.array([[1.0 + 0j]])))
-    split = qr_split(ps)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    assert np.allclose(split.r_p, [[np.sqrt(2.0)]])
-    assert np.allclose(split.q_p.ravel(), [inv_sqrt2, inv_sqrt2])
-    assert np.allclose(np.abs(split.q_perp.ravel()), [inv_sqrt2, inv_sqrt2])
-    assert abs(split.q_perp.conj().T @ split.q_p)[0, 0] < 1e-12
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_qr_split_is_unitary_and_reconstructs(seed):
-    cfg = NetworkConfig((2, 3), 0, k2=1)
-    ps = build_pilots(cfg, seed)
-    split = qr_split(ps)
-    assert split.q_p.shape == (5, 3)
-    assert split.q_perp.shape == (5, 2)
-    q = np.hstack([split.q_p, split.q_perp])
-    assert np.max(np.abs(q.conj().T @ q - np.eye(5))) <= 1e-10
-    p = ps.stacked
-    assert np.linalg.norm(p - split.q_p @ split.r_p) / np.linalg.norm(p) <= 1e-10
-    assert numerical_rank(split.r_p) == 3
-    diag = np.diag(split.r_p)
-    assert np.all(np.abs(diag.imag) < 1e-12)
-    assert np.all(diag.real >= 0)
-
-
-def test_qr_split_handles_extra_pilot_columns():
-    cfg = NetworkConfig((2, 3), 0, k1=6, k2=1)
-    ps = build_pilots(cfg, 4)
-    split = qr_split(ps)
-    assert split.r_p.shape == (3, 6)
-    p = ps.stacked
-    assert np.linalg.norm(p - split.q_p @ split.r_p) / np.linalg.norm(p) <= 1e-10
-
-
-def test_qr_split_rejects_wrong_rank():
-    ps = PilotSet((np.zeros((1, 1), dtype=complex), np.zeros((1, 1), dtype=complex)))
-    with pytest.raises(ValueError):
-        qr_split(ps)
-
-
-def test_qr_split_handles_dependent_leading_columns():
-    # first two columns coincide, so plain QR cannot expose the rank from
-    # the leading columns and the orthonormal-basis fallback must kick in
-    c1 = np.array([1.0, 0.0, 1.0, 0.0], dtype=complex)
-    c3 = np.array([0.0, 1.0, 0.0, 1.0], dtype=complex)
-    stacked = np.column_stack([c1, c1, c3])
-    ps = PilotSet((stacked[:2], stacked[2:]))
-    split = qr_split(ps)
-    assert split.q_p.shape == (4, 2)
-    assert split.q_perp.shape == (4, 2)
-    q = np.hstack([split.q_p, split.q_perp])
-    assert np.max(np.abs(q.conj().T @ q - np.eye(4))) <= 1e-10
-    resid = np.linalg.norm(ps.stacked - split.q_p @ split.r_p)
-    assert resid / np.linalg.norm(ps.stacked) <= 1e-10
-    assert numerical_rank(split.r_p) == 2
 
 
 def test_pairwise_hand_matrix():

@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from anece_lab import verify
 from anece_lab.capacity import CapacityCurve, cij_curve, phase1_curve
 from anece_lab.model import CheckResult, NetworkConfig, SnrGrid
 from anece_lab.pilots import PilotSet, build_pilots
 from anece_lab.verify import (
     IDENTITY_MANIFEST,
-    IdentityGrid,
     compare_schemes,
     default_grid,
     eig_growth_suite,
@@ -54,20 +56,20 @@ def test_verify_slope_pass_and_negative_control():
 
 
 def test_verify_slope_uses_relative_tolerance_for_large_targets():
-    check = verify_slope("x", curve_from((10, 12, 14), (0.0, 40.0, 80.0)), 20, tol=None)
+    check = verify_slope("x", curve_from((10, 12, 14), (0.0, 40.0, 80.0)), 20)
     assert check.tolerance == pytest.approx(0.6)  # 3 percent of 20
 
 
 def test_rank_oracle_suite_all_draws_pass():
     cfg = NetworkConfig((2, 2), 3, k2=1)
-    rows = rank_oracle_suite(cfg, 7, n_draws=100)
+    rows = rank_oracle_suite(cfg, 7)
     assert rows and all(r.passed for r in rows)
     assert all(r.measured == 100.0 and r.target == 100.0 for r in rows)
     names = [r.name for r in rows]
     assert names == sorted(names)
     assert "rank:pairwise-pilot" not in names  # M = 2 has no pair-wise schedule
 
-    rows3 = rank_oracle_suite(NetworkConfig((1, 2, 1), 3, k2=1), 7, n_draws=25)
+    rows3 = rank_oracle_suite(NetworkConfig((1, 2, 1), 3, k2=1), 7)
     assert all(r.passed for r in rows3)
     assert any(r.name == "rank:pairwise-pilot" for r in rows3)
 
@@ -75,7 +77,7 @@ def test_rank_oracle_suite_all_draws_pass():
 def test_rank_oracle_eve_stack_target():
     # the [H_ij; H_Ej] stack has rank min(N_E + N_i, N_j): spot-check via suite
     cfg = NetworkConfig((2, 2, 2), 3, k2=1)
-    rows = rank_oracle_suite(cfg, 11, n_draws=10)
+    rows = rank_oracle_suite(cfg, 11)
     assert all(r.passed for r in rows)
 
 
@@ -106,22 +108,37 @@ def test_identity_suite_is_green_and_complete():
     assert len(rows) == len(IDENTITY_MANIFEST) + 1
 
 
-def test_identity_suite_small_grid_also_green():
-    grid = IdentityGrid(
-        m_values=(2, 3),
-        n_values=(1, 2),
-        n_eve_values=tuple(range(7)),
-        k2_values=tuple(range(5)),
-        two_user_n_max=3,
-        two_user_n_eve_max=6,
-        two_user_k_extra=4,
-    )
-    assert all(r.passed for r in identity_suite(grid))
+# closed form -> (a fault off by one on a slice of the grid, the row that must catch it)
+IDENTITY_FAULTS = {
+    "dof_gap": (lambda f: lambda s: f(s) + (s.n_eve == 5), "identity:gap-consistency"),
+    "dof_phase2_lower": (lambda f: lambda s: f(s) + (s.k2 == 3),
+                         "identity:lower-decomposition"),
+    "dof_two_user_original": (lambda f: lambda n1, n2, ne, k2: f(n1, n2, ne, k2) + (ne == 4),
+                              "identity:two-user-lower-matches-closed-form"),
+    "dof_modified_two_user": (
+        lambda f: lambda c: replace(f(c), lower_21=f(c).lower_21 + (c.k_total == c.n2 + 2)),
+        "identity:modified-lower-ordering"),
+    "freedom_oracle": (lambda f: lambda s: f(s)[:2] + (f(s)[2] + (s.n_t == 6),),
+                       "identity:freedom-oracle-joint-pair-eve"),
+    "modified_freedom_oracle": (lambda f: lambda c: (f(c)[0] + (c.n_eve == 3),) + f(c)[1:],
+                                "identity:freedom-oracle-modified-terms"),
+    "modified_lower_12_piecewise": (lambda f: lambda c: f(c) + (c.n_eve > c.delta_n),
+                                    "identity:modified-upper-equals-lower"),
+}
+
+
+@pytest.mark.parametrize("closed_form", sorted(IDENTITY_FAULTS))
+def test_identity_suite_catches_a_seeded_fault(monkeypatch, closed_form):
+    fault, row = IDENTITY_FAULTS[closed_form]
+    monkeypatch.setattr(verify, closed_form, fault(getattr(verify, closed_form)))
+    rows = {r.name: r for r in identity_suite()}
+    assert not rows[row].passed
+    assert rows["identity:manifest-complete"].passed
 
 
 def test_compare_schemes_three_users():
     # all-user phase-2 survives where the pair-wise scheme is wiped out
-    table = compare_schemes(NetworkConfig((2, 2, 2), 7, k2=1), 3)
+    table = compare_schemes(NetworkConfig((2, 2, 2), 7, k2=3))
     rows = {r.scheme: r for r in table.rows}
     assert rows["all_user"].phase2_dof == 2
     assert rows["pairwise"].phase2_dof == 0
@@ -132,7 +149,7 @@ def test_compare_schemes_three_users():
 
 
 def test_compare_schemes_two_users_modified_wins():
-    table = compare_schemes(NetworkConfig((2, 3), 6, k2=1), 4)
+    table = compare_schemes(NetworkConfig((2, 3), 6, k2=4))
     rows = {r.scheme: r for r in table.rows}
     assert rows["all_user"].total_dof == 14  # 6 + 8
     assert rows["modified_two_user"].total_dof == 16  # 6 + 10
@@ -141,7 +158,7 @@ def test_compare_schemes_two_users_modified_wins():
 
 
 def test_compare_schemes_equal_antennas_tie():
-    table = compare_schemes(NetworkConfig((2, 2), 5, k2=1), 3)
+    table = compare_schemes(NetworkConfig((2, 2), 5, k2=3))
     rows = {r.scheme: r for r in table.rows}
     assert rows["all_user"].phase2_dof == rows["modified_two_user"].phase2_dof
     assert rows["all_user"].total_dof == rows["modified_two_user"].total_dof
@@ -149,12 +166,12 @@ def test_compare_schemes_equal_antennas_tie():
 
 def test_compare_schemes_rejects_uneven_budget():
     with pytest.raises(ValueError):
-        compare_schemes(NetworkConfig((2, 2, 2), 4, k2=1), 4)  # 3 sessions, budget 4
+        compare_schemes(NetworkConfig((2, 2, 2), 4, k2=4))  # 3 sessions, budget 4
 
 
 def test_compare_schemes_rejects_invalid_config():
     with pytest.raises(ValueError):
-        compare_schemes(NetworkConfig((2,), 0, k1=1, k2=1), 1)
+        compare_schemes(NetworkConfig((2,), 0, k1=1, k2=1))
 
 
 def test_check_result_boundary_semantics():
