@@ -279,7 +279,7 @@ def _all_user_checks(sc: Scenario) -> list[CheckResult]:
     ]
     if cfg.k2 >= 1:
         c_curve = cij_curve(cfg, 0, 1, sc.snr_grid, sc.mc_samples, sc.seed)
-        rows.append(verify_slope("slope:cij[1-2]", c_curve, dof_cij(s)))
+        rows.append(verify_slope("slope:cij[1-2]", c_curve, int(dof_cij(s))))
     rows.append(CheckResult("negctrl:identity:tampered-gap",
                             float(dof_phase2_upper(s) - dof_phase2_lower(s) + 1),
                             float(dof_gap(s)), 0.0))
@@ -412,8 +412,9 @@ SCHEMES = {
 
 
 def formula_report(sc: Scenario) -> DofReport:
-    """All applicable formula values, keyed by stable identifiers."""
-    return DofReport(SCHEMES[sc.scheme].formula(sc.network))
+    """All applicable formula values, keyed by stable identifiers, as Python ints."""
+    entries = SCHEMES[sc.scheme].formula(sc.network)
+    return DofReport({key: int(value) for key, value in entries.items()})
 
 
 def _verify_rows(sc: Scenario) -> list[CheckResult]:

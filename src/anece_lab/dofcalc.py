@@ -1,7 +1,13 @@
 """Closed-form secure-degree-of-freedom evaluators for all ANECE variants.
 
 Every function here is exact integer arithmetic with (x)^+ = max(x, 0);
-no floats enter.  Alongside the closed forms, ``freedom_oracle`` and
+no floats enter.  All forms but ``dof_phase1`` and ``dof_pairwise`` take
+ints or integer arrays: given a record whose fields are a grid's broadcast
+columns, a form evaluates every point at once, elementwise, and a guard
+raises if any element violates it.  Results are numpy integers (int64), so
+a caller wanting a Python ``int`` converts at its boundary; the ``model``
+validators cap scenario counts at ``MAX_COUNT`` so that no form can
+overflow.  Alongside the closed forms, ``freedom_oracle`` and
 ``modified_freedom_oracle`` recompute the non-Gaussian entropy DoFs by
 summing per-block freedoms (min of observed dimension and unknown-factor
 dimension, times columns), giving an independent route against which the
@@ -12,12 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .model import NetworkConfig, TwoUserModifiedConfig
 
+# an int, or an integer array holding one grid point per element
+Ints = int | np.ndarray
 
-def pos(x: int) -> int:
-    """(x)^+ clamp at zero."""
-    return x if x > 0 else 0
+
+def pos(x: Ints) -> Ints:
+    """(x)^+ clamp at zero, elementwise."""
+    return np.maximum(x, 0)
 
 
 @dataclass(frozen=True)
@@ -25,15 +36,16 @@ class DofScenario:
     """The numbers of one ordered user pair (i, j) of an all-user network.
 
     Every all-user closed form reads the network only through N_i, N_j,
-    N_T, N_min, N_E and K_2.
+    N_T, N_min, N_E and K_2.  The fields may be integer arrays of one
+    broadcast shape, one point of a grid per element.
     """
 
-    n_i: int
-    n_j: int
-    n_t: int
-    n_min: int
-    n_eve: int
-    k2: int
+    n_i: Ints
+    n_j: Ints
+    n_t: Ints
+    n_min: Ints
+    n_eve: Ints
+    k2: Ints
 
     @classmethod
     def pair(cls, cfg: NetworkConfig, i: int, j: int) -> "DofScenario":
@@ -43,7 +55,7 @@ class DofScenario:
         return cls(cfg.antennas[i], cfg.antennas[j], cfg.n_total, cfg.n_min, cfg.n_eve, cfg.k2)
 
     @property
-    def dk2(self) -> int:
+    def dk2(self) -> Ints:
         """Symbol slots beyond the pilot-ambiguity width: (K_2 - N_min)^+."""
         return pos(self.k2 - self.n_min)
 
@@ -55,10 +67,10 @@ class DofScenario:
 class EntropyDofs:
     """High-SNR slopes of the four leakage-analysis entropies."""
 
-    h_yi_given_hi: int
-    h_ye_given_hep: int
-    h_joint_i_e: int
-    h_joint_i_j_e: int
+    h_yi_given_hi: Ints
+    h_ye_given_hep: Ints
+    h_joint_i_e: Ints
+    h_joint_i_j_e: Ints
 
 
 @dataclass(frozen=True)
@@ -70,9 +82,9 @@ class PairwiseDof:
 
 @dataclass(frozen=True)
 class ModifiedTwoUserDof:
-    lower_12: int
-    lower_21: int
-    upper: int
+    lower_12: Ints
+    lower_21: Ints
+    upper: Ints
 
 
 # --------------------------------------------------------------------------
@@ -87,41 +99,43 @@ def dof_phase1(n_i: int, n_j: int) -> int:
     return n_i * n_j
 
 
-def dof_cij(s: DofScenario) -> int:
+def dof_cij(s: DofScenario) -> Ints:
     """Slope of the symbol-phase capacity between users i and j.
 
     K_2 * [min(N_i, N_T-N_i) + min(N_j, N_T-N_j) - min(N_i+N_j, N_T-N_i-N_j)].
     """
     ni, nj, nt = s.n_i, s.n_j, s.n_t
-    return s.k2 * (min(ni, nt - ni) + min(nj, nt - nj) - min(ni + nj, nt - ni - nj))
+    return s.k2 * (
+        np.minimum(ni, nt - ni) + np.minimum(nj, nt - nj) - np.minimum(ni + nj, nt - ni - nj)
+    )
 
 
 def dof_entropy_terms(s: DofScenario) -> EntropyDofs:
     """The four analytic entropy slopes of the leakage and upper-bound analyses."""
     ni, nj, nt, nmin, ne, k2, dk2 = s.n_i, s.n_j, s.n_t, s.n_min, s.n_eve, s.k2, s.dk2
-    h_yi_given_hi = min(ni, nt - ni) * k2
-    h_ye_given_hep = ne * min(nmin, k2) + min(ne, nt) * dk2
+    h_yi_given_hi = np.minimum(ni, nt - ni) * k2
+    h_ye_given_hep = ne * np.minimum(nmin, k2) + np.minimum(ne, nt) * dk2
     h_joint_i_e = (
-        k2 * min(ni, nt - ni)
-        + ne * min(nmin, k2)
-        + dk2 * min(ne, pos(nt - 2 * ni))
+        k2 * np.minimum(ni, nt - ni)
+        + ne * np.minimum(nmin, k2)
+        + dk2 * np.minimum(ne, pos(nt - 2 * ni))
     )
     h_joint_i_j_e = (
-        k2 * min(ni, nt - ni - nj)
-        + k2 * min(nj, pos(nt - 2 * ni - nj))
-        + ne * min(nmin, k2)
-        + dk2 * min(ne, pos(nt - 2 * ni - 2 * nj))
+        k2 * np.minimum(ni, nt - ni - nj)
+        + k2 * np.minimum(nj, pos(nt - 2 * ni - nj))
+        + ne * np.minimum(nmin, k2)
+        + dk2 * np.minimum(ne, pos(nt - 2 * ni - 2 * nj))
     )
     return EntropyDofs(h_yi_given_hi, h_ye_given_hep, h_joint_i_e, h_joint_i_j_e)
 
 
-def dof_leakage(s: DofScenario) -> int:
+def dof_leakage(s: DofScenario) -> Ints:
     """Slope of the leakage capacity from user i to Eve in the symbol phase."""
     t = dof_entropy_terms(s)
     return t.h_yi_given_hi + t.h_ye_given_hep - t.h_joint_i_e
 
 
-def dof_phase2_lower(s: DofScenario) -> int:
+def dof_phase2_lower(s: DofScenario) -> Ints:
     """Lower bound on the symbol-phase SDoF for the ordered pair (i, j).
 
     K_2 min(N_j, N_T-N_j) + K_2 min(N_i, N_T-N_i)
@@ -130,43 +144,43 @@ def dof_phase2_lower(s: DofScenario) -> int:
     """
     ni, nj, nt, ne, k2, dk2 = s.n_i, s.n_j, s.n_t, s.n_eve, s.k2, s.dk2
     return (
-        k2 * min(nj, nt - nj)
-        + k2 * min(ni, nt - ni)
-        + dk2 * min(ne, pos(nt - 2 * ni))
-        - k2 * min(ni + nj, nt - ni - nj)
-        - dk2 * min(ne, nt)
+        k2 * np.minimum(nj, nt - nj)
+        + k2 * np.minimum(ni, nt - ni)
+        + dk2 * np.minimum(ne, pos(nt - 2 * ni))
+        - k2 * np.minimum(ni + nj, nt - ni - nj)
+        - dk2 * np.minimum(ne, nt)
     )
 
 
-def dof_phase2_lower_plus(s: DofScenario) -> int:
+def dof_phase2_lower_plus(s: DofScenario) -> Ints:
     """The lower bound clamped at zero."""
     return pos(dof_phase2_lower(s))
 
 
-def dof_phase2_upper(s: DofScenario) -> int:
+def dof_phase2_upper(s: DofScenario) -> Ints:
     """Upper bound on the symbol-phase SDoF (symmetric in the pair)."""
     ni, nj, nt, ne, k2, dk2 = s.n_i, s.n_j, s.n_t, s.n_eve, s.k2, s.dk2
     return (
-        k2 * min(ni, nt - ni)
-        + k2 * min(nj, nt - nj)
-        + dk2 * min(ne, pos(nt - 2 * ni))
-        + dk2 * min(ne, pos(nt - 2 * nj))
-        - dk2 * min(ne, nt)
-        - dk2 * min(ne, pos(nt - 2 * ni - 2 * nj))
-        - k2 * min(ni, nt - ni - nj)
-        - k2 * min(nj, pos(nt - 2 * ni - nj))
+        k2 * np.minimum(ni, nt - ni)
+        + k2 * np.minimum(nj, nt - nj)
+        + dk2 * np.minimum(ne, pos(nt - 2 * ni))
+        + dk2 * np.minimum(ne, pos(nt - 2 * nj))
+        - dk2 * np.minimum(ne, nt)
+        - dk2 * np.minimum(ne, pos(nt - 2 * ni - 2 * nj))
+        - k2 * np.minimum(ni, nt - ni - nj)
+        - k2 * np.minimum(nj, pos(nt - 2 * ni - nj))
     )
 
 
-def dof_gap(s: DofScenario) -> int:
+def dof_gap(s: DofScenario) -> Ints:
     """Upper-minus-lower gap for the ordered pair (i, j), as a closed form."""
     ni, nj, nt, ne, k2, dk2 = s.n_i, s.n_j, s.n_t, s.n_eve, s.k2, s.dk2
     return (
-        dk2 * min(ne, pos(nt - 2 * nj))
-        + k2 * min(ni + nj, nt - ni - nj)
-        - k2 * min(ni, nt - ni - nj)
-        - k2 * min(nj, pos(nt - 2 * ni - nj))
-        - dk2 * min(ne, pos(nt - 2 * ni - 2 * nj))
+        dk2 * np.minimum(ne, pos(nt - 2 * nj))
+        + k2 * np.minimum(ni + nj, nt - ni - nj)
+        - k2 * np.minimum(ni, nt - ni - nj)
+        - k2 * np.minimum(nj, pos(nt - 2 * ni - nj))
+        - dk2 * np.minimum(ne, pos(nt - 2 * ni - 2 * nj))
     )
 
 
@@ -175,24 +189,22 @@ def dof_gap(s: DofScenario) -> int:
 # --------------------------------------------------------------------------
 
 
-def dof_two_user_original(n1: int, n2: int, n_eve: int, k2: int) -> int:
+def dof_two_user_original(n1: Ints, n2: Ints, n_eve: Ints, k2: Ints) -> Ints:
     """Symbol-phase SDoF of the original two-user scheme (bounds coincide).
 
     With dN = N_2-N_1 and dK_2 = (K_2-N_1)^+, over the three N_E regions:
     2 K_2 N_1 for N_E <= dN; 2 K_2 N_1 - dK_2 (N_E - dN) up to N_E = N_T;
     2 min(N_1, K_2) N_1 beyond.  Adjacent branches agree at the boundaries.
     """
-    if n1 > n2:
+    if np.any(n1 > n2):
         raise ValueError("needs N_1 <= N_2")
-    if k2 < 0 or n_eve < 0:
+    if np.any(k2 < 0) or np.any(n_eve < 0):
         raise ValueError("K_2 and N_E must be non-negative")
     dn = n2 - n1
     dk2 = pos(k2 - n1)
-    if n_eve <= dn:
-        return 2 * k2 * n1
-    if n_eve <= n1 + n2:
-        return 2 * k2 * n1 - dk2 * (n_eve - dn)
-    return 2 * min(n1, k2) * n1
+    return np.where(n_eve <= dn, 2 * k2 * n1,
+                    np.where(n_eve <= n1 + n2, 2 * k2 * n1 - dk2 * (n_eve - dn),
+                             2 * np.minimum(n1, k2) * n1))
 
 
 def dof_pairwise(n_ip: int, n_jp: int, n_eve: int, k2_session: int) -> PairwiseDof:
@@ -215,7 +227,7 @@ def dof_pairwise(n_ip: int, n_jp: int, n_eve: int, k2_session: int) -> PairwiseD
     return PairwiseDof(lower, upper, gap)
 
 
-def modified_entropy_terms(cfg2u: TwoUserModifiedConfig) -> tuple[int, int, int]:
+def modified_entropy_terms(cfg2u: TwoUserModifiedConfig) -> tuple[Ints, Ints, Ints]:
     """Closed forms of the three conditional-entropy slopes of the modified scheme.
 
     term2: h of Eve's symbol-segment reception given her resolvable channel
@@ -224,9 +236,9 @@ def modified_entropy_terms(cfg2u: TwoUserModifiedConfig) -> tuple[int, int, int]
     """
     n1, n2, k, ne = cfg2u.n1, cfg2u.n2, cfg2u.k_total, cfg2u.n_eve
     nt, dn = cfg2u.n_total, cfg2u.delta_n
-    term2 = ne * min(n2, k - n1) + min(ne, nt) * pos(k - nt)
-    term3 = n1 * (k - n2) + ne * min(n2, k - n1) + min(ne, dn) * pos(k - nt)
-    term4 = n1 * (k - n1) + ne * min(n2, k - n1)
+    term2 = ne * np.minimum(n2, k - n1) + np.minimum(ne, nt) * pos(k - nt)
+    term3 = n1 * (k - n2) + ne * np.minimum(n2, k - n1) + np.minimum(ne, dn) * pos(k - nt)
+    term4 = n1 * (k - n1) + ne * np.minimum(n2, k - n1)
     return term2, term3, term4
 
 
@@ -238,22 +250,24 @@ def dof_modified_two_user(cfg2u: TwoUserModifiedConfig) -> ModifiedTwoUserDof:
     the four conditional-entropy slopes and coincides with lower_12.
     """
     n1, n2, k, ne = cfg2u.n1, cfg2u.n2, cfg2u.k_total, cfg2u.n_eve
-    if n1 > n2:
+    if np.any(n1 > n2):
         raise ValueError("needs N_1 <= N_2")
-    if k < n2:
+    if np.any(k < n2):
         raise ValueError("needs K >= N_2")
     nt, dn = cfg2u.n_total, cfg2u.delta_n
-    lower_12 = n1 * (2 * k - nt) + min(ne, dn) * pos(k - nt) - min(ne, nt) * pos(k - nt)
-    lower_21 = n1 * (2 * k - nt) - min(ne, nt) * pos(k - nt)
+    lower_12 = (
+        n1 * (2 * k - nt) + np.minimum(ne, dn) * pos(k - nt) - np.minimum(ne, nt) * pos(k - nt)
+    )
+    lower_21 = n1 * (2 * k - nt) - np.minimum(ne, nt) * pos(k - nt)
     term2, term3, term4 = modified_entropy_terms(cfg2u)
     # given both users' data only Eve's unresolved channel part stays free,
     # and it fills her first min(N_2, K-N_1) reception columns
-    joint_all = ne * min(n2, k - n1)
+    joint_all = ne * np.minimum(n2, k - n1)
     upper = term3 + term4 - term2 - joint_all
     return ModifiedTwoUserDof(lower_12, lower_21, upper)
 
 
-def modified_lower_12_piecewise(cfg2u: TwoUserModifiedConfig) -> int:
+def modified_lower_12_piecewise(cfg2u: TwoUserModifiedConfig) -> Ints:
     """Region form of lower_12, used for branch-agreement checks.
 
     N_1(2K-N_T) for N_E <= dN; minus (N_E-dN)(K-N_T)^+ up to N_E = N_T;
@@ -261,11 +275,9 @@ def modified_lower_12_piecewise(cfg2u: TwoUserModifiedConfig) -> int:
     """
     n1, ne, k = cfg2u.n1, cfg2u.n_eve, cfg2u.k_total
     nt, dn = cfg2u.n_total, cfg2u.delta_n
-    if ne <= dn:
-        return n1 * (2 * k - nt)
-    if ne <= nt:
-        return n1 * (2 * k - nt) - (ne - dn) * pos(k - nt)
-    return n1 * (2 * k - nt - pos(2 * k - 2 * nt))
+    return np.where(ne <= dn, n1 * (2 * k - nt),
+                    np.where(ne <= nt, n1 * (2 * k - nt) - (ne - dn) * pos(k - nt),
+                             n1 * (2 * k - nt - pos(2 * k - 2 * nt))))
 
 
 # --------------------------------------------------------------------------
@@ -273,17 +285,17 @@ def modified_lower_12_piecewise(cfg2u: TwoUserModifiedConfig) -> int:
 # --------------------------------------------------------------------------
 
 
-def _left_unknown(obs_rows: int, unknown_rows: int, cols: int) -> int:
+def _left_unknown(obs_rows: Ints, unknown_rows: Ints, cols: Ints) -> Ints:
     """Freedom of U @ B: U unknown (obs_rows x unknown_rows), B known generic."""
-    return obs_rows * min(unknown_rows, cols)
+    return obs_rows * np.minimum(unknown_rows, cols)
 
 
-def _right_unknown(obs_rows: int, unknown_rows: int, cols: int) -> int:
+def _right_unknown(obs_rows: Ints, unknown_rows: Ints, cols: Ints) -> Ints:
     """Freedom of A @ V: A known generic, V unknown (unknown_rows x cols)."""
-    return min(obs_rows, unknown_rows) * cols
+    return np.minimum(obs_rows, unknown_rows) * cols
 
 
-def freedom_oracle(s: DofScenario) -> tuple[int, int, int]:
+def freedom_oracle(s: DofScenario) -> tuple[Ints, Ints, Ints]:
     """The entropy slopes h_ye_given_hep, h_joint_i_e and h_joint_i_j_e of
     ``dof_entropy_terms``, recomputed by summing per-block freedoms.
 
@@ -292,7 +304,7 @@ def freedom_oracle(s: DofScenario) -> tuple[int, int, int]:
     pins down contribute zero.  No piecewise closed form is evaluated here.
     """
     ni, nj, nt, nmin, ne, k2 = s.n_i, s.n_j, s.n_t, s.n_min, s.n_eve, s.k2
-    cols_alpha = min(nmin, k2)
+    cols_alpha = np.minimum(nmin, k2)
     cols_beta = k2 - cols_alpha
     # alpha: Eve's channel part orthogonal to the pilots (nmin rows) is free;
     # beta rows up to N_T stay free through the unknown symbols; the rest is pinned
@@ -315,11 +327,11 @@ def freedom_oracle(s: DofScenario) -> tuple[int, int, int]:
     return ye_given_hep, joint_i_e, joint_i_j_e
 
 
-def modified_freedom_oracle(c: TwoUserModifiedConfig) -> tuple[int, int, int]:
+def modified_freedom_oracle(c: TwoUserModifiedConfig) -> tuple[Ints, Ints, Ints]:
     """The three slopes of ``modified_entropy_terms``, by the same block count."""
     n1, n2, k, ne = c.n1, c.n2, c.k_total, c.n_eve
     nt, dn = c.n_total, c.delta_n
-    cols_alpha = min(n2, k - n1)
+    cols_alpha = np.minimum(n2, k - n1)
     cols_beta = pos(k - nt)
     eve_alpha = _left_unknown(ne, n2, cols_alpha)
     term2 = eve_alpha + _right_unknown(ne, nt, cols_beta)

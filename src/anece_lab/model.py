@@ -127,6 +127,18 @@ class CheckResult:
         object.__setattr__(self, "passed", bool(ok))
 
 
+# The closed forms of ``dofcalc`` compute in int64.  Each is a sum of at most
+# eight products of two factors of magnitude <= 2 * MAX_COUNT, so with every
+# count at most MAX_COUNT no form can exceed 32 * 2**56 = 2**61.
+MAX_COUNT = 2**28
+
+
+def _count_limits(*counts: tuple[str, str, int]) -> list[tuple[str, str]]:
+    """One violation per ``(field, symbol, value)`` whose value exceeds MAX_COUNT."""
+    return [(field, f"{symbol} > {MAX_COUNT}")
+            for field, symbol, value in counts if value > MAX_COUNT]
+
+
 def validate_config(cfg: NetworkConfig) -> list[tuple[str, str]]:
     """Return every violated constraint of an all-user config; [] if valid."""
     violations = []
@@ -142,7 +154,8 @@ def validate_config(cfg: NetworkConfig) -> list[tuple[str, str]]:
     bound = cfg.n_total - cfg.n_min
     if cfg.k1 < bound:
         violations.append(("k1", f"K_1 < N_T-N_min (need >= {bound})"))
-    return violations
+    return violations + _count_limits(
+        ("antennas", "N_T", cfg.n_total), ("n_eve", "N_E", cfg.n_eve), ("k2", "K_2", cfg.k2))
 
 
 def validate_pairwise_config(cfg: NetworkConfig) -> list[tuple[str, str]]:
@@ -158,7 +171,8 @@ def validate_pairwise_config(cfg: NetworkConfig) -> list[tuple[str, str]]:
         violations.append(("n_eve", "N_E < 0"))
     if cfg.k2 < 0:
         violations.append(("k2", "K_2 < 0"))
-    return violations
+    return violations + _count_limits(
+        ("antennas", "N_T", cfg.n_total), ("n_eve", "N_E", cfg.n_eve), ("k2", "K_2", cfg.k2))
 
 
 def validate_modified_config(cfg: TwoUserModifiedConfig) -> list[tuple[str, str]]:
@@ -172,4 +186,4 @@ def validate_modified_config(cfg: TwoUserModifiedConfig) -> list[tuple[str, str]
         violations.append(("k_total", f"K < N_2 (need >= {cfg.n2})"))
     if cfg.n_eve < 0:
         violations.append(("n_eve", "N_E < 0"))
-    return violations
+    return violations + _count_limits(("k_total", "K", cfg.k_total), ("n_eve", "N_E", cfg.n_eve))

@@ -9,6 +9,7 @@ matter how the work is scheduled.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,135 +230,154 @@ def _pair_shapes() -> list[tuple[int, int, int, int]]:
     })
 
 
-def _rises(values) -> bool:
-    return any(b > a for a, b in itertools.pairwise(values))
+def _two_user_pairs() -> np.ndarray:
+    """Every (N_1, N_2) with 1 <= N_1 <= N_2 <= TWO_USER_N_MAX, one row each."""
+    n = range(1, TWO_USER_N_MAX + 1)
+    return np.array([(n1, n2) for n1 in n for n2 in n if n1 <= n2])
 
 
-def _falls(values) -> bool:
-    return any(b < a for a, b in itertools.pairwise(values))
+def _pair_shape_grid() -> DofScenario:
+    """Every pair shape x K_2 x N_E, as one record of broadcast columns: the
+    shape's numbers along axis 0, K_2 along axis 1 and N_E along axis 2."""
+    shapes = np.array(_pair_shapes())[:, :, None, None]
+    k2 = np.array(K2_VALUES)[:, None]
+    return DofScenario(*shapes.transpose(1, 0, 2, 3), np.array(N_EVE_VALUES), k2)
+
+
+def _two_user_grid(n_eve_values) -> tuple[np.ndarray, ...]:
+    """(N_1, N_2, N_E, K_2) arrays over every two-user pair x n_eve_values x K_2."""
+    pairs = _two_user_pairs()
+    idx, n_eve, k2 = np.meshgrid(np.arange(len(pairs)), n_eve_values, K2_VALUES, indexing="ij")
+    return pairs[idx, 0], pairs[idx, 1], n_eve, k2
+
+
+def _count(bad) -> int:
+    return int(np.count_nonzero(bad))
 
 
 def identity_suite() -> list[CheckResult]:
     """Evaluate every algebraic identity across the grid, one row each.
 
-    Rows report the number of violating grid points against a target of
-    zero (the two-user monotonicity checks count violating sequences); the
-    final row checks the produced rows against the manifest so a silently
-    dropped identity fails the suite.
+    Each family evaluates the closed forms once on its whole grid.  Rows
+    report the number of violating grid points against a target of zero
+    (the two-user monotonicity checks count violating sequences); the final
+    row checks the names the families produced against the manifest, so a
+    dropped or unlisted identity fails the suite.
     """
-    violations = dict.fromkeys(IDENTITY_MANIFEST, 0)
-
-    def flag(name: str, bad: bool) -> None:
-        violations[name] += bad
-
-    # pair-shape identities, and the lower bound along N_E
-    for n_i, n_j, n_t, n_min in _pair_shapes():
-        for k2 in K2_VALUES:
-            prev_raw = prev_plus = None
-            for n_eve in N_EVE_VALUES:
-                s = DofScenario(n_i, n_j, n_t, n_min, n_eve, k2)
-                lower, plus = dof_phase2_lower(s), dof_phase2_lower_plus(s)
-                flag("identity:gap-consistency", dof_phase2_upper(s) - lower != dof_gap(s))
-                flag("identity:lower-decomposition", lower != dof_cij(s) - dof_leakage(s))
-                terms = dof_entropy_terms(s)
-                eve, joint_i, joint_ij = freedom_oracle(s)
-                flag("identity:freedom-oracle-eve-reception", eve != terms.h_ye_given_hep)
-                flag("identity:freedom-oracle-joint-user-eve", joint_i != terms.h_joint_i_e)
-                flag("identity:freedom-oracle-joint-pair-eve", joint_ij != terms.h_joint_i_j_e)
-                if prev_raw is not None:
-                    flag("identity:monotonic-in-eve-antennas",
-                         lower > prev_raw or plus > prev_plus)
-                prev_raw, prev_plus = lower, plus
-
-    # symmetric-network reductions
-    for m, n, n_eve, k2 in itertools.product(M_VALUES, N_VALUES, N_EVE_VALUES, K2_VALUES):
-        s = DofScenario(n, n, m * n, n, n_eve, k2)
-        lower, upper, gap = dof_phase2_lower(s), dof_phase2_upper(s), dof_gap(s)
-        dk2 = pos(k2 - n)
-        if m == 2:
-            expected_gap = 0
-        elif m == 3:
-            expected_gap = dk2 * min(n_eve, n)
-        else:
-            expected_gap = dk2 * (min(n_eve, (m - 2) * n) - min(n_eve, (m - 4) * n))
-        flag("identity:symmetric-gap-table", gap != expected_gap)
-        flag("identity:symmetric-large-m-zero",
-             m >= 4 + -(-n_eve // n) and not lower == upper == 0)
-        if n_eve >= m * n:
-            if m == 2:
-                expected_low = 2 * n * min(n, k2)
-            elif m == 3:
-                expected_low = n * pos(2 * min(n, k2) - k2)
-            else:
-                expected_low = 0
-            flag("identity:symmetric-eve-large",
-                 dof_phase2_lower_plus(s) != expected_low or (m >= 4 and upper != 0))
-        if k2 == n and m in (2, 3):
-            expected = 2 * n * n if m == 2 else n * n
-            flag("identity:symmetric-k2-equals-n", not lower == upper == expected)
-
-    # two-user schemes, each tabled once over its (N_E, K_2) grid
-    for n1 in range(1, TWO_USER_N_MAX + 1):
-        for n2 in range(n1, TWO_USER_N_MAX + 1):
-            _two_user_identities(n1, n2, flag)
-
-    results = [CheckResult(name, float(violations[name]), 0.0, 0.0)
-               for name in IDENTITY_MANIFEST]
-    names_ok = sorted(r.name for r in results) == sorted(IDENTITY_MANIFEST)
+    violations: Counter[str] = Counter()
+    for family in (_pair_shape_identities, _symmetric_identities, _two_user_identities):
+        violations.update(family())
+    results = [CheckResult(name, float(count), 0.0, 0.0) for name, count in violations.items()]
+    names_ok = sorted(violations) == sorted(IDENTITY_MANIFEST)
     results.append(CheckResult("identity:manifest-complete", 1.0 if names_ok else 0.0, 1.0, 0.0))
     return sorted(results, key=lambda r: r.name)
 
 
-def _two_user_identities(n1: int, n2: int, flag) -> None:
-    """The original and the modified two-user scheme of one pair N_1 <= N_2."""
-    dn, nt = n2 - n1, n1 + n2
-    original = {(n_eve, k2): dof_two_user_original(n1, n2, n_eve, k2)
-                for n_eve in N_EVE_VALUES for k2 in K2_VALUES}
-    for (n_eve, k2), value in original.items():
-        s = DofScenario(n1, n2, nt, n1, n_eve, k2)
-        flag("identity:two-user-lower-matches-closed-form", dof_phase2_lower(s) != value)
+def _pair_shape_identities() -> dict[str, int]:
+    """The all-user forms on every pair shape, and the lower bound along N_E.
+
+    Each row compares values that vary with the shape, K_2 and N_E, so its
+    array spans the whole grid and counts each point once.
+    """
+    s = _pair_shape_grid()
+    lower, plus = dof_phase2_lower(s), dof_phase2_lower_plus(s)
+    terms = dof_entropy_terms(s)
+    eve, joint_i, joint_ij = freedom_oracle(s)
+    return {
+        "identity:gap-consistency": _count(dof_phase2_upper(s) - lower != dof_gap(s)),
+        "identity:lower-decomposition": _count(lower != dof_cij(s) - dof_leakage(s)),
+        "identity:freedom-oracle-eve-reception": _count(eve != terms.h_ye_given_hep),
+        "identity:freedom-oracle-joint-user-eve": _count(joint_i != terms.h_joint_i_e),
+        "identity:freedom-oracle-joint-pair-eve": _count(joint_ij != terms.h_joint_i_j_e),
+        # one count per grid step along N_E
+        "identity:monotonic-in-eve-antennas":
+            _count((np.diff(lower) > 0) | (np.diff(plus) > 0)),
+    }
+
+
+def _symmetric_identities() -> dict[str, int]:
+    """The reductions of the paper for symmetric networks of M users of N antennas."""
+    m, n, n_eve, k2 = np.meshgrid(M_VALUES, N_VALUES, N_EVE_VALUES, K2_VALUES, indexing="ij")
+    s = DofScenario(n, n, m * n, n, n_eve, k2)
+    lower, upper, gap = dof_phase2_lower(s), dof_phase2_upper(s), dof_gap(s)
+    dk2 = pos(k2 - n)
+    expected_gap = np.where(m == 2, 0, np.where(
+        m == 3, dk2 * np.minimum(n_eve, n),
+        dk2 * (np.minimum(n_eve, (m - 2) * n) - np.minimum(n_eve, (m - 4) * n))))
+    both_zero = (lower == upper) & (upper == 0)
+    expected_low = np.where(m == 2, 2 * n * np.minimum(n, k2),
+                            np.where(m == 3, n * pos(2 * np.minimum(n, k2) - k2), 0))
+    eve_large_bad = (dof_phase2_lower_plus(s) != expected_low) | ((m >= 4) & (upper != 0))
+    expected_at_n = np.where(m == 2, 2 * n * n, n * n)
+    return {
+        "identity:symmetric-gap-table": _count(gap != expected_gap),
+        "identity:symmetric-large-m-zero": _count((m >= 4 + -(-n_eve // n)) & ~both_zero),
+        "identity:symmetric-eve-large": _count((n_eve >= m * n) & eve_large_bad),
+        "identity:symmetric-k2-equals-n": _count(
+            (k2 == n) & (m <= 3) & ~((lower == upper) & (upper == expected_at_n))),
+    }
+
+
+def _two_user_identities() -> dict[str, int]:
+    """The original and the modified two-user scheme of every pair N_1 <= N_2."""
+    n1, n2, n_eve, k2 = _two_user_grid(N_EVE_VALUES)
+    original = dof_two_user_original(n1, n2, n_eve, k2)
+    lower = dof_phase2_lower(DofScenario(n1, n2, n1 + n2, n1, n_eve, k2))
 
     # the modified scheme spends K = N_2 + K_2 slots, N_2 of them on pilots
-    modified = {}
-    for n_eve in TWO_USER_N_EVE_VALUES:
-        for k2 in K2_VALUES:
-            k = n2 + k2
-            c = TwoUserModifiedConfig(n1, n2, k, n_eve)
-            md = dof_modified_two_user(c)
-            modified[n_eve, k2] = md.lower_12
-            flag("identity:modified-upper-equals-lower",
-                 not md.upper == md.lower_12 == modified_lower_12_piecewise(c))
-            flag("identity:modified-lower-ordering",
-                 md.lower_12 - md.lower_21 != min(n_eve, dn) * pos(k - nt))
-            flag("identity:modified-minus-original",
-                 md.lower_12 - original[n_eve, k2] != n1 * (n2 - n1))
-            for oracle, closed in zip(modified_freedom_oracle(c), modified_entropy_terms(c)):
-                flag("identity:freedom-oracle-modified-terms", oracle != closed)
+    n1, n2, n_eve, k2 = _two_user_grid(TWO_USER_N_EVE_VALUES)
+    dn, nt, k = n2 - n1, n1 + n2, n2 + k2
+    c = TwoUserModifiedConfig(n1, n2, k, n_eve)
+    md = dof_modified_two_user(c)
+    original_mod = dof_two_user_original(n1, n2, n_eve, k2)  # at the modified scheme's points
+    oracle_bad = sum(_count(oracle != closed) for oracle, closed
+                     in zip(modified_freedom_oracle(c), modified_entropy_terms(c)))
 
-    # monotonicity, one count per violating sequence
-    for k2 in K2_VALUES:
-        flag("identity:monotonic-in-eve-antennas",
-             _rises([original[n_eve, k2] for n_eve in N_EVE_VALUES]))
-        flag("identity:monotonic-in-eve-antennas",
-             _rises([modified[n_eve, k2] for n_eve in TWO_USER_N_EVE_VALUES]))
-    for n_eve in TWO_USER_N_EVE_VALUES:
-        flag("identity:monotonic-in-slots", _falls([original[n_eve, k2] for k2 in K2_VALUES]))
-        flag("identity:monotonic-in-slots", _falls([modified[n_eve, k2] for k2 in K2_VALUES]))
+    # monotonicity, one count per violating sequence; axis 1 is N_E, axis 2 is K_2
+    def rising(values):
+        return _count(np.any(np.diff(values, axis=1) > 0, axis=1))
 
-    # piecewise branch agreement at the region boundaries
-    for k2 in K2_VALUES:
-        dk2 = pos(k2 - n1)
-        flag("identity:piecewise-boundary-agreement",
-             2 * k2 * n1 != 2 * k2 * n1 - dk2 * (dn - dn))
-        flag("identity:piecewise-boundary-agreement",
-             2 * k2 * n1 - dk2 * (nt - dn) != 2 * min(n1, k2) * n1)
-        k = n2 + k2
-        at_dn_c1 = n1 * (2 * k - nt)
-        at_dn_c2 = n1 * (2 * k - nt) - (dn - dn) * pos(k - nt)
-        at_nt_c2 = n1 * (2 * k - nt) - (nt - dn) * pos(k - nt)
-        at_nt_c3 = n1 * (2 * k - nt - pos(2 * k - 2 * nt))
-        flag("identity:piecewise-boundary-agreement",
-             at_dn_c1 != at_dn_c2 or at_nt_c2 != at_nt_c3)
+    def falling(values):
+        return _count(np.any(np.diff(values, axis=2) < 0, axis=2))
+
+    return {
+        "identity:two-user-lower-matches-closed-form": _count(lower != original),
+        "identity:modified-upper-equals-lower": _count(
+            ~((md.upper == md.lower_12) & (md.lower_12 == modified_lower_12_piecewise(c)))),
+        "identity:modified-lower-ordering": _count(
+            md.lower_12 - md.lower_21 != np.minimum(n_eve, dn) * pos(k - nt)),
+        "identity:modified-minus-original": _count(md.lower_12 - original_mod != n1 * (n2 - n1)),
+        "identity:freedom-oracle-modified-terms": oracle_bad,
+        "identity:monotonic-in-eve-antennas": rising(original) + rising(md.lower_12),
+        "identity:monotonic-in-slots": falling(original_mod) + falling(md.lower_12),
+        "identity:piecewise-boundary-agreement": _piecewise_boundary_violations(),
+    }
+
+
+def _piecewise_boundary_violations() -> int:
+    """The two piecewise forms on both sides of each region boundary.
+
+    At N_E = dN and N_E = N_T the branch right of the boundary, as the paper
+    writes it, must agree with the form (the branches meet); one past the
+    boundary the form must already follow it.  Counts one per (pair, K_2,
+    N_E) point and form.
+    """
+    pairs = _two_user_pairs()
+    n1, n2 = pairs[:, :1], pairs[:, 1:]
+    k2 = np.array(K2_VALUES)
+    dn, nt, k = n2 - n1, n1 + n2, n2 + k2
+    bad = 0
+    for n_eve, middle in ((dn, True), (dn + 1, True), (nt, False), (nt + 1, False)):
+        if middle:
+            original = 2 * k2 * n1 - pos(k2 - n1) * (n_eve - dn)
+            modified = n1 * (2 * k - nt) - (n_eve - dn) * pos(k - nt)
+        else:
+            original = 2 * np.minimum(n1, k2) * n1
+            modified = n1 * (2 * k - nt - pos(2 * k - 2 * nt))
+        bad += _count(dof_two_user_original(n1, n2, n_eve, k2) != original)
+        c = TwoUserModifiedConfig(n1, n2, k, n_eve)
+        bad += _count(modified_lower_12_piecewise(c) != modified)
+    return bad
 
 
 # --------------------------------------------------------------------------
@@ -402,9 +422,9 @@ def compare_schemes(cfg: NetworkConfig) -> ComparisonTable:
     rows = []
 
     s = DofScenario.pair(cfg, 0, 1)
-    phase2 = max(dof_phase2_lower(s), dof_phase2_lower(s.swapped()))
+    phase2 = int(max(dof_phase2_lower(s), dof_phase2_lower(s.swapped())))
     phase1 = dof_phase1(n_i, n_j)
-    rows.append(ComparisonRow("all_user", phase1, phase2, phase1 + pos(phase2), cfg.k1, k2))
+    rows.append(ComparisonRow("all_user", phase1, phase2, phase1 + max(phase2, 0), cfg.k1, k2))
 
     if cfg.m >= 3:
         p0 = cfg.m * (cfg.m - 1) // 2
@@ -412,14 +432,14 @@ def compare_schemes(cfg: NetworkConfig) -> ComparisonTable:
             raise ValueError(f"phase-2 budget {k2} is not divisible by {p0} sessions")
         pair = dof_pairwise(n_i, n_j, cfg.n_eve, k2 // p0)
         rows.append(
-            ComparisonRow("pairwise", phase1, pair.upper, phase1 + pos(pair.upper),
+            ComparisonRow("pairwise", phase1, pair.upper, phase1 + max(pair.upper, 0),
                           p0 * max(cfg.antennas), k2)
         )
     else:
         n1, n2 = sorted((n_i, n_j))
         c2u = TwoUserModifiedConfig(n1, n2, n2 + k2, cfg.n_eve)
-        md = dof_modified_two_user(c2u)
+        upper = int(dof_modified_two_user(c2u).upper)
         rows.append(
-            ComparisonRow("modified_two_user", phase1, md.upper, phase1 + pos(md.upper), n2, k2)
+            ComparisonRow("modified_two_user", phase1, upper, phase1 + max(upper, 0), n2, k2)
         )
     return ComparisonTable(tuple(rows))

@@ -98,7 +98,9 @@ def test_outputs_are_pinned(tmp_path, write_scenario, scheme, network, formula, 
      "network.k2: K_2 < 0"),
     ("modified_two_user", {"n1": 0, "n2": 3, "k_total": 2, "n_eve": -1},
      "network.n1: N_1 < 1; network.k_total: K < N_2 (need >= 3); network.n_eve: N_E < 0"),
-], ids=["bogus", "all_user", "pairwise", "modified_two_user"])
+    ("all_user", {"antennas": [2, 2], "n_eve": 10**20, "k2": 2**28 + 1},
+     "network.n_eve: N_E > 268435456; network.k2: K_2 > 268435456"),
+], ids=["bogus", "all_user", "pairwise", "modified_two_user", "count_cap"])
 def test_invalid_scenario_names_every_violation(write_scenario, scheme, network, message):
     proc = run_cli("formula", "--scenario", write_scenario(scheme, network, **FAST_MC))
     assert proc.returncode == 2

@@ -1,3 +1,6 @@
+from dataclasses import astuple
+
+import numpy as np
 import pytest
 
 from anece_lab.cli import SCHEMES
@@ -21,6 +24,7 @@ from anece_lab.dofcalc import (
     pos,
 )
 from anece_lab.model import NetworkConfig, TwoUserModifiedConfig
+from anece_lab.verify import N_EVE_VALUES, TWO_USER_N_EVE_VALUES, _pair_shape_grid, _two_user_grid
 
 
 def scenario(antennas, n_eve, k2, i=0, j=1):
@@ -31,6 +35,7 @@ def test_pos_clamp():
     assert pos(3) == 3
     assert pos(0) == 0
     assert pos(-2) == 0
+    assert pos(np.array([-2, 0, 3])).tolist() == [0, 0, 3]
 
 
 def test_scenario_derived_quantities_track_the_config():
@@ -153,6 +158,8 @@ def test_two_user_original_rejects_misordered():
         dof_two_user_original(3, 2, 1, 1)
     with pytest.raises(ValueError):
         dof_two_user_original(2, 3, 1, -1)
+    with pytest.raises(ValueError):  # one bad element of an array
+        dof_two_user_original(np.array([1, 3, 2]), np.array([2, 2, 2]), 1, 1)
 
 
 def test_pairwise_examples():
@@ -222,6 +229,8 @@ def test_modified_rejects_bad_configs():
         dof_modified_two_user(TwoUserModifiedConfig(3, 2, 7, 1))
     with pytest.raises(ValueError):
         dof_modified_two_user(TwoUserModifiedConfig(2, 3, 2, 1))
+    with pytest.raises(ValueError):
+        dof_modified_two_user(TwoUserModifiedConfig(2, 3, np.array([7, 2]), 1))
 
 
 def test_dof_total_examples():
@@ -257,3 +266,45 @@ def test_freedom_oracle_matches_closed_forms_on_a_grid():
             for k in range(n2, n2 + 7):
                 c = TwoUserModifiedConfig(n1, n2, k, n_eve)
                 assert modified_freedom_oracle(c) == modified_entropy_terms(c)
+
+
+def _values(result) -> tuple:
+    """A closed form's result as a flat tuple of its values."""
+    if isinstance(result, tuple):
+        return result
+    if hasattr(result, "__dataclass_fields__"):
+        return astuple(result)
+    return (result,)
+
+
+PAIR_FORMS = (dof_cij, dof_entropy_terms, dof_leakage, dof_phase2_lower, dof_phase2_lower_plus,
+              dof_phase2_upper, dof_gap, freedom_oracle)
+MODIFIED_FORMS = (modified_entropy_terms, dof_modified_two_user, modified_lower_12_piecewise,
+                  modified_freedom_oracle)
+
+
+def _modified_grid():
+    n1, n2, n_eve, k2 = _two_user_grid(TWO_USER_N_EVE_VALUES)
+    return TwoUserModifiedConfig(n1, n2, n2 + k2, n_eve)
+
+
+@pytest.mark.parametrize("grid, forms", [
+    (_pair_shape_grid, PAIR_FORMS),
+    (_modified_grid, MODIFIED_FORMS),
+    (lambda: _two_user_grid(N_EVE_VALUES), (lambda g: dof_two_user_original(*g),)),
+], ids=["pair-shapes", "modified", "two-user"])
+def test_array_forms_match_scalar_calls(grid, forms):
+    # each form once over the identity grid, against scalar calls at random grid points
+    g = grid()
+    fields = np.broadcast_arrays(*(astuple(g) if hasattr(g, "__dataclass_fields__") else g))
+    arrays = [_values(form(g)) for form in forms]
+    rng = np.random.default_rng(5)
+    for flat in rng.choice(fields[0].size, size=300, replace=False):
+        at = np.unravel_index(flat, fields[0].shape)
+        ints = [int(f[at]) for f in fields]
+        point = type(g)(*ints) if hasattr(g, "__dataclass_fields__") else ints
+        for form, expected in zip(forms, arrays):
+            scalars = _values(form(point))
+            assert all(np.asarray(v).dtype.kind == "i" for v in scalars)
+            assert [int(v) for v in scalars] == [
+                int(np.broadcast_to(e, fields[0].shape)[at]) for e in expected]

@@ -1,6 +1,7 @@
 import pytest
 
 from anece_lab.model import (
+    MAX_COUNT,
     CheckResult,
     DofReport,
     NetworkConfig,
@@ -8,6 +9,7 @@ from anece_lab.model import (
     TwoUserModifiedConfig,
     validate_config,
     validate_modified_config,
+    validate_pairwise_config,
 )
 
 
@@ -51,6 +53,19 @@ def test_negative_counts_are_flagged():
     assert ("antennas", "antenna count must be >= 1 (user 2)") in out
     assert ("k2", "K_2 < 0") in out
     assert ("n_eve", "N_E < 0") in validate_config(NetworkConfig((1, 1), -1, k1=1))
+
+
+def test_counts_above_the_cap_are_flagged():
+    # the closed forms compute in int64; every count up to MAX_COUNT is safe
+    big = MAX_COUNT + 1
+    assert validate_config(NetworkConfig((1, MAX_COUNT - 1), MAX_COUNT, k2=MAX_COUNT)) == []
+    for validate in (validate_config, validate_pairwise_config):
+        assert validate(NetworkConfig((1, 1, MAX_COUNT), big, k2=big)) == [
+            ("antennas", f"N_T > {MAX_COUNT}"), ("n_eve", f"N_E > {MAX_COUNT}"),
+            ("k2", f"K_2 > {MAX_COUNT}")]
+    assert validate_modified_config(TwoUserModifiedConfig(1, 2, MAX_COUNT, MAX_COUNT)) == []
+    assert validate_modified_config(TwoUserModifiedConfig(1, 2, big, 10**20)) == [
+        ("k_total", f"K > {MAX_COUNT}"), ("n_eve", f"N_E > {MAX_COUNT}")]
 
 
 def test_check_result_derives_passed():

@@ -108,13 +108,18 @@ def test_identity_suite_is_green_and_complete():
     assert len(rows) == len(IDENTITY_MANIFEST) + 1
 
 
-# closed form -> (a fault off by one on a slice of the grid, the row that must catch it)
+# closed form[-case] -> (a fault off by one on a slice of the grid, a row that must catch
+# it); the faults work elementwise, as the suite evaluates whole grids at once
 IDENTITY_FAULTS = {
     "dof_gap": (lambda f: lambda s: f(s) + (s.n_eve == 5), "identity:gap-consistency"),
     "dof_phase2_lower": (lambda f: lambda s: f(s) + (s.k2 == 3),
                          "identity:lower-decomposition"),
     "dof_two_user_original": (lambda f: lambda n1, n2, ne, k2: f(n1, n2, ne, k2) + (ne == 4),
                               "identity:two-user-lower-matches-closed-form"),
+    # one past the top region boundary N_E = N_T
+    "dof_two_user_original-past-n_t": (
+        lambda f: lambda n1, n2, ne, k2: f(n1, n2, ne, k2) + (ne == n1 + n2 + 1),
+        "identity:piecewise-boundary-agreement"),
     "dof_modified_two_user": (
         lambda f: lambda c: replace(f(c), lower_21=f(c).lower_21 + (c.k_total == c.n2 + 2)),
         "identity:modified-lower-ordering"),
@@ -127,13 +132,47 @@ IDENTITY_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("closed_form", sorted(IDENTITY_FAULTS))
-def test_identity_suite_catches_a_seeded_fault(monkeypatch, closed_form):
-    fault, row = IDENTITY_FAULTS[closed_form]
+@pytest.mark.parametrize("case", sorted(IDENTITY_FAULTS))
+def test_identity_suite_catches_a_seeded_fault(monkeypatch, case):
+    fault, row = IDENTITY_FAULTS[case]
+    closed_form = case.partition("-")[0]
     monkeypatch.setattr(verify, closed_form, fault(getattr(verify, closed_form)))
     rows = {r.name: r for r in identity_suite()}
     assert not rows[row].passed
     assert rows["identity:manifest-complete"].passed
+
+
+def test_identity_suite_fails_a_dropped_row(monkeypatch):
+    family = verify._symmetric_identities
+
+    def dropping():
+        rows = family()
+        del rows["identity:symmetric-gap-table"]
+        return rows
+
+    monkeypatch.setattr(verify, "_symmetric_identities", dropping)
+    rows = {r.name: r for r in identity_suite()}
+    assert "identity:symmetric-gap-table" not in rows
+    assert not rows["identity:manifest-complete"].passed
+
+
+def test_identity_suite_evaluates_each_grid_at_once(monkeypatch):
+    # a handful of records whose fields are whole grids, not one per grid point
+    counts = {"DofScenario": 0, "TwoUserModifiedConfig": 0}
+
+    def counted(name):
+        cls = getattr(verify, name)
+
+        def build(*args, **kwargs):
+            counts[name] += 1
+            return cls(*args, **kwargs)
+        return build
+
+    for name in counts:
+        monkeypatch.setattr(verify, name, counted(name))
+    assert all(r.passed for r in identity_suite())
+    assert counts["DofScenario"] <= 5
+    assert counts["TwoUserModifiedConfig"] <= 8
 
 
 def test_compare_schemes_three_users():
