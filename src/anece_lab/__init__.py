@@ -30,13 +30,7 @@ from .numkernel import (
     synth_phase1,
     synth_phase2,
 )
-from .capacity import (
-    CapacityCurve,
-    cij_phase2_mc,
-    ckey0_modified_mc,
-    entropy_cond_gaussian_mc,
-    phase1_skc_exact,
-)
+from .capacity import CapacityCurve
 from .dofcalc import (
     DofScenario,
     dof_cij,

@@ -47,7 +47,7 @@ class CapacityCurve:
 
 
 # --------------------------------------------------------------------------
-# pilot-phase covariances and exact SKC
+# pilot-phase covariances and factors
 # --------------------------------------------------------------------------
 
 
@@ -92,23 +92,6 @@ def phase1_factor_joint(ps, i: int, j: int) -> np.ndarray:
     rx = synth_phase1(channel_basis(ps.antennas), ps, 1.0, 0, noise_scale=0.0).user_rx
     jac = np.concatenate([vec_batch(rx[i]), vec_batch(np.swapaxes(rx[j], 1, 2))], axis=1).T
     return jac[:, np.any(jac != 0, axis=0)]
-
-
-def _phase1_values(cfg: NetworkConfig, ps, i: int, j: int, sigma2) -> np.ndarray:
-    if ps.antennas != tuple(cfg.antennas):
-        raise ValueError("pilot set does not match config")
-    joint = log2det_grid(phase1_factor_joint(ps, i, j), sigma2)
-    return sum(cfg.antennas[u] * log2det_grid(ps.without(u).T, sigma2) for u in (i, j)) - joint
-
-
-def phase1_skc_exact(cfg: NetworkConfig, ps, i: int, j: int, sigma2: float) -> float:
-    """Exact pilot-phase SKC between users i and j, in bits.
-
-    Evaluates log2|R_i| + log2|R_j| - log2|R_joint| for the Gaussian
-    reception model; the single-user determinants reduce to N_i times the
-    determinant of the K_1 x K_1 pilot Gram, factored as P_(i)^T.
-    """
-    return float(_phase1_values(cfg, ps, i, j, (sigma2,))[0])
 
 
 # --------------------------------------------------------------------------
@@ -162,39 +145,6 @@ def _entropy_spec(m: int, n: int, k: int):
     return "gauss-entropy", m * n, lambda z: [(k, z.reshape(-1, m, n))]
 
 
-def cij_phase2_mc(cfg: NetworkConfig, i: int, j: int, sigma2: float,
-                  n_samples: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo symbol-phase capacity between users i and j (bits, stderr).
-
-    Averages K_2 * [log2|s2*R_i + I| + log2|s2*R_j + I| - log2|s2*R_ij + I|]
-    over channel draws, where R_i sums H_il H_il^H over l != i and R_ij sums
-    the stacked blocks over l outside {i, j} (the zero matrix when M = 2).
-    """
-    return tuple(float(v[0]) for v in _mc_mean(_cij_spec(cfg, i, j), (sigma2,), n_samples, seed))
-
-
-def ckey0_modified_mc(cfg2u: TwoUserModifiedConfig, sigma2: float,
-                      n_samples: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo symbol-phase rate sum of the modified two-user scheme.
-
-    Averages (K-N_1) * log2|s2*H21 H21^H + I| + (K-N_2) * log2|s2*H12 H12^H + I|
-    over reciprocal channel draws (H12 = H21^T).
-    """
-    return tuple(float(v[0]) for v in _mc_mean(_ckey0_spec(cfg2u), (sigma2,), n_samples, seed))
-
-
-def entropy_cond_gaussian_mc(m: int, n: int, k: int, sigma2: float,
-                             n_samples: int, seed: int) -> float:
-    """Monte Carlo conditional entropy h(Y|H) for Y = sigma*H*X + W, in bits.
-
-    Y is m x k, H is m x n with i.i.d. CN(0,1) entries; the closed Gaussian
-    form is m*k*log2(e*pi) + k*E{log2|s2*H H^H + I_m|}, whose high-SNR slope
-    is min(m, n)*k.
-    """
-    mean, _ = _mc_mean(_entropy_spec(m, n, k), (sigma2,), n_samples, seed)
-    return m * k * LOG2_E_PI + float(mean[0])
-
-
 # --------------------------------------------------------------------------
 # curves over an SNR grid
 # --------------------------------------------------------------------------
@@ -205,21 +155,48 @@ def _curve(grid: SnrGrid, n_samples: int, values, stderr) -> CapacityCurve:
 
 
 def phase1_curve(cfg: NetworkConfig, ps, i: int, j: int, grid: SnrGrid) -> CapacityCurve:
-    values = _phase1_values(cfg, ps, i, j, grid.sigma2())
+    """Exact pilot-phase SKC between users i and j, in bits, over the grid.
+
+    Evaluates log2|R_i| + log2|R_j| - log2|R_joint| for the Gaussian
+    reception model; the single-user determinants reduce to N_i times the
+    determinant of the K_1 x K_1 pilot Gram, factored as P_(i)^T.
+    """
+    if ps.antennas != tuple(cfg.antennas):
+        raise ValueError("pilot set does not match config")
+    sigma2 = grid.sigma2()
+    joint = log2det_grid(phase1_factor_joint(ps, i, j), sigma2)
+    values = sum(cfg.antennas[u] * log2det_grid(ps.without(u).T, sigma2) for u in (i, j)) - joint
     return _curve(grid, 0, values, np.zeros(len(values)))
 
 
 def cij_curve(cfg: NetworkConfig, i: int, j: int, grid: SnrGrid,
               n_samples: int, seed: int) -> CapacityCurve:
+    """Monte Carlo symbol-phase capacity between users i and j over the grid, in bits.
+
+    Averages K_2 * [log2|s2*R_i + I| + log2|s2*R_j + I| - log2|s2*R_ij + I|]
+    over channel draws, where R_i sums H_il H_il^H over l != i and R_ij sums
+    the stacked blocks over l outside {i, j} (the zero matrix when M = 2).
+    """
     return _curve(grid, n_samples, *_mc_mean(_cij_spec(cfg, i, j), grid.sigma2(), n_samples, seed))
 
 
 def ckey0_curve(cfg2u: TwoUserModifiedConfig, grid: SnrGrid,
                 n_samples: int, seed: int) -> CapacityCurve:
+    """Monte Carlo symbol-phase rate sum of the modified two-user scheme.
+
+    Averages (K-N_1) * log2|s2*H21 H21^H + I| + (K-N_2) * log2|s2*H12 H12^H + I|
+    over reciprocal channel draws (H12 = H21^T).
+    """
     return _curve(grid, n_samples, *_mc_mean(_ckey0_spec(cfg2u), grid.sigma2(), n_samples, seed))
 
 
 def cond_entropy_curve(m: int, n: int, k: int, grid: SnrGrid,
                        n_samples: int, seed: int) -> CapacityCurve:
+    """Monte Carlo conditional entropy h(Y|H) for Y = sigma*H*X + W, in bits.
+
+    Y is m x k, H is m x n with i.i.d. CN(0,1) entries; the closed Gaussian
+    form is m*k*log2(e*pi) + k*E{log2|s2*H H^H + I_m|}, whose high-SNR slope
+    is min(m, n)*k.
+    """
     mean, stderr = _mc_mean(_entropy_spec(m, n, k), grid.sigma2(), n_samples, seed)
     return _curve(grid, n_samples, m * k * LOG2_E_PI + mean, stderr)

@@ -122,17 +122,22 @@ def vec_batch(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2).reshape(len(x), -1)
 
 
-def draw_channels(antennas, n_eve: int, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one realization (users first, then Eve) from an existing stream."""
+def draw_channels(antennas, n_eve: int, rng: np.random.Generator,
+                  batch: tuple[int, ...]) -> ChannelRealization:
+    """Draw realizations with leading axes ``batch`` from an existing stream.
+
+    All user channels are drawn first, then Eve's channels user by user;
+    ``batch`` = () draws one realization.
+    """
     antennas = tuple(int(n) for n in antennas)
-    user = split_user_channels(antennas, sample_cn(rng, user_channel_dim(antennas)))
-    eve = tuple(sample_cn(rng, (n_eve, n)) for n in antennas)
+    user = split_user_channels(antennas, sample_cn(rng, batch + (user_channel_dim(antennas),)))
+    eve = tuple(sample_cn(rng, batch + (n_eve, n)) for n in antennas)
     return ChannelRealization(antennas, int(n_eve), user, eve)
 
 
 def sample_channels(cfg, seed: int) -> ChannelRealization:
     """Deterministic channel realization for (cfg, seed)."""
-    return draw_channels(cfg.antennas, cfg.n_eve, substream(seed, "channels"))
+    return draw_channels(cfg.antennas, cfg.n_eve, substream(seed, "channels"), ())
 
 
 # --------------------------------------------------------------------------
@@ -263,18 +268,17 @@ def log2det_grid(a: np.ndarray, sigma2) -> np.ndarray:
     return np.log1p(s2.reshape(s2.shape + (1,) * sv.ndim) * sv**2).sum(axis=-1) / math.log(2.0)
 
 
-def numerical_rank(m: np.ndarray) -> int:
-    """Count singular values above ``max(rows, cols) * 1e-12 * s_max``, a
+def numerical_rank(m: np.ndarray) -> np.integer | np.ndarray:
+    """Rank of each matrix of the (..., rows, cols) stack ``m``, from one SVD.
+
+    Counts singular values above ``max(rows, cols) * 1e-12 * s_max``, a
     scale-invariant threshold adequate for the moderately sized matrices
-    used here."""
+    used here; an empty or all-zero matrix has rank 0.  A single matrix
+    gives a numpy integer, a stack an integer array of its leading shape.
+    """
     a = np.asarray(m)
-    if a.size == 0:
-        return 0
     s = np.linalg.svd(a, compute_uv=False)
-    s_max = s[0]
-    if s_max == 0.0:
-        return 0
-    return int(np.count_nonzero(s > max(a.shape) * 1e-12 * s_max))
+    return np.count_nonzero(s > max(a.shape[-2:]) * 1e-12 * s[..., :1], axis=-1)
 
 
 def eig_growth_count(r_lo: np.ndarray, r_hi: np.ndarray) -> int:

@@ -49,7 +49,7 @@ class PairwisePilotMatrix:
     blocks and zeros elsewhere; ``session_index[p]`` gives the pair.
     """
 
-    matrix: np.ndarray  # N_T x (P_0 * k1)
+    matrix: np.ndarray  # (..., N_T, P_0 * k1)
     session_index: dict[int, tuple[int, int]]
 
 
@@ -121,31 +121,33 @@ def build_pairwise_matrix(cfg: NetworkConfig, per_session_blocks) -> PairwisePil
     With M >= 3 and full-row-rank per-user blocks the result has full row
     rank N_T, which is what lets Eve resolve her whole channel under the
     pair-wise schedule.  Rejects M = 2, where the schedule cannot reach
-    full row rank.
+    full row rank.  Blocks may share leading batch axes; the matrices are
+    then stacked along them, and a block or matrix of any draw that fails
+    its rank audit rejects the batch.
     """
     if cfg.m < 3:
         raise ValueError("pair-wise pilot schedule needs M >= 3")
     blocks = [np.asarray(b) for b in per_session_blocks]
     if len(blocks) != cfg.m:
         raise ValueError("need one pilot block per user")
-    k1 = blocks[0].shape[1]
+    batch, k1 = blocks[0].shape[:-2], blocks[0].shape[-1]
     for i, b in enumerate(blocks):
-        if b.shape != (cfg.antennas[i], k1):
+        if b.shape != batch + (cfg.antennas[i], k1):
             raise ValueError(f"block {i + 1} must be {cfg.antennas[i]} x {k1}")
-        if numerical_rank(b) != cfg.antennas[i]:
+        if np.any(numerical_rank(b) != cfg.antennas[i]):
             raise ValueError(f"block {i + 1} must have full row rank {cfg.antennas[i]}")
     if k1 < max(cfg.antennas):
         raise ValueError("per-session pilot length must be >= max antenna count")
 
     pairs = [(i, j) for i in range(cfg.m) for j in range(i + 1, cfg.m)]
     offsets = np.cumsum((0,) + tuple(cfg.antennas))
-    matrix = np.zeros((cfg.n_total, len(pairs) * k1), dtype=complex)
+    matrix = np.zeros(batch + (cfg.n_total, len(pairs) * k1), dtype=complex)
     for p, (i, j) in enumerate(pairs):
         col = p * k1
-        matrix[offsets[i]:offsets[i + 1], col:col + k1] = blocks[i]
-        matrix[offsets[j]:offsets[j + 1], col:col + k1] = blocks[j]
+        matrix[..., offsets[i]:offsets[i + 1], col:col + k1] = blocks[i]
+        matrix[..., offsets[j]:offsets[j + 1], col:col + k1] = blocks[j]
     out = PairwisePilotMatrix(matrix, dict(enumerate(pairs)))
-    if numerical_rank(matrix) != cfg.n_total:
+    if np.any(numerical_rank(matrix) != cfg.n_total):
         raise RuntimeError("pair-wise pilot matrix failed the full-row-rank audit")
     return out
 

@@ -101,49 +101,43 @@ RANK_DRAWS = 100
 
 
 def rank_oracle_suite(cfg: NetworkConfig, seed: int) -> list[CheckResult]:
-    """Probability-one rank statements checked over repeated channel draws.
+    """Probability-one rank statements checked over RANK_DRAWS channel draws.
 
-    Per draw: the analytically assembled reciprocal-channel covariance has
-    rank deficiency N_i*N_j for each pair; each user's summed channel Gram
-    has rank min(N_i, N_T-N_i); the [H_ij; H_Ej] stack has rank
-    min(N_E+N_i, N_j); and (for M >= 3) a fresh pair-wise pilot matrix has
-    full row rank N_T.  Any miss indicates a tolerance or construction bug,
-    not bad sampling luck.  Result rows carry pass counts against RANK_DRAWS.
+    Per draw: each user's summed channel Gram has rank min(N_i, N_T-N_i);
+    the [H_ij; H_Ej] stack has rank min(N_E+N_i, N_j); and (for M >= 3) a
+    fresh pair-wise pilot matrix has full row rank N_T.  The analytically
+    assembled reciprocal-channel covariance, which no draw enters, has rank
+    deficiency N_i*N_j for each pair and counts RANK_DRAWS passes when it
+    does.  All draws come from one stream and each row ranks its whole
+    batch with one stacked SVD.  Any miss indicates a tolerance or
+    construction bug, not bad sampling luck.  Result rows carry pass counts
+    against RANK_DRAWS.
     """
     m = len(cfg.antennas)
     antennas, n_eve, n_t = cfg.antennas, cfg.n_eve, cfg.n_total
+    ch = draw_channels(antennas, n_eve, substream(seed, "rank-draws"), (RANK_DRAWS,))
     passes: dict[str, int] = {}
-
-    def tally(name: str, ok: bool) -> None:
-        passes[name] = passes.get(name, 0) + (1 if ok else 0)
-
-    k1_session = max(antennas)
-    cov_ok = {}
     for i, j in itertools.combinations(range(m), 2):
         cov = reciprocal_channel_covariance(antennas, i, j)
-        deficiency = cov.shape[0] - numerical_rank(cov)
-        cov_ok[(i, j)] = deficiency == antennas[i] * antennas[j]
-    for d in range(RANK_DRAWS):
-        ch = draw_channels(antennas, n_eve, substream(seed, "rank-draws", d))
-        for i, j in itertools.combinations(range(m), 2):
-            tally(f"rank:reciprocal-cov[{i + 1}-{j + 1}]", cov_ok[(i, j)])
-        for i in range(m):
-            h_i = ch.channel_to(i)
-            ok = numerical_rank(h_i @ h_i.conj().T) == min(antennas[i], n_t - antennas[i])
-            tally(f"rank:channel-sum[user {i + 1}]", ok)
-        for i, j in itertools.permutations(range(m), 2):
-            stack = np.vstack([ch.user_channels[(i, j)], ch.eve_channels[j]])
-            ok = numerical_rank(stack) == min(n_eve + antennas[i], antennas[j])
-            tally(f"rank:eve-stack[{i + 1}-{j + 1}]", ok)
-        if m >= 3:
-            rng = substream(seed, "rank-pairwise", d)
-            blocks = [sample_cn(rng, (n, k1_session)) for n in antennas]
-            try:
-                pair = build_pairwise_matrix(cfg, blocks)
-                ok = numerical_rank(pair.matrix) == n_t
-            except (ValueError, RuntimeError):
-                ok = False
-            tally("rank:pairwise-pilot", ok)
+        holds = cov.shape[0] - numerical_rank(cov) == antennas[i] * antennas[j]
+        passes[f"rank:reciprocal-cov[{i + 1}-{j + 1}]"] = RANK_DRAWS if holds else 0
+    for i in range(m):
+        h_i = ch.channel_to(i)
+        ranks = numerical_rank(h_i @ np.swapaxes(h_i, -1, -2).conj())
+        target = min(antennas[i], n_t - antennas[i])
+        passes[f"rank:channel-sum[user {i + 1}]"] = np.sum(ranks == target)
+    for i, j in itertools.permutations(range(m), 2):
+        stack = np.concatenate([ch.user_channels[(i, j)], ch.eve_channels[j]], axis=-2)
+        target = min(n_eve + antennas[i], antennas[j])
+        passes[f"rank:eve-stack[{i + 1}-{j + 1}]"] = np.sum(numerical_rank(stack) == target)
+    if m >= 3:
+        rng = substream(seed, "rank-pairwise")
+        blocks = [sample_cn(rng, (RANK_DRAWS, n, max(antennas))) for n in antennas]
+        try:
+            ranks = numerical_rank(build_pairwise_matrix(cfg, blocks).matrix)
+            passes["rank:pairwise-pilot"] = np.sum(ranks == n_t)
+        except (ValueError, RuntimeError):  # some draw failed the builder's rank audit
+            passes["rank:pairwise-pilot"] = 0
 
     results = [CheckResult(name, float(count), float(RANK_DRAWS), 0.0)
                for name, count in passes.items()]

@@ -6,35 +6,37 @@ import pytest
 from anece_lab.capacity import (
     CapacityCurve,
     cij_curve,
-    cij_phase2_mc,
     ckey0_curve,
-    ckey0_modified_mc,
     cond_entropy_curve,
-    entropy_cond_gaussian_mc,
     phase1_cov_joint,
     phase1_curve,
     phase1_factor_joint,
-    phase1_skc_exact,
 )
 from anece_lab.model import NetworkConfig, SnrGrid, TwoUserModifiedConfig
 from anece_lab.pilots import PilotSet, build_pilots
-from anece_lab.verify import default_grid, fit_slope
+from anece_lab.verify import default_grid, fit_slope, rank_oracle_suite
 
 SCALAR_PILOTS = PilotSet((np.array([[1.0 + 0j]]), np.array([[1.0 + 0j]])))
 SCALAR_CFG = NetworkConfig((1, 1), 1, k1=1, k2=1)
 
+# sigma^2 = 1 is the first point; sigma^2 = 4, the quadrature tests' point, is the last
+UNIT_GRID = SnrGrid((0.0, 1.0, 2.0))
+# sigma^2 = 0 is not on any grid; 2^-1000 stands in for it, and a curve
+# there is zero up to terms of order 1e-301
+ZERO_GRID = SnrGrid((-1000.0, -999.0, -998.0))
+
 
 def test_phase1_hand_value():
     # single-user dets are 2, joint covariance [[2, 1], [1, 2]] has det 3
-    value = phase1_skc_exact(SCALAR_CFG, SCALAR_PILOTS, 0, 1, 1.0)
+    value = phase1_curve(SCALAR_CFG, SCALAR_PILOTS, 0, 1, UNIT_GRID).values[0]
     assert abs(value - (2.0 - math.log2(3.0))) <= 1e-12
 
 
 def test_phase1_zero_power_is_zero():
-    assert phase1_skc_exact(SCALAR_CFG, SCALAR_PILOTS, 0, 1, 0.0) == 0.0
+    assert abs(phase1_curve(SCALAR_CFG, SCALAR_PILOTS, 0, 1, ZERO_GRID).values[0]) <= 1e-290
     cfg = NetworkConfig((2, 3), 0, k2=1)
     ps = build_pilots(cfg, 3)
-    assert abs(phase1_skc_exact(cfg, ps, 0, 1, 0.0)) <= 1e-12
+    assert abs(phase1_curve(cfg, ps, 0, 1, ZERO_GRID).values[0]) <= 1e-290
 
 
 def test_phase1_hand_curve_formula():
@@ -49,57 +51,58 @@ def test_phase1_hand_curve_formula():
 def test_phase1_symmetry_in_the_pair():
     cfg = NetworkConfig((2, 3, 1), 0, k2=1)
     ps = build_pilots(cfg, 5)
-    for s2 in (1.0, 2.0**10, 2.0**20):
-        a = phase1_skc_exact(cfg, ps, 0, 1, s2)
-        b = phase1_skc_exact(cfg, ps, 1, 0, s2)
+    grid = SnrGrid((0.0, 10.0, 20.0))
+    pairs = zip(phase1_curve(cfg, ps, 0, 1, grid).values, phase1_curve(cfg, ps, 1, 0, grid).values)
+    for a, b in pairs:
         assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
 
 def test_phase1_nonnegative_and_nondecreasing():
     cfg = NetworkConfig((2, 2, 2), 0, k2=1)
     ps = build_pilots(cfg, 2)
-    values = [phase1_skc_exact(cfg, ps, 0, 1, s2) for s2 in default_grid().sigma2()]
+    values = phase1_curve(cfg, ps, 0, 1, default_grid()).values
     assert all(v >= 0.0 for v in values)
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 def test_phase1_rejects_same_user():
     with pytest.raises(ValueError):
-        phase1_skc_exact(SCALAR_CFG, SCALAR_PILOTS, 0, 0, 1.0)
+        phase1_curve(SCALAR_CFG, SCALAR_PILOTS, 0, 0, UNIT_GRID)
 
 
 def test_cij_zero_power_is_zero():
     cfg = NetworkConfig((1, 1), 0, k2=1)
-    mean, stderr = cij_phase2_mc(cfg, 0, 1, 0.0, 50, 0)
-    assert mean == 0.0 and stderr == 0.0
+    curve = cij_curve(cfg, 0, 1, ZERO_GRID, 50, 0)
+    assert abs(curve.values[0]) <= 1e-290 and curve.mc_stderr[0] <= 1e-290
 
 
 def test_cij_nonnegative_and_nondecreasing():
     cfg = NetworkConfig((2, 2, 2), 4, k2=2)
-    values = [cij_phase2_mc(cfg, 0, 1, s2, 200, 3)[0] for s2 in (0.0, 1.0, 2.0**6, 2.0**12)]
+    values = cij_curve(cfg, 0, 1, SnrGrid((-1000.0, 0.0, 6.0, 12.0)), 200, 3).values
     assert all(v >= 0.0 for v in values)
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 def test_cij_reproducible_per_seed():
     cfg = NetworkConfig((2, 2, 2), 4, k2=2)
-    a = cij_phase2_mc(cfg, 0, 1, 2.0**12, 100, 5)
-    b = cij_phase2_mc(cfg, 0, 1, 2.0**12, 100, 5)
-    c = cij_phase2_mc(cfg, 0, 1, 2.0**12, 100, 6)
+    a = cij_curve(cfg, 0, 1, default_grid(), 100, 5)
+    b = cij_curve(cfg, 0, 1, default_grid(), 100, 5)
+    c = cij_curve(cfg, 0, 1, default_grid(), 100, 6)
     assert a == b
     assert a != c
 
 
 def test_cij_stderr_scales_like_inverse_sqrt_samples():
     cfg = NetworkConfig((2, 2, 2), 4, k2=2)
-    stderrs = [cij_phase2_mc(cfg, 0, 1, 2.0**16, n, 9)[1] for n in (100, 1000, 10_000)]
+    grid = SnrGrid((16.0, 17.0, 18.0))
+    stderrs = [cij_curve(cfg, 0, 1, grid, n, 9).mc_stderr[0] for n in (100, 1000, 10_000)]
     expected = math.sqrt(100.0)  # se(100) / se(10000)
     assert expected / 2.0 <= stderrs[0] / stderrs[2] <= expected * 2.0
 
 
 def test_ckey0_zero_power_is_zero():
-    mean, stderr = ckey0_modified_mc(TwoUserModifiedConfig(2, 3, 7, 6), 0.0, 20, 0)
-    assert mean == 0.0 and stderr == 0.0
+    curve = ckey0_curve(TwoUserModifiedConfig(2, 3, 7, 6), ZERO_GRID, 20, 0)
+    assert abs(curve.values[0]) <= 1e-290 and curve.mc_stderr[0] <= 1e-290
 
 
 def test_ckey0_equal_antennas_slope_matches_original_rate():
@@ -111,7 +114,7 @@ def test_ckey0_equal_antennas_slope_matches_original_rate():
 
 def test_cond_entropy_zero_power_exact():
     expected = 2 * 4 * math.log2(math.e * math.pi)
-    assert abs(entropy_cond_gaussian_mc(2, 3, 4, 0.0, 10, 0) - expected) <= 1e-9
+    assert abs(cond_entropy_curve(2, 3, 4, ZERO_GRID, 10, 0).values[0] - expected) <= 1e-9
 
 
 def test_cond_entropy_narrow_slope():
@@ -156,7 +159,8 @@ def test_cij_value_matches_quadrature_oracle():
     x = np.linspace(0.0, 80.0, 400_001)
     expected = 2.0 * float(np.trapezoid(np.log2(s2 * x + 1.0) * np.exp(-x), x))
     cfg = NetworkConfig((1, 1), 0, k2=1)
-    mean, stderr = cij_phase2_mc(cfg, 0, 1, s2, 40_000, 21)
+    curve = cij_curve(cfg, 0, 1, UNIT_GRID, 40_000, 21)
+    mean, stderr = curve.values[-1], curve.mc_stderr[-1]
     assert stderr < 0.05
     assert abs(mean - expected) <= 0.05
 
@@ -168,7 +172,7 @@ def test_cond_entropy_value_matches_quadrature_oracle():
     x = np.linspace(0.0, 80.0, 400_001)
     integral = float(np.trapezoid(np.log2(s2 * x + 1.0) * np.exp(-x), x))
     expected = math.log2(math.e * math.pi) + integral
-    assert abs(entropy_cond_gaussian_mc(1, 1, 1, s2, 40_000, 22) - expected) <= 0.02
+    assert abs(cond_entropy_curve(1, 1, 1, UNIT_GRID, 40_000, 22).values[-1] - expected) <= 0.02
 
 
 def test_phase1_covariance_matches_synthesized_signals():
@@ -239,10 +243,13 @@ def test_curve_does_not_depend_on_the_block_size(monkeypatch, block):
 @pytest.mark.parametrize("curve, generators", [
     pytest.param(lambda cfg, ps: cij_curve(cfg, 0, 1, default_grid(), 2000, 7), 1, id="cij"),
     pytest.param(lambda cfg, ps: phase1_curve(cfg, ps, 0, 1, default_grid()), 0, id="phase1"),
+    pytest.param(lambda cfg, ps: rank_oracle_suite(cfg, 7), 2, id="rank-oracle"),
 ])
 def test_cij_curve_draws_once_and_batches_linalg(monkeypatch, curve, generators):
     # one generator per Monte Carlo curve and none for the exact phase-1
-    # curve; linear algebra per block of samples, not per (sample, grid point)
+    # curve; linear algebra per block of samples, not per (sample, grid point).
+    # The rank oracle draws its channels and its pair-wise pilots from one
+    # stream each and ranks each row's whole batch at once, not per draw
     cfg = NetworkConfig((2, 2, 2), 4, k2=2)
     ps = build_pilots(cfg, 7)
     counts = {"rng": 0, "linalg": 0}
@@ -274,8 +281,8 @@ def test_capacity_curve_validation():
 def test_mc_argument_validation():
     cfg = NetworkConfig((1, 1), 0, k2=1)
     with pytest.raises(ValueError):
-        cij_phase2_mc(cfg, 0, 0, 1.0, 10, 0)
+        cij_curve(cfg, 0, 0, UNIT_GRID, 10, 0)
     with pytest.raises(ValueError):
-        cij_phase2_mc(cfg, 0, 1, 1.0, 0, 0)
+        cij_curve(cfg, 0, 1, UNIT_GRID, 0, 0)
     with pytest.raises(ValueError):
-        entropy_cond_gaussian_mc(0, 1, 1, 1.0, 10, 0)
+        cond_entropy_curve(0, 1, 1, UNIT_GRID, 10, 0)

@@ -229,6 +229,10 @@ def test_numerical_rank_examples():
     assert numerical_rank(np.zeros((0, 4))) == 0
     ps = build_pilots(NetworkConfig((2, 3), 0, k2=1), 9)
     assert numerical_rank(ps.stacked) == 3
+    # a stack is ranked matrix by matrix, each against its own largest singular value
+    stack = np.stack([np.eye(3), np.outer(u, [3.0, -1.0, 2.0]), np.zeros((3, 3))])
+    assert numerical_rank(stack).tolist() == [3, 1, 0]
+    assert numerical_rank(np.zeros((0, 3, 3))).shape == (0,)
 
 
 def test_eig_growth_diagonal_example():

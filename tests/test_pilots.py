@@ -118,6 +118,19 @@ def test_pairwise_six_by_six():
     assert numerical_rank(pm.matrix) == 6
 
 
+def test_pairwise_batch_stacks_the_per_draw_matrices():
+    cfg = NetworkConfig((1, 2, 2), 0, k2=1)
+    rng = substream(0, "test-pairwise-batch")
+    blocks = [sample_cn(rng, (4, n, 2)) for n in cfg.antennas]
+    pm = build_pairwise_matrix(cfg, blocks)
+    per_draw = [build_pairwise_matrix(cfg, [b[d] for b in blocks]) for d in range(4)]
+    assert np.array_equal(pm.matrix, np.stack([p.matrix for p in per_draw]))
+    assert pm.session_index == per_draw[0].session_index
+    blocks[2][3, 1] = blocks[2][3, 0]  # one rank-deficient block in the last draw
+    with pytest.raises(ValueError):
+        build_pairwise_matrix(cfg, blocks)
+
+
 def test_pairwise_rejects_two_users():
     cfg = NetworkConfig((2, 2), 0, k2=1)
     rng = substream(0, "test-pairwise")

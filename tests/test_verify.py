@@ -81,6 +81,41 @@ def test_rank_oracle_eve_stack_target():
     assert all(r.passed for r in rows)
 
 
+def _zero_eve_to_user_2_in_draw_0(draw):
+    def faulty(*args):
+        ch = draw(*args)
+        ch.eve_channels[1][0] = 0.0
+        return ch
+    return faulty
+
+
+def _repeat_a_row_in_draw_0(sample):
+    def faulty(rng, shape):
+        z = sample(rng, shape)
+        z[0, -1] = z[0, 0]  # a no-op on one-row blocks
+        return z
+    return faulty
+
+
+# fault -> (name in verify, wrapper, the rows that must fail and what they read)
+RANK_FAULTS = {
+    # [H_i2; H_E2] keeps only the 1 x 2 block H_i2: rank 1, not 2
+    "eve-channel": ("draw_channels", _zero_eve_to_user_2_in_draw_0,
+                    {"rank:eve-stack[1-2]": 99.0, "rank:eve-stack[3-2]": 99.0}),
+    # user 2's pair-wise block loses its full row rank; the batch is rejected
+    "pairwise-block": ("sample_cn", _repeat_a_row_in_draw_0, {"rank:pairwise-pilot": 0.0}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANK_FAULTS))
+def test_rank_oracle_suite_catches_a_seeded_fault(monkeypatch, case):
+    name, fault, failing = RANK_FAULTS[case]
+    monkeypatch.setattr(verify, name, fault(getattr(verify, name)))
+    rows = {r.name: r for r in rank_oracle_suite(NetworkConfig((1, 2, 1), 3, k2=1), 7)}
+    assert {n: r.measured for n, r in rows.items() if not r.passed} == failing
+    assert all(r.measured == 100.0 for n, r in rows.items() if n not in failing)
+
+
 def test_eig_growth_suite_counts():
     cases = {
         (1, 1): 1,  # 1 + 1 - 1
