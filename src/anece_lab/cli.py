@@ -17,9 +17,12 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
+import numpy as np
+
 from .capacity import ckey0_curve, cij_curve, cond_entropy_curve, phase1_curve
 from .dofcalc import (
     DofScenario,
+    Ints,
     dof_cij,
     dof_gap,
     dof_leakage,
@@ -59,6 +62,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 MIN_TRUSTED_MC_SAMPLES = 100
+# a sweep evaluates its whole span as one array, so the span is bounded
+SWEEP_MAX_VALUES = 100_000
 
 
 class ScenarioError(Exception):
@@ -88,7 +93,7 @@ class Scheme:
     network_keys: frozenset[str]
     parse: Callable[[dict], NetworkConfig | TwoUserModifiedConfig]
     validate: Callable[..., list[tuple[str, str]]]
-    formula: Callable[..., dict[str, int]]
+    formula: Callable[..., dict[str, Ints]]
     checks: Callable[[Scenario], list[CheckResult]]
     pilots: Callable[[Scenario, str], int]
     compare_input: Callable[..., NetworkConfig]
@@ -247,11 +252,11 @@ def _parse_all_user(network: dict) -> NetworkConfig:
                          k1=None if k1 is None else _integer(k1, "network.k1"))
 
 
-def _all_user_formula(cfg: NetworkConfig) -> dict[str, int]:
+def _all_user_formula(cfg: NetworkConfig) -> dict[str, Ints]:
     """Pair values for the users (1, 2); dof_phase2_lower_plus is the clamped
     better ordering, which dof_total adds on top of the pilot phase."""
     s = DofScenario.pair(cfg, 0, 1)
-    lower_plus = max(dof_phase2_lower_plus(s), dof_phase2_lower_plus(s.swapped()))
+    lower_plus = np.maximum(dof_phase2_lower_plus(s), dof_phase2_lower_plus(s.swapped()))
     entries = {
         "dof_phase1": dof_phase1(s.n_i, s.n_j),
         "dof_cij": dof_cij(s),
@@ -311,7 +316,7 @@ def _parse_pairwise(network: dict) -> NetworkConfig:
                          k1=_integer(network.get("k1", max(antennas)), "network.k1"))
 
 
-def _pairwise_formula(cfg: NetworkConfig) -> dict[str, int]:
+def _pairwise_formula(cfg: NetworkConfig) -> dict[str, Ints]:
     n_i, n_j = cfg.antennas[0], cfg.antennas[1]
     pair = dof_pairwise(n_i, n_j, cfg.n_eve, cfg.k2)
     return {
@@ -350,7 +355,7 @@ def _parse_modified(network: dict) -> TwoUserModifiedConfig:
     )
 
 
-def _modified_formula(c: TwoUserModifiedConfig) -> dict[str, int]:
+def _modified_formula(c: TwoUserModifiedConfig) -> dict[str, Ints]:
     md = dof_modified_two_user(c)
     original = dof_two_user_original(c.n1, c.n2, c.n_eve, c.k_total - c.n2)
     return {
@@ -412,9 +417,14 @@ SCHEMES = {
 
 
 def formula_report(sc: Scenario) -> DofReport:
-    """All applicable formula values, keyed by stable identifiers, as Python ints."""
+    """All applicable formula values, keyed by stable identifiers, as Python ints.
+
+    A network whose swept field is an integer array gives one list per entry,
+    each entry broadcast to the array's length.
+    """
     entries = SCHEMES[sc.scheme].formula(sc.network)
-    return DofReport({key: int(value) for key, value in entries.items()})
+    values = np.broadcast_arrays(*entries.values())
+    return DofReport({key: value.tolist() for key, value in zip(entries, values)})
 
 
 def _verify_rows(sc: Scenario) -> list[CheckResult]:
@@ -447,8 +457,8 @@ def cmd_verify(sc: Scenario, out_path: str | None, allow_low_samples: bool,
     return EXIT_OK if real_ok and controls_ok else EXIT_CHECK_FAILED
 
 
-def _sweep_scenario(sc: Scenario, axis: str, value: int) -> Scenario:
-    """The scenario with one axis set to ``value``, validated like a scenario file."""
+def _swept(sc: Scenario, axis: str, value) -> Scenario:
+    """The scenario with one axis set to ``value``: an int, or an array on n_eve and k2."""
     cfg = sc.network
     if axis == "m":
         if sc.scheme != "all_user":
@@ -460,25 +470,37 @@ def _sweep_scenario(sc: Scenario, axis: str, value: int) -> Scenario:
         cfg = replace(cfg, **{SCHEMES[sc.scheme].k2_field if axis == "k2" else axis: value})
     else:
         raise ScenarioError(f"unknown sweep axis {axis!r}")
-    _check_network(sc.scheme, cfg)
     return replace(sc, network=cfg)
 
 
+def _sweep_scenario(sc: Scenario, axis: str, value: int) -> Scenario:
+    """The scenario with one axis set to ``value``, validated like a scenario file."""
+    swept = _swept(sc, axis, value)
+    _check_network(sc.scheme, swept.network)
+    return swept
+
+
 def cmd_sweep(sc: Scenario, axis: str, span: tuple[int, int], out_path: str) -> int:
+    """One CSV row per value of the span.  Every value is validated first, in
+    order; then ``n_eve`` and ``k2`` evaluate the whole span as one array, and
+    ``m``, which changes the antenna layout, evaluates each value on its own."""
     lo, hi = span
     if hi < lo:
         raise ScenarioError("sweep range must be low:high with high >= low")
-    reports = []
-    for value in range(lo, hi + 1):
-        swept = _sweep_scenario(sc, axis, value)
-        reports.append((value, formula_report(swept).entries))
-    keys: list[str] = []
-    for _, entries in reports:
-        keys.extend(k for k in entries if k not in keys)
-    lines = ["axis,value," + ",".join(keys)]
-    for value, entries in reports:
-        cells = ",".join("" if k not in entries else str(entries[k]) for k in keys)
-        lines.append(f"{axis},{value},{cells}")
+    if hi - lo >= SWEEP_MAX_VALUES:
+        raise ScenarioError(f"--range {lo}:{hi} spans {hi - lo + 1} values; "
+                            f"at most {SWEEP_MAX_VALUES} are allowed")
+    values = range(lo, hi + 1)
+    swept = [_sweep_scenario(sc, axis, value) for value in values]
+    if axis == "m":
+        reports = [formula_report(one).entries for one in swept]
+        keys = dict.fromkeys(k for entries in reports for k in entries)
+        columns = {k: [entries.get(k, "") for entries in reports] for k in keys}
+    else:
+        columns = formula_report(_swept(sc, axis, np.arange(lo, hi + 1))).entries
+    lines = ["axis,value," + ",".join(columns)]
+    for idx, value in enumerate(values):
+        lines.append(f"{axis},{value}," + ",".join(str(col[idx]) for col in columns.values()))
     _write_lines(lines, out_path)
     return EXIT_OK
 

@@ -1,10 +1,10 @@
 """Closed-form secure-degree-of-freedom evaluators for all ANECE variants.
 
 Every function here is exact integer arithmetic with (x)^+ = max(x, 0);
-no floats enter.  All forms but ``dof_phase1`` and ``dof_pairwise`` take
-ints or integer arrays: given a record whose fields are a grid's broadcast
-columns, a form evaluates every point at once, elementwise, and a guard
-raises if any element violates it.  Results are numpy integers (int64), so
+no floats enter.  All forms but ``dof_phase1`` take ints or integer
+arrays: given a record whose fields are a grid's broadcast columns, a form
+evaluates every point at once, elementwise, and a guard raises if any
+element violates it.  Results are numpy integers (int64), so
 a caller wanting a Python ``int`` converts at its boundary; the ``model``
 validators cap scenario counts at ``MAX_COUNT`` so that no form can
 overflow.  Alongside the closed forms, ``freedom_oracle`` and
@@ -75,9 +75,9 @@ class EntropyDofs:
 
 @dataclass(frozen=True)
 class PairwiseDof:
-    lower: int
-    upper: int
-    gap: int
+    lower: Ints
+    upper: Ints
+    gap: Ints
 
 
 @dataclass(frozen=True)
@@ -207,23 +207,23 @@ def dof_two_user_original(n1: Ints, n2: Ints, n_eve: Ints, k2: Ints) -> Ints:
                              2 * np.minimum(n1, k2) * n1))
 
 
-def dof_pairwise(n_ip: int, n_jp: int, n_eve: int, k2_session: int) -> PairwiseDof:
+def dof_pairwise(n_ip: Ints, n_jp: Ints, n_eve: Ints, k2_session: Ints) -> PairwiseDof:
     """Symbol-phase SDoF bounds of one pair-wise session.
 
     lower = [min(N_i, N_j) - min(N_E, N_i+N_j) + min(N_E+N_i, N_j)] * k_2,
     upper adds min(N_E+N_j, N_i) in place of min(N_i, N_j); the gap is zero
     whenever N_i <= N_j.
     """
-    if k2_session < 0 or n_eve < 0:
+    if np.any(k2_session < 0) or np.any(n_eve < 0):
         raise ValueError("k_2 and N_E must be non-negative")
-    lower = (min(n_ip, n_jp) - min(n_eve, n_ip + n_jp) + min(n_eve + n_ip, n_jp)) * k2_session
-    upper = (
-        -min(n_eve, n_ip + n_jp) + min(n_eve + n_ip, n_jp) + min(n_eve + n_jp, n_ip)
+    lower = (
+        np.minimum(n_ip, n_jp) - np.minimum(n_eve, n_ip + n_jp) + np.minimum(n_eve + n_ip, n_jp)
     ) * k2_session
-    if n_ip <= n_jp:
-        gap = 0
-    else:
-        gap = (min(n_eve + n_jp, n_ip) - n_jp) * k2_session
+    upper = (
+        -np.minimum(n_eve, n_ip + n_jp) + np.minimum(n_eve + n_ip, n_jp)
+        + np.minimum(n_eve + n_jp, n_ip)
+    ) * k2_session
+    gap = np.where(n_ip <= n_jp, 0, (np.minimum(n_eve + n_jp, n_ip) - n_jp) * k2_session)
     return PairwiseDof(lower, upper, gap)
 
 

@@ -98,14 +98,16 @@ class SnrGrid:
 
 @dataclass(frozen=True)
 class DofReport:
-    """Analytic DoF values keyed by a stable formula identifier."""
+    """Analytic DoF values keyed by a stable formula identifier: one integer
+    each, or one list of integers each, a value per point of a swept axis."""
 
-    entries: dict[str, int]
+    entries: dict[str, int | list[int]]
 
     def __post_init__(self):
         for key, value in self.entries.items():
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"DoF entry {key!r} must be an integer, got {value!r}")
+            for v in value if isinstance(value, list) else [value]:
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise ValueError(f"DoF entry {key!r} must hold integers, got {v!r}")
 
 
 @dataclass(frozen=True)

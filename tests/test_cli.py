@@ -4,6 +4,8 @@ import json
 import pytest
 from conftest import run_cli
 
+from anece_lab import cli
+
 FAST_MC = {"mc_samples": 300, "seed": 7}
 
 
@@ -337,6 +339,82 @@ def test_sweep_rejects_mismatched_axis(tmp_path, write_scenario):
                    "--out", str(tmp_path / "s2.csv"))
     assert proc.returncode == 2
     assert "symmetric" in proc.stderr
+
+
+# the nine networks of the exact-checks benchmark workload, and their sweep spans
+EXACT_NETWORKS = {
+    "au-23": ("all_user", {"antennas": [2, 3], "n_eve": 2, "k2": 3}),
+    "au-33": ("all_user", {"antennas": [3, 3], "n_eve": 2, "k2": 3}),
+    "au-222": ("all_user", {"antennas": [2, 2, 2], "n_eve": 4, "k2": 3}),
+    "au-1234": ("all_user", {"antennas": [1, 2, 3, 4], "n_eve": 6, "k2": 6}),
+    "au-22222": ("all_user", {"antennas": [2, 2, 2, 2, 2], "n_eve": 5, "k2": 10}),
+    "pw-222": ("pairwise", {"antennas": [2, 2, 2], "n_eve": 4, "k2": 2}),
+    "pw-1223": ("pairwise", {"antennas": [1, 2, 2, 3], "n_eve": 3, "k2": 1}),
+    "mod-2-3": ("modified_two_user", {"n1": 2, "n2": 3, "k_total": 6, "n_eve": 2}),
+    "mod-1-3": ("modified_two_user", {"n1": 1, "n2": 3, "k_total": 7, "n_eve": 3}),
+}
+EXACT_SWEEPS = [
+    (tag, "n_eve", (0, 24)) for tag in EXACT_NETWORKS
+] + [
+    (tag, "k2", (network["n2"], network["n2"] + 24) if scheme == "modified_two_user" else (0, 24))
+    for tag, (scheme, network) in EXACT_NETWORKS.items()
+] + [(tag, "m", (2, 12)) for tag in ("au-33", "au-222", "au-22222")]
+
+
+def reference_sweep_csv(path, axis, lo, hi):
+    """The sweep CSV built value by value: one validated scenario and one report each."""
+    sc = cli.parse_scenario(path)
+    reports = [(value, cli.formula_report(cli._sweep_scenario(sc, axis, value)).entries)
+               for value in range(lo, hi + 1)]
+    keys = list(dict.fromkeys(k for _, entries in reports for k in entries))
+    lines = ["axis,value," + ",".join(keys)]
+    for value, entries in reports:
+        lines.append(f"{axis},{value}," + ",".join(str(entries.get(k, "")) for k in keys))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("tag, axis, span", EXACT_SWEEPS,
+                         ids=[f"{tag}-{axis}" for tag, axis, _ in EXACT_SWEEPS])
+def test_sweep_matches_a_per_value_reference(tmp_path, write_scenario, tag, axis, span):
+    path = write_scenario(*EXACT_NETWORKS[tag], **FAST_MC)
+    out = tmp_path / "s.csv"
+    lo, hi = span
+    argv = ["sweep", "--scenario", path, "--axis", axis, "--range", f"{lo}:{hi}", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert out.read_text(encoding="utf-8") == reference_sweep_csv(path, axis, lo, hi)
+
+
+def test_sweep_evaluates_its_span_in_one_pass(tmp_path, write_scenario, monkeypatch):
+    calls = []
+    report = cli.formula_report
+
+    def counted(sc):
+        calls.append(sc)
+        return report(sc)
+
+    monkeypatch.setattr(cli, "formula_report", counted)
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--scenario", write_scenario(*AU_222, **FAST_MC), "--axis", "n_eve",
+            "--range", "0:24", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 25
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("span", ["0:1000000000", f"0:{cli.SWEEP_MAX_VALUES}"])
+def test_sweep_refuses_a_huge_range_at_once(tmp_path, write_scenario, monkeypatch, capsys,
+                                            span):
+    def validated(*args):
+        raise AssertionError("a swept value was validated")
+
+    monkeypatch.setattr(cli, "_sweep_scenario", validated)
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--scenario", write_scenario(*AU_222, **FAST_MC), "--axis", "n_eve",
+            "--range", span, "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--range" in err and f"at most {cli.SWEEP_MAX_VALUES}" in err
+    assert not out.exists()
 
 
 def test_pilots_command_all_user(tmp_path, write_scenario):

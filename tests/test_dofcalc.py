@@ -178,15 +178,25 @@ def test_pairwise_examples():
     assert (asym2.lower, asym2.upper, asym2.gap) == (2, 3, 1)
 
 
+def pairwise_grid():
+    """(N_i, N_j, N_E, k_2) over 1..4 x 1..4 x 0..8 x 0..3, as broadcast columns."""
+    return np.meshgrid(range(1, 5), range(1, 5), range(9), range(4), indexing="ij")
+
+
 def test_pairwise_gap_is_upper_minus_lower():
-    for n_ip in range(1, 5):
-        for n_jp in range(1, 5):
-            for n_eve in range(9):
-                for k2 in range(4):
-                    d = dof_pairwise(n_ip, n_jp, n_eve, k2)
-                    assert d.gap == d.upper - d.lower
-                    if n_ip <= n_jp:
-                        assert d.gap == 0
+    n_ip, n_jp, n_eve, k2 = pairwise_grid()
+    d = dof_pairwise(n_ip, n_jp, n_eve, k2)
+    assert d.gap.shape == n_ip.shape
+    assert np.array_equal(d.gap, d.upper - d.lower)
+    assert not np.any(d.gap[n_ip <= n_jp])
+
+
+def test_pairwise_over_arrays_matches_scalar_calls():
+    n_ip, n_jp, n_eve, k2 = pairwise_grid()
+    grid = dof_pairwise(n_ip, n_jp, n_eve, k2)
+    for idx in np.ndindex(n_ip.shape):
+        one = dof_pairwise(int(n_ip[idx]), int(n_jp[idx]), int(n_eve[idx]), int(k2[idx]))
+        assert (grid.lower[idx], grid.upper[idx], grid.gap[idx]) == astuple(one)
 
 
 def test_pairwise_rejects_negative_inputs():
@@ -194,6 +204,10 @@ def test_pairwise_rejects_negative_inputs():
         dof_pairwise(1, 1, -1, 1)
     with pytest.raises(ValueError):
         dof_pairwise(1, 1, 0, -1)
+    with pytest.raises(ValueError):  # one bad element of an array
+        dof_pairwise(2, 3, np.array([0, 4, -1, 2]), 1)
+    with pytest.raises(ValueError):
+        dof_pairwise(np.array([1, 2]), 2, 1, np.array([3, -2]))
 
 
 def test_modified_two_user_examples():

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -97,6 +98,12 @@ def _repeat_a_row_in_draw_0(sample):
     return faulty
 
 
+def _reject_the_batch(build):
+    def faulty(cfg, blocks):
+        raise RuntimeError("pair-wise pilot matrix failed the full-row-rank audit")
+    return faulty
+
+
 # fault -> (name in verify, wrapper, the rows that must fail and what they read)
 RANK_FAULTS = {
     # [H_i2; H_E2] keeps only the 1 x 2 block H_i2: rank 1, not 2
@@ -104,6 +111,8 @@ RANK_FAULTS = {
                     {"rank:eve-stack[1-2]": 99.0, "rank:eve-stack[3-2]": 99.0}),
     # user 2's pair-wise block loses its full row rank; the batch is rejected
     "pairwise-block": ("sample_cn", _repeat_a_row_in_draw_0, {"rank:pairwise-pilot": 0.0}),
+    # the builder's own full-row-rank audit rejects the batch
+    "pairwise-audit": ("build_pairwise_matrix", _reject_the_batch, {"rank:pairwise-pilot": 0.0}),
 }
 
 
@@ -175,6 +184,18 @@ def test_identity_suite_catches_a_seeded_fault(monkeypatch, case):
     rows = {r.name: r for r in identity_suite()}
     assert not rows[row].passed
     assert rows["identity:manifest-complete"].passed
+
+
+def test_pair_shapes_match_every_network_of_the_grid():
+    # every antenna vector of the grid and every ordered pair of its users
+    brute = sorted({
+        (antennas[i], antennas[j], sum(antennas), min(antennas))
+        for m in verify.M_VALUES
+        for antennas in itertools.product(verify.N_VALUES, repeat=m)
+        for i, j in itertools.permutations(range(m), 2)
+    })
+    assert verify._pair_shapes() == brute
+    assert len(brute) == 115
 
 
 def test_identity_suite_fails_a_dropped_row(monkeypatch):
