@@ -21,7 +21,6 @@ from .pilots import (
 )
 from .numkernel import (
     ChannelRealization,
-    eig_growth_count,
     log2det_grid,
     numerical_rank,
     sample_channels,

@@ -2,7 +2,8 @@
 
 Every term is a weighted sum of log2|I + s2 * A A^H| over factor matrices
 A, evaluated for a whole SNR grid at once by ``numkernel.log2det_grid``.
-The pilot-phase SKC is exact: its factors depend only on the pilots.  The
+The pilot-phase SKC is exact: its factors depend only on the pilots, and
+``verify`` ranks the same factors for its ``eig:*`` rows.  The
 symbol-phase terms are Monte Carlo means over channel draws from one
 ``(seed, purpose)`` stream per curve, read in sample order; every grid
 point reuses the same draws (common random numbers), and the means are
@@ -47,51 +48,24 @@ class CapacityCurve:
 
 
 # --------------------------------------------------------------------------
-# pilot-phase covariances and factors
+# pilot-phase factors
 # --------------------------------------------------------------------------
 
 
-def pilot_gram_excluding(ps, i: int) -> np.ndarray:
-    """K_1 x K_1 Gram of the pilots user i hears: sum_{l != i} P_l^T P_l^*."""
-    p = ps.without(i)
-    return p.T @ p.conj()
-
-
-def phase1_cov_single(ps, i: int, sigma2: float) -> np.ndarray:
-    """Covariance of user i's vectorized pilot-phase reception."""
-    k1 = ps.k1
-    n_i = ps.antennas[i]
-    return np.kron(sigma2 * pilot_gram_excluding(ps, i) + np.eye(k1), np.eye(n_i))
-
-
-def phase1_cov_joint(ps, i: int, j: int, sigma2: float) -> np.ndarray:
-    """Joint covariance of the receptions of users i and j.
-
-    Reciprocity couples the two receptions through the shared channel
-    block, producing the sigma^2 * kron(P_j^T, P_i^*) cross term.
-    """
-    if i == j:
-        raise ValueError("need two distinct users")
-    k1 = ps.k1
-    n_i, n_j = ps.antennas[i], ps.antennas[j]
-    top_left = np.kron(sigma2 * pilot_gram_excluding(ps, i) + np.eye(k1), np.eye(n_i))
-    bottom_right = np.kron(np.eye(n_j), sigma2 * pilot_gram_excluding(ps, j) + np.eye(k1))
-    cross = sigma2 * np.kron(ps.blocks[j].T, ps.blocks[i].conj())
-    return np.block([[top_left, cross], [cross.conj().T, bottom_right]])
-
-
-def phase1_factor_joint(ps, i: int, j: int) -> np.ndarray:
-    """Factor J with J J^H = phase1_cov_joint(ps, i, j, 1) - I.
+def phase1_joint_factors(ps, pairs):
+    """Yield the joint pilot-phase factor J of each user pair (i, j) in ``pairs``.
 
     J is the Jacobian of the noiseless ``synth_phase1`` receptions
-    [vec(Y_i); vec(Y_j^T)] at sigma = 1 over the user-channel entries,
-    less the zero columns of entries neither user hears.
+    [vec(Y_i); vec(Y_j^T)] at sigma = 1 over the user-channel entries, less
+    the zero columns of entries neither user hears, so that sigma^2 J J^H + I
+    is the pair's joint reception covariance.  One synthesis serves every pair.
     """
-    if i == j:
-        raise ValueError("need two distinct users")
     rx = synth_phase1(channel_basis(ps.antennas), ps, 1.0, 0, noise_scale=0.0).user_rx
-    jac = np.concatenate([vec_batch(rx[i]), vec_batch(np.swapaxes(rx[j], 1, 2))], axis=1).T
-    return jac[:, np.any(jac != 0, axis=0)]
+    for i, j in pairs:
+        if i == j:
+            raise ValueError("need two distinct users")
+        jac = np.concatenate([vec_batch(rx[i]), vec_batch(np.swapaxes(rx[j], 1, 2))], axis=1).T
+        yield jac[:, np.any(jac != 0, axis=0)]
 
 
 # --------------------------------------------------------------------------
@@ -164,7 +138,7 @@ def phase1_curve(cfg: NetworkConfig, ps, i: int, j: int, grid: SnrGrid) -> Capac
     if ps.antennas != tuple(cfg.antennas):
         raise ValueError("pilot set does not match config")
     sigma2 = grid.sigma2()
-    joint = log2det_grid(phase1_factor_joint(ps, i, j), sigma2)
+    joint = log2det_grid(next(phase1_joint_factors(ps, [(i, j)])), sigma2)
     values = sum(cfg.antennas[u] * log2det_grid(ps.without(u).T, sigma2) for u in (i, j)) - joint
     return _curve(grid, 0, values, np.zeros(len(values)))
 

@@ -36,6 +36,7 @@ from .dofcalc import (
     pos,
 )
 from .model import (
+    MAX_USERS,
     CheckResult,
     DofReport,
     NetworkConfig,
@@ -141,6 +142,13 @@ def _reject_constants(node, path: str) -> None:
             _reject_constants(child, f"{path}[{idx}]")
 
 
+def _mc_samples(count: int) -> int:
+    """``count`` if it is a legal sample count, from the scenario or --mc-samples."""
+    if count < 1:
+        raise ScenarioError("mc_samples: must be >= 1")
+    return count
+
+
 def _check_network(scheme: str, cfg) -> None:
     """Raise every violated constraint of ``cfg``, each under its scenario key."""
     problems = SCHEMES[scheme].validate(cfg)
@@ -184,9 +192,7 @@ def parse_scenario(path: str) -> Scenario:
         grid = SnrGrid(tuple(grid_points))
     except ValueError as exc:
         raise ScenarioError(f"snr_grid: {exc}") from exc
-    mc_samples = _integer(raw.get("mc_samples", 2000), "mc_samples")
-    if mc_samples < 1:
-        raise ScenarioError("mc_samples: must be >= 1")
+    mc_samples = _mc_samples(_integer(raw.get("mc_samples", 2000), "mc_samples"))
     seed = _integer(raw.get("seed", 0), "seed")
     return Scenario(scheme, cfg, grid, mc_samples, seed)
 
@@ -438,19 +444,13 @@ def _verify_rows(sc: Scenario) -> list[CheckResult]:
     return sorted(rows, key=lambda r: r.name)
 
 
-def cmd_verify(sc: Scenario, out_path: str | None, allow_low_samples: bool,
-               inject_wrong_target: bool) -> int:
+def cmd_verify(sc: Scenario, out_path: str | None, allow_low_samples: bool) -> int:
     if sc.mc_samples < MIN_TRUSTED_MC_SAMPLES and not allow_low_samples:
         raise ScenarioError(
             f"mc_samples={sc.mc_samples} is below {MIN_TRUSTED_MC_SAMPLES}; slope rows "
             "would be unreliable (pass --allow-low-samples to proceed anyway)"
         )
     rows = _verify_rows(sc)
-    if inject_wrong_target:
-        for idx, row in enumerate(rows):
-            if not row.name.startswith("negctrl:"):
-                rows[idx] = CheckResult(row.name, row.measured, row.target + 1.0, row.tolerance)
-                break
     _write_lines(checks_to_csv(rows), out_path)
     real_ok = all(r.passed for r in rows if not r.name.startswith("negctrl:"))
     controls_ok = all(not r.passed for r in rows if r.name.startswith("negctrl:"))
@@ -465,6 +465,8 @@ def _swept(sc: Scenario, axis: str, value) -> Scenario:
             raise ScenarioError("the m axis applies only to the all_user scheme")
         if len(set(cfg.antennas)) != 1:
             raise ScenarioError("the m axis needs a symmetric antenna layout")
+        if value > MAX_USERS:  # refused before the layout of ``value`` users is built
+            raise ScenarioError(f"network.antennas: M > {MAX_USERS}")
         cfg = NetworkConfig((cfg.antennas[0],) * value, cfg.n_eve, k2=cfg.k2)
     elif axis in ("n_eve", "k2"):
         cfg = replace(cfg, **{SCHEMES[sc.scheme].k2_field if axis == "k2" else axis: value})
@@ -555,7 +557,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_verify)
     p_verify.add_argument("--allow-low-samples", action="store_true",
                           help="run slope checks even with an unreliable sample count")
-    p_verify.add_argument("--inject-wrong-target", action="store_true", help=argparse.SUPPRESS)
 
     p_sweep = sub.add_parser("sweep", help="sweep one axis, emit one CSV row per value")
     common(p_sweep, with_out=False)
@@ -580,14 +581,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             sc = replace(sc, seed=args.seed)
         if args.mc_samples is not None:
-            if args.mc_samples < 1:
-                raise ScenarioError("mc_samples: must be >= 1")
-            sc = replace(sc, mc_samples=args.mc_samples)
+            sc = replace(sc, mc_samples=_mc_samples(args.mc_samples))
         if args.command == "formula":
             print(json.dumps(formula_report(sc).entries))
             return EXIT_OK
         if args.command == "verify":
-            return cmd_verify(sc, args.out, args.allow_low_samples, args.inject_wrong_target)
+            return cmd_verify(sc, args.out, args.allow_low_samples)
         if args.command == "sweep":
             return cmd_sweep(sc, args.axis, _parse_span(args.span), args.out)
         if args.command == "pilots":

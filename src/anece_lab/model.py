@@ -133,6 +133,9 @@ class CheckResult:
 # eight products of two factors of magnitude <= 2 * MAX_COUNT, so with every
 # count at most MAX_COUNT no form can exceed 32 * 2**56 = 2**61.
 MAX_COUNT = 2**28
+# An antenna layout holds one count per user, so M is bounded on its own: a
+# swept ``m`` value is checked against it before its layout is built.
+MAX_USERS = 1024
 
 
 def _count_limits(*counts: tuple[str, str, int]) -> list[tuple[str, str]]:
@@ -143,7 +146,7 @@ def _count_limits(*counts: tuple[str, str, int]) -> list[tuple[str, str]]:
 
 def validate_config(cfg: NetworkConfig) -> list[tuple[str, str]]:
     """Return every violated constraint of an all-user config; [] if valid."""
-    violations = []
+    violations = [("antennas", f"M > {MAX_USERS}")] if cfg.m > MAX_USERS else []
     if cfg.m < 2:
         violations.append(("antennas", "M < 2"))
     for idx, n in enumerate(cfg.antennas):
@@ -162,7 +165,7 @@ def validate_config(cfg: NetworkConfig) -> list[tuple[str, str]]:
 
 def validate_pairwise_config(cfg: NetworkConfig) -> list[tuple[str, str]]:
     """Return every violated constraint of a pair-wise config; k1 is per session."""
-    violations = []
+    violations = [("antennas", f"M > {MAX_USERS}")] if cfg.m > MAX_USERS else []
     if cfg.m < 3:
         violations.append(("antennas", "M < 3 (pair-wise scheme needs at least 3 users)"))
     if any(n < 1 for n in cfg.antennas):

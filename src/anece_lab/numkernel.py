@@ -19,9 +19,6 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-POWER_RATIO = 2.0**10
-GROWTH_FRACTION = 0.1
-
 # Samples per Monte Carlo block; bounds the scratch memory of a curve.
 MC_BLOCK = 256
 
@@ -279,25 +276,6 @@ def numerical_rank(m: np.ndarray) -> np.integer | np.ndarray:
     a = np.asarray(m)
     s = np.linalg.svd(a, compute_uv=False)
     return np.count_nonzero(s > max(a.shape[-2:]) * 1e-12 * s[..., :1], axis=-1)
-
-
-def eig_growth_count(r_lo: np.ndarray, r_hi: np.ndarray) -> int:
-    """Number of eigenvalues that scale with the transmit power.
-
-    ``r_lo`` and ``r_hi`` are the same Hermitian PSD covariance evaluated at
-    powers sigma2 and POWER_RATIO * sigma2.  Sorted eigenvalues whose ratio
-    exceeds ``GROWTH_FRACTION * POWER_RATIO`` are counted; at ratio 2**10 and
-    fraction 0.1 power-scaled eigenvalues clear the threshold by orders of
-    magnitude while bounded ones stay near ratio 1.
-    """
-    lo = np.asarray(r_lo)
-    hi = np.asarray(r_hi)
-    if lo.shape != hi.shape:
-        raise ValueError("covariance shapes differ between the two powers")
-    ev_lo = np.sort(np.linalg.eigvalsh(lo))[::-1]
-    ev_hi = np.sort(np.linalg.eigvalsh(hi))[::-1]
-    ratios = ev_hi / np.maximum(ev_lo, 1e-300)
-    return int(np.count_nonzero(ratios > GROWTH_FRACTION * POWER_RATIO))
 
 
 def reciprocal_channel_covariance(antennas, i: int, j: int) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Empirical verification: slope fits, eigenvalue growth, rank oracles,
-exact integer identity suites, and scheme comparison.
+"""Empirical verification: slope fits, pilot-phase factor ranks, rank
+oracles, exact integer identity suites, and scheme comparison.
 
 Checks are pure and independent of evaluation order; suites sort their
 results by name before returning so that aggregation is reproducible no
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import CapacityCurve, phase1_cov_joint, phase1_cov_single
+from .capacity import CapacityCurve, phase1_joint_factors
 from .dofcalc import (
     DofScenario,
     dof_cij,
@@ -36,9 +36,7 @@ from .dofcalc import (
 )
 from .model import CheckResult, NetworkConfig, SnrGrid, TwoUserModifiedConfig, validate_config
 from .numkernel import (
-    POWER_RATIO,
     draw_channels,
-    eig_growth_count,
     numerical_rank,
     reciprocal_channel_covariance,
     sample_cn,
@@ -103,18 +101,18 @@ RANK_DRAWS = 100
 def rank_oracle_suite(cfg: NetworkConfig, seed: int) -> list[CheckResult]:
     """Probability-one rank statements checked over RANK_DRAWS channel draws.
 
-    Per draw: each user's summed channel Gram has rank min(N_i, N_T-N_i);
-    the [H_ij; H_Ej] stack has rank min(N_E+N_i, N_j); and (for M >= 3) a
-    fresh pair-wise pilot matrix has full row rank N_T.  The analytically
-    assembled reciprocal-channel covariance, which no draw enters, has rank
-    deficiency N_i*N_j for each pair and counts RANK_DRAWS passes when it
-    does.  All draws come from one stream and each row ranks its whole
-    batch with one stacked SVD.  The pair-wise row's count is
-    ``build_pairwise_matrix``'s own audit, which ranks every draw's blocks
-    and matrix and rejects the batch on any miss: RANK_DRAWS when it accepts
-    the batch, 0 when it rejects it.  Any miss indicates a tolerance or
-    construction bug, not bad sampling luck.  Result rows carry pass counts
-    against RANK_DRAWS.
+    Per draw: each user's channel stack H_(i), the factor of its summed
+    channel Gram, has rank min(N_i, N_T-N_i); the [H_ij; H_Ej] stack has
+    rank min(N_E+N_i, N_j); and (for M >= 3) a fresh pair-wise pilot
+    matrix has full row rank N_T.  The analytically assembled
+    reciprocal-channel covariance, which no draw enters, has rank deficiency
+    N_i*N_j for each pair and counts RANK_DRAWS passes when it does.  All
+    draws come from one stream and each row ranks its whole batch with one
+    stacked SVD.  The pair-wise row's count is ``build_pairwise_matrix``'s
+    own audit, which ranks every draw's blocks and matrix and rejects the
+    batch on any miss: RANK_DRAWS when it accepts the batch, 0 when it
+    rejects it.  Any miss indicates a tolerance or construction bug, not bad
+    sampling luck.  Result rows carry pass counts against RANK_DRAWS.
     """
     m = len(cfg.antennas)
     antennas, n_eve, n_t = cfg.antennas, cfg.n_eve, cfg.n_total
@@ -126,9 +124,8 @@ def rank_oracle_suite(cfg: NetworkConfig, seed: int) -> list[CheckResult]:
         passes[f"rank:reciprocal-cov[{i + 1}-{j + 1}]"] = RANK_DRAWS if holds else 0
     for i in range(m):
         h_i = ch.channel_to(i)
-        ranks = numerical_rank(h_i @ np.swapaxes(h_i, -1, -2).conj())
         target = min(antennas[i], n_t - antennas[i])
-        passes[f"rank:channel-sum[user {i + 1}]"] = np.sum(ranks == target)
+        passes[f"rank:channel-sum[user {i + 1}]"] = np.sum(numerical_rank(h_i) == target)
     for i, j in itertools.permutations(range(m), 2):
         stack = np.concatenate([ch.user_channels[(i, j)], ch.eve_channels[j]], axis=-2)
         target = min(n_eve + antennas[i], antennas[j])
@@ -148,32 +145,30 @@ def rank_oracle_suite(cfg: NetworkConfig, seed: int) -> list[CheckResult]:
 
 
 # --------------------------------------------------------------------------
-# eigenvalue growth
+# pilot-phase factor ranks
 # --------------------------------------------------------------------------
-
-_EIG_SIGMA2_LO = 2.0**12
 
 
 def eig_growth_suite(cfg: NetworkConfig, ps) -> list[CheckResult]:
-    """Count power-scaled eigenvalues of the pilot-phase covariances.
+    """Count the power-scaled eigenvalues of the pilot-phase covariances.
 
-    The single-user covariance must grow along N_i*(N_T-N_i) directions and
-    the joint pair covariance along N_i(N_T-N_i) + N_j(N_T-N_j) - N_i*N_j,
-    the joint count being reduced by the reciprocal (shared) coordinates.
+    sigma^2 A A^H + I grows along rank(A) directions, so each count is the
+    rank of a factor: N_i * rank(P_(i)) for user i, which must be
+    N_i*(N_T-N_i), and the rank of a pair's ``phase1_joint_factors``, which
+    must be N_i(N_T-N_i) + N_j(N_T-N_j) - N_i*N_j, less the shared entries.
     """
-    lo = _EIG_SIGMA2_LO
-    hi = lo * POWER_RATIO
     n_t = cfg.n_total
     results = []
     for i in range(cfg.m):
-        count = eig_growth_count(phase1_cov_single(ps, i, lo), phase1_cov_single(ps, i, hi))
+        count = cfg.antennas[i] * numerical_rank(ps.without(i))
         target = cfg.antennas[i] * (n_t - cfg.antennas[i])
         results.append(CheckResult(f"eig:single[user {i + 1}]", float(count), float(target), 0.0))
-    for i, j in itertools.combinations(range(cfg.m), 2):
-        count = eig_growth_count(phase1_cov_joint(ps, i, j, lo), phase1_cov_joint(ps, i, j, hi))
+    pairs = list(itertools.combinations(range(cfg.m), 2))
+    for (i, j), factor in zip(pairs, phase1_joint_factors(ps, pairs)):
         n_i, n_j = cfg.antennas[i], cfg.antennas[j]
         target = n_i * (n_t - n_i) + n_j * (n_t - n_j) - n_i * n_j
-        results.append(CheckResult(f"eig:joint[{i + 1}-{j + 1}]", float(count), float(target), 0.0))
+        results.append(CheckResult(f"eig:joint[{i + 1}-{j + 1}]",
+                                   float(numerical_rank(factor)), float(target), 0.0))
     return sorted(results, key=lambda r: r.name)
 
 

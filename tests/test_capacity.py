@@ -1,18 +1,20 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from anece_lab import capacity
 from anece_lab.capacity import (
     CapacityCurve,
     cij_curve,
     ckey0_curve,
     cond_entropy_curve,
-    phase1_cov_joint,
     phase1_curve,
-    phase1_factor_joint,
+    phase1_joint_factors,
 )
 from anece_lab.model import NetworkConfig, SnrGrid, TwoUserModifiedConfig
+from anece_lab.numkernel import numerical_rank
 from anece_lab.pilots import PilotSet, build_pilots
 from anece_lab.verify import default_grid, fit_slope, rank_oracle_suite
 
@@ -24,6 +26,23 @@ UNIT_GRID = SnrGrid((0.0, 1.0, 2.0))
 # sigma^2 = 0 is not on any grid; 2^-1000 stands in for it, and a curve
 # there is zero up to terms of order 1e-301
 ZERO_GRID = SnrGrid((-1000.0, -999.0, -998.0))
+
+
+def phase1_cov_joint(ps, i, j, sigma2):
+    """Hand-derived joint covariance of the pilot-phase receptions of users i and j.
+
+    Each user's block is kron(sigma^2 G + I, I) with G the Gram of the pilots
+    it hears; reciprocity couples the two receptions through the shared
+    channel block, producing the sigma^2 * kron(P_j^T, P_i^*) cross term.
+    """
+    def heard(u):
+        p = ps.without(u)
+        return sigma2 * p.T @ p.conj() + np.eye(ps.k1)
+
+    n_i, n_j = ps.antennas[i], ps.antennas[j]
+    cross = sigma2 * np.kron(ps.blocks[j].T, ps.blocks[i].conj())
+    return np.block([[np.kron(heard(i), np.eye(n_i)), cross],
+                     [cross.conj().T, np.kron(np.eye(n_j), heard(j))]])
 
 
 def test_phase1_hand_value():
@@ -201,10 +220,43 @@ def test_phase1_covariance_matches_synthesized_signals():
 @pytest.mark.parametrize("antennas", [(2, 2, 2), (1, 2, 3, 4), (2, 3)])
 def test_phase1_factor_reproduces_joint_covariance(antennas):
     ps = build_pilots(NetworkConfig(antennas, 0, k2=1), 4)
-    for i, j in ((0, 1), (1, 0), (0, len(antennas) - 1)):
-        jac = phase1_factor_joint(ps, i, j)
+    pairs = [(0, 1), (1, 0), (0, len(antennas) - 1)]
+    for (i, j), jac in zip(pairs, phase1_joint_factors(ps, pairs), strict=True):
         cov = phase1_cov_joint(ps, i, j, 1.0)
         assert np.max(np.abs(jac @ jac.conj().T - (cov - np.eye(len(cov))))) <= 1e-12
+
+
+def test_phase1_joint_factors_share_one_synthesis(monkeypatch):
+    # every pair's factor comes from one synthesis and equals its own pair's
+    calls = []
+    synth = capacity.synth_phase1
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return synth(*args, **kwargs)
+
+    monkeypatch.setattr(capacity, "synth_phase1", counted)
+    ps = build_pilots(NetworkConfig((1, 2, 3, 4), 0, k2=1), 2)
+    pairs = list(itertools.permutations(range(4), 2))
+    factors = list(phase1_joint_factors(ps, pairs))
+    assert len(calls) == 1
+    for pair, factor in zip(pairs, factors, strict=True):
+        assert np.array_equal(factor, next(phase1_joint_factors(ps, [pair])))
+
+
+def test_phase1_joint_factor_rank_is_its_growth_count():
+    # sigma^2 J J^H + I grows along rank(J) directions: N_i(N_T-N_i) +
+    # N_j(N_T-N_j) - N_i*N_j, one per channel entry either user hears
+    cfg = NetworkConfig((1, 2, 3, 4), 0, k2=1)
+    ps = build_pilots(cfg, 5)
+    pairs = list(itertools.combinations(range(4), 2))
+    for (i, j), factor in zip(pairs, phase1_joint_factors(ps, pairs), strict=True):
+        n_i, n_j, n_t = cfg.antennas[i], cfg.antennas[j], cfg.n_total
+        target = n_i * (n_t - n_i) + n_j * (n_t - n_j) - n_i * n_j
+        assert factor.shape[1] == target
+        assert numerical_rank(factor) == target
+        ev = np.linalg.eigvalsh(phase1_cov_joint(ps, i, j, 2.0**12))
+        assert np.count_nonzero(ev > 2.0**6) == target
 
 
 def test_cij_curve_matches_per_sample_gram_reference():

@@ -1,10 +1,12 @@
 import csv
 import json
+import tracemalloc
 
 import pytest
 from conftest import run_cli
 
 from anece_lab import cli
+from anece_lab.model import MAX_USERS
 
 FAST_MC = {"mc_samples": 300, "seed": 7}
 
@@ -224,10 +226,22 @@ def test_verify_csv_numbers_round_trip(tmp_path, write_scenario):
             assert format(float(text), ".12g") == text
 
 
-def test_verify_tamper_hook_fails(write_scenario):
+def test_verify_tamper_hook_fails(write_scenario, monkeypatch, tmp_path):
+    path = write_scenario("all_user", {"antennas": [2, 2], "n_eve": 3, "k2": 1}, **FAST_MC)
+    out = str(tmp_path / "v.csv")
+    assert cli.main(["verify", "--scenario", path, "--out", out]) == 0
+    # a pilot-phase target one DoF off fails its slope row
+    monkeypatch.setattr(cli, "dof_phase1", lambda n_i, n_j: n_i * n_j + 1)
+    assert cli.main(["verify", "--scenario", path, "--out", out]) == 1
+    failing = [r["name"] for r in read_csv_rows(out) if r["passed"] == "false"]
+    assert "slope:phase1[1-2]" in failing
+
+
+def test_verify_has_no_hidden_tamper_option(write_scenario):
     path = write_scenario("all_user", {"antennas": [2, 2], "n_eve": 3, "k2": 1}, **FAST_MC)
     proc = run_cli("verify", "--scenario", path, "--inject-wrong-target")
-    assert proc.returncode == 1
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --inject-wrong-target" in proc.stderr
 
 
 def test_verify_refuses_low_samples_without_flag(write_scenario):
@@ -324,6 +338,50 @@ def test_sweep_validates_every_value(tmp_path, write_scenario, scenario, axis, s
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("m", [MAX_USERS + 1, 2**28, 2**28 + 1])
+def test_sweep_refuses_a_network_size_before_building_it(tmp_path, write_scenario, capsys, m):
+    # the layout of m users is never built: the refusal costs no memory
+    path = write_scenario("all_user", {"antennas": [1, 1], "n_eve": 0, "k2": 1}, **FAST_MC)
+    out = tmp_path / "s.csv"
+    tracemalloc.start()
+    try:
+        code = cli.main(["sweep", "--scenario", path, "--axis", "m", "--range", f"{m}:{m}",
+                         "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"network.antennas: M > {MAX_USERS}" in capsys.readouterr().err
+    assert peak < 2**20
+    assert not out.exists()
+
+
+def test_sweep_reaches_the_network_size_cap(tmp_path, write_scenario):
+    path = write_scenario("all_user", {"antennas": [1, 1], "n_eve": 0, "k2": 1}, **FAST_MC)
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", "--scenario", path, "--axis", "m",
+                     "--range", f"{MAX_USERS - 1}:{MAX_USERS}", "--out", str(out)]) == 0
+    assert [int(r["value"]) for r in read_csv_rows(out)] == [MAX_USERS - 1, MAX_USERS]
+
+
+def test_scenario_network_size_is_capped(write_scenario):
+    for scheme in ("all_user", "pairwise"):
+        path = write_scenario(scheme, {"antennas": [1] * (MAX_USERS + 1), "n_eve": 0}, **FAST_MC)
+        proc = run_cli("formula", "--scenario", path)
+        assert proc.returncode == 2
+        assert f"network.antennas: M > {MAX_USERS}" in proc.stderr
+
+
+@pytest.mark.parametrize("where", ["file", "flag"])
+def test_mc_samples_below_one_is_refused(write_scenario, capsys, where):
+    # the scenario key and the command-line override obey one rule
+    samples = {"file": 0, "flag": 300}[where]
+    path = write_scenario("all_user", {"antennas": [2, 2], "n_eve": 3}, mc_samples=samples)
+    flag = ["--mc-samples", "0"] if where == "flag" else []
+    assert cli.main(["formula", "--scenario", path, *flag]) == 2
+    assert capsys.readouterr().err == "error: mc_samples: must be >= 1\n"
 
 
 def test_sweep_rejects_mismatched_axis(tmp_path, write_scenario):

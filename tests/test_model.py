@@ -2,6 +2,7 @@ import pytest
 
 from anece_lab.model import (
     MAX_COUNT,
+    MAX_USERS,
     CheckResult,
     DofReport,
     NetworkConfig,
@@ -66,6 +67,13 @@ def test_counts_above_the_cap_are_flagged():
     assert validate_modified_config(TwoUserModifiedConfig(1, 2, MAX_COUNT, MAX_COUNT)) == []
     assert validate_modified_config(TwoUserModifiedConfig(1, 2, big, 10**20)) == [
         ("k_total", f"K > {MAX_COUNT}"), ("n_eve", f"N_E > {MAX_COUNT}")]
+
+
+def test_user_counts_above_the_cap_are_flagged():
+    for validate in (validate_config, validate_pairwise_config):
+        assert validate(NetworkConfig((1,) * MAX_USERS, 0)) == []
+        assert validate(NetworkConfig((1,) * (MAX_USERS + 1), 0)) == [
+            ("antennas", f"M > {MAX_USERS}")]
 
 
 def test_check_result_derives_passed():

@@ -6,7 +6,6 @@ import pytest
 from anece_lab.model import NetworkConfig, TwoUserModifiedConfig
 from anece_lab.numkernel import (
     cn_blocks,
-    eig_growth_count,
     log2det_grid,
     numerical_rank,
     reciprocal_channel_covariance,
@@ -233,33 +232,6 @@ def test_numerical_rank_examples():
     stack = np.stack([np.eye(3), np.outer(u, [3.0, -1.0, 2.0]), np.zeros((3, 3))])
     assert numerical_rank(stack).tolist() == [3, 1, 0]
     assert numerical_rank(np.zeros((0, 3, 3))).shape == (0,)
-
-
-def test_eig_growth_diagonal_example():
-    r = lambda s2: np.diag([s2 + 1.0, 2.0])
-    assert eig_growth_count(r(2.0**10), r(2.0**20)) == 1
-
-
-def test_eig_growth_full_identity_scaling():
-    r = lambda s2: s2 * np.eye(4) + np.eye(4)
-    assert eig_growth_count(r(2.0**10), r(2.0**20)) == 4
-
-
-def test_eig_growth_matches_coefficient_rank():
-    rng = substream(5, "test-eig")
-    lo, hi = 2.0**12, 2.0**22
-    for trial in range(50):
-        n = int(rng.integers(2, 7))
-        r = int(rng.integers(0, n + 1))
-        b = sample_cn(rng, (n, r)) if r else np.zeros((n, 1), dtype=complex)
-        coeff = b @ b.conj().T
-        count = eig_growth_count(lo * coeff + np.eye(n), hi * coeff + np.eye(n))
-        assert count == numerical_rank(coeff)
-
-
-def test_eig_growth_rejects_mismatched_shapes():
-    with pytest.raises(ValueError):
-        eig_growth_count(np.eye(2), np.eye(3))
 
 
 @pytest.mark.parametrize("antennas", [(1, 1), (2, 2), (2, 3), (1, 2, 3), (2, 2, 2)])

@@ -1,10 +1,11 @@
 import itertools
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from anece_lab import verify
+from anece_lab import capacity, verify
 from anece_lab.capacity import CapacityCurve, cij_curve, phase1_curve
 from anece_lab.model import CheckResult, NetworkConfig, SnrGrid
 from anece_lab.pilots import PilotSet, build_pilots
@@ -142,6 +143,58 @@ def test_eig_growth_suite_counts():
     rows = {r.name: r for r in eig_growth_suite(cfg, build_pilots(cfg, 1))}
     assert rows["eig:joint[1-2]"].measured == 3.0  # 2 + 2 - 1
     assert rows["eig:single[user 1]"].measured == 2.0
+
+
+def test_eig_growth_suite_catches_rank_deficient_pilots():
+    # user 2's second pilot row repeats its first: the pilots heard by
+    # users 1 and 3 lose a direction, and so does the pair (1, 3)
+    cfg = NetworkConfig((1, 2, 2), 0, k2=1)
+    blocks = [b.copy() for b in build_pilots(cfg, 3).blocks]
+    blocks[1][1] = blocks[1][0]
+    rows = eig_growth_suite(cfg, PilotSet(tuple(blocks)))
+    assert {r.name: (r.measured, r.target) for r in rows if not r.passed} == {
+        "eig:joint[1-3]": (5.0, 8.0),
+        "eig:single[user 1]": (3.0, 4.0),
+        "eig:single[user 3]": (4.0, 6.0),
+    }
+
+
+def test_eig_growth_suite_catches_a_dropped_factor_column(monkeypatch):
+    factors = verify.phase1_joint_factors
+
+    def dropping(ps, pairs):
+        for pair, factor in zip(pairs, factors(ps, pairs)):
+            yield factor[:, 1:] if pair == (0, 1) else factor
+
+    monkeypatch.setattr(verify, "phase1_joint_factors", dropping)
+    cfg = NetworkConfig((2, 2, 2), 0, k2=1)
+    rows = eig_growth_suite(cfg, build_pilots(cfg, 3))
+    assert [(r.name, r.measured, r.target) for r in rows if not r.passed] == [
+        ("eig:joint[1-2]", 11.0, 12.0)]
+
+
+@pytest.mark.parametrize("antennas", [(2, 2, 2), (1, 2, 3, 4)])
+def test_eig_growth_suite_work(monkeypatch, antennas):
+    # one synthesis, and one SVD per user and per pair
+    calls = Counter()
+
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, counted("linalg", fn))
+    monkeypatch.setattr(capacity, "synth_phase1", counted("synth", capacity.synth_phase1))
+    cfg = NetworkConfig(antennas, 0, k2=1)
+    ps = build_pilots(cfg, 3)
+    calls.clear()
+    assert all(r.passed for r in eig_growth_suite(cfg, ps))
+    m = len(antennas)
+    assert calls == {"synth": 1, "linalg": m + m * (m - 1) // 2}
 
 
 def test_identity_suite_is_green_and_complete():
