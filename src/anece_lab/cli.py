@@ -12,6 +12,7 @@ substreams, so outputs are byte-reproducible.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -47,8 +48,9 @@ from .model import (
     validate_pairwise_config,
 )
 from .pilots import build_pairwise_matrix, build_pilots, build_square_pilots, validate_pilots, write_matrix_text
-from .numkernel import numerical_rank, sample_cn, substream
+from .numkernel import numerical_rank, sample_cn, substream, user_channel_dim
 from .verify import (
+    RANK_DRAWS,
     default_grid,
     eig_growth_suite,
     compare_schemes,
@@ -63,6 +65,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 MIN_TRUSTED_MC_SAMPLES = 100
+# a curve keeps one float per sample and grid point for its mean and error
+MAX_MC_SAMPLES = 100_000
+# entries of the largest array one verify builds; see _verify_size
+MAX_VERIFY_ENTRIES = 2**22
 # a sweep evaluates its whole span as one array, so the span is bounded
 SWEEP_MAX_VALUES = 100_000
 
@@ -86,9 +92,11 @@ class Scheme:
 
     ``parse`` builds the config from the ``network`` object, ``validate``
     lists its ``(field, message)`` violations, ``formula`` gives its DoF
-    entries, ``checks`` its verify rows and ``pilots`` writes and audits its
-    pilot matrices.  ``compare`` runs on ``compare_input``'s all-user config
-    and slot budget ``k2``; the ``k2`` sweep axis moves ``k2_field``.
+    entries, ``checks`` its verify rows, ``verify_size`` the arrays over
+    ``MAX_VERIFY_ENTRIES`` that refuse a verify, and ``pilots`` writes and
+    audits its pilot matrices.  ``compare`` runs on ``compare_input``'s
+    all-user config and slot budget ``k2``; the ``k2`` sweep axis moves
+    ``k2_field``.
     """
 
     network_keys: frozenset[str]
@@ -96,6 +104,7 @@ class Scheme:
     validate: Callable[..., list[tuple[str, str]]]
     formula: Callable[..., dict[str, Ints]]
     checks: Callable[[Scenario], list[CheckResult]]
+    verify_size: Callable[..., list[tuple[str, str]]]
     pilots: Callable[[Scenario, str], int]
     compare_input: Callable[..., NetworkConfig]
     k2_field: str
@@ -146,12 +155,13 @@ def _mc_samples(count: int) -> int:
     """``count`` if it is a legal sample count, from the scenario or --mc-samples."""
     if count < 1:
         raise ScenarioError("mc_samples: must be >= 1")
+    if count > MAX_MC_SAMPLES:
+        raise ScenarioError(f"mc_samples: must be <= {MAX_MC_SAMPLES}")
     return count
 
 
-def _check_network(scheme: str, cfg) -> None:
-    """Raise every violated constraint of ``cfg``, each under its scenario key."""
-    problems = SCHEMES[scheme].validate(cfg)
+def _check_network(problems: list[tuple[str, str]]) -> None:
+    """Raise every ``(field, message)`` problem of a network, each under its scenario key."""
     if problems:
         raise ScenarioError("; ".join(f"network.{field}: {text}" for field, text in problems))
 
@@ -181,7 +191,7 @@ def parse_scenario(path: str) -> Scenario:
         raise ScenarioError("network: must be an object")
     _reject_unknown(network, SCHEMES[scheme].network_keys, "network.")
     cfg = SCHEMES[scheme].parse(network)
-    _check_network(scheme, cfg)
+    _check_network(SCHEMES[scheme].validate(cfg))
 
     grid_points = raw.get("snr_grid", list(default_grid().points))
     if not isinstance(grid_points, list) or not all(
@@ -248,6 +258,35 @@ def _parse_users(network: dict) -> tuple[tuple[int, ...], int, int]:
         raise ScenarioError("network.m: does not match the antennas list length")
     n_eve = _integer(_require(network, "n_eve", "network."), "network.n_eve")
     return antennas, n_eve, _integer(network.get("k2", 1), "network.k2")
+
+
+def _verify_size(cfg: NetworkConfig, phase1: bool) -> list[tuple[str, str]]:
+    """Each array of a verify on ``cfg`` with more than MAX_VERIFY_ENTRIES entries.
+
+    With D = sum_{a<b} N_a N_b user-channel entries the arrays are: the
+    phase-1 synthesis stack D * N_T * K_1 of ``phase1_joint_factors`` (with
+    ``phase1``); the rank oracle's draws RANK_DRAWS * (D + N_E * N_T) and,
+    for M >= 3, its pair-wise pilot matrices RANK_DRAWS * N_T * P_0 * max N_i
+    over P_0 = M(M-1)/2 sessions; and (2D)^2, which bounds the basis, the
+    Jacobian and the covariance of ``reciprocal_channel_covariance``.  A
+    problem names ``k1`` or ``n_eve`` when the array would fit with the
+    shortest K_1 or without Eve's channels.  Python integers, so no product
+    overflows; nothing is allocated.
+    """
+    d, n_t, m = user_channel_dim(cfg.antennas), cfg.n_total, cfg.m
+    sizes = []
+    if phase1:
+        shortest = d * n_t * (n_t - cfg.n_min)
+        sizes.append(("k1" if shortest <= MAX_VERIFY_ENTRIES else "antennas",
+                      "phase-1 synthesis stack", d * n_t * cfg.k1))
+    sizes.append(("n_eve" if RANK_DRAWS * d <= MAX_VERIFY_ENTRIES else "antennas",
+                  "rank-oracle draw batch", RANK_DRAWS * (d + cfg.n_eve * n_t)))
+    sizes.append(("antennas", "reciprocal covariance", (2 * d) ** 2))
+    if m >= 3:
+        sizes.append(("antennas", "pair-wise pilot batch",
+                      RANK_DRAWS * n_t * (m * (m - 1) // 2) * max(cfg.antennas)))
+    return [(field, f"verify needs a {what} of {size} entries > {MAX_VERIFY_ENTRIES}")
+            for field, what, size in sizes if size > MAX_VERIFY_ENTRIES]
 
 
 # all-user ANECE
@@ -375,6 +414,11 @@ def _modified_formula(c: TwoUserModifiedConfig) -> dict[str, Ints]:
     }
 
 
+def _modified_rank_config(c: TwoUserModifiedConfig) -> NetworkConfig:
+    """The two-user network whose pilot factors and ranks verify checks."""
+    return NetworkConfig((c.n1, c.n2), c.n_eve, k2=max(c.k_total - c.n2, 1))
+
+
 def _modified_checks(sc: Scenario) -> list[CheckResult]:
     c = sc.network
     curve = ckey0_curve(c, sc.snr_grid, sc.mc_samples, sc.seed)
@@ -383,7 +427,7 @@ def _modified_checks(sc: Scenario) -> list[CheckResult]:
     rows = [verify_slope("slope:modified-ckey0", curve, target),
             CheckResult("negctrl:identity:tampered-modified", float(md.upper + 1),
                         float(md.lower_12), 0.0)]
-    rank_cfg = NetworkConfig((c.n1, c.n2), c.n_eve, k2=max(c.k_total - c.n2, 1))
+    rank_cfg = _modified_rank_config(c)
     ps = build_pilots(rank_cfg, sc.seed)
     return rows + eig_growth_suite(rank_cfg, ps) + rank_oracle_suite(rank_cfg, sc.seed)
 
@@ -398,21 +442,28 @@ def _modified_pilots(sc: Scenario, out_path: str) -> int:
     return EXIT_OK
 
 
+def _modified_verify_size(c: TwoUserModifiedConfig) -> list[tuple[str, str]]:
+    # K_1 = N_2 is fixed, so the antenna counts drive every array; N_2 >= N_1
+    return [("n2" if field == "antennas" else field, text)
+            for field, text in _verify_size(_modified_rank_config(c), phase1=True)]
+
+
 _USER_KEYS = frozenset({"m", "antennas", "n_eve", "k1", "k2"})
 
 SCHEMES = {
     "all_user": Scheme(_USER_KEYS, _parse_all_user, validate_config, _all_user_formula,
-                       _all_user_checks, _all_user_pilots, lambda cfg: cfg, "k2"),
+                       _all_user_checks, lambda cfg: _verify_size(cfg, phase1=True),
+                       _all_user_pilots, lambda cfg: cfg, "k2"),
     # compare splits an aggregate budget over the M(M-1)/2 sessions
     "pairwise": Scheme(
         _USER_KEYS, _parse_pairwise, validate_pairwise_config, _pairwise_formula,
-        _pairwise_checks, _pairwise_pilots,
+        _pairwise_checks, lambda cfg: _verify_size(cfg, phase1=False), _pairwise_pilots,
         lambda cfg: NetworkConfig(cfg.antennas, cfg.n_eve, k2=cfg.k2 * cfg.m * (cfg.m - 1) // 2),
         "k2"),
     # compare runs the two-user schemes over the same K - N_2 symbol slots
     "modified_two_user": Scheme(
         frozenset({"n1", "n2", "k_total", "n_eve"}), _parse_modified, validate_modified_config,
-        _modified_formula, _modified_checks, _modified_pilots,
+        _modified_formula, _modified_checks, _modified_verify_size, _modified_pilots,
         lambda c: NetworkConfig((c.n1, c.n2), c.n_eve, k2=c.k_total - c.n2), "k_total"),
 }
 
@@ -433,13 +484,25 @@ def formula_report(sc: Scenario) -> DofReport:
     return DofReport({key: value.tolist() for key, value in zip(entries, values)})
 
 
+@functools.cache
+def _identity_rows() -> tuple[CheckResult, ...]:
+    """The identity suite's rows, which no scenario changes: evaluated once per process."""
+    return tuple(identity_suite())
+
+
 def _verify_rows(sc: Scenario) -> list[CheckResult]:
+    """Every verify row of ``sc``, sorted by name.
+
+    The identity rows come from ``_identity_rows``, one ``identity_suite()``
+    per process; a caller who patches ``verify``'s closed forms after the
+    first verify calls ``identity_suite()`` itself to see their effect.
+    """
     entropy_curve = cond_entropy_curve(2, 3, 4, sc.snr_grid, sc.mc_samples, sc.seed)
     rows = [
         verify_slope("slope:cond-entropy[2x3x4]", entropy_curve, 2 * 4),
         verify_slope("negctrl:slope:cond-entropy-wrong-target", entropy_curve, 2 * 4 + 3),
         *SCHEMES[sc.scheme].checks(sc),
-        *identity_suite(),
+        *_identity_rows(),
     ]
     return sorted(rows, key=lambda r: r.name)
 
@@ -450,6 +513,7 @@ def cmd_verify(sc: Scenario, out_path: str | None, allow_low_samples: bool) -> i
             f"mc_samples={sc.mc_samples} is below {MIN_TRUSTED_MC_SAMPLES}; slope rows "
             "would be unreliable (pass --allow-low-samples to proceed anyway)"
         )
+    _check_network(SCHEMES[sc.scheme].verify_size(sc.network))
     rows = _verify_rows(sc)
     _write_lines(checks_to_csv(rows), out_path)
     real_ok = all(r.passed for r in rows if not r.name.startswith("negctrl:"))
@@ -457,8 +521,8 @@ def cmd_verify(sc: Scenario, out_path: str | None, allow_low_samples: bool) -> i
     return EXIT_OK if real_ok and controls_ok else EXIT_CHECK_FAILED
 
 
-def _swept(sc: Scenario, axis: str, value) -> Scenario:
-    """The scenario with one axis set to ``value``: an int, or an array on n_eve and k2."""
+def _swept(sc: Scenario, axis: str, value):
+    """The network with one axis set to ``value``: an int, or an array on n_eve and k2."""
     cfg = sc.network
     if axis == "m":
         if sc.scheme != "all_user":
@@ -472,14 +536,14 @@ def _swept(sc: Scenario, axis: str, value) -> Scenario:
         cfg = replace(cfg, **{SCHEMES[sc.scheme].k2_field if axis == "k2" else axis: value})
     else:
         raise ScenarioError(f"unknown sweep axis {axis!r}")
-    return replace(sc, network=cfg)
+    return cfg
 
 
-def _sweep_scenario(sc: Scenario, axis: str, value: int) -> Scenario:
-    """The scenario with one axis set to ``value``, validated like a scenario file."""
-    swept = _swept(sc, axis, value)
-    _check_network(sc.scheme, swept.network)
-    return swept
+def _sweep_network(sc: Scenario, axis: str, value: int):
+    """The network with one axis set to ``value``, validated like a scenario file."""
+    cfg = _swept(sc, axis, value)
+    _check_network(SCHEMES[sc.scheme].validate(cfg))
+    return cfg
 
 
 def cmd_sweep(sc: Scenario, axis: str, span: tuple[int, int], out_path: str) -> int:
@@ -493,13 +557,14 @@ def cmd_sweep(sc: Scenario, axis: str, span: tuple[int, int], out_path: str) -> 
         raise ScenarioError(f"--range {lo}:{hi} spans {hi - lo + 1} values; "
                             f"at most {SWEEP_MAX_VALUES} are allowed")
     values = range(lo, hi + 1)
-    swept = [_sweep_scenario(sc, axis, value) for value in values]
+    networks = [_sweep_network(sc, axis, value) for value in values]
     if axis == "m":
-        reports = [formula_report(one).entries for one in swept]
+        reports = [formula_report(replace(sc, network=cfg)).entries for cfg in networks]
         keys = dict.fromkeys(k for entries in reports for k in entries)
         columns = {k: [entries.get(k, "") for entries in reports] for k in keys}
     else:
-        columns = formula_report(_swept(sc, axis, np.arange(lo, hi + 1))).entries
+        swept = replace(sc, network=_swept(sc, axis, np.arange(lo, hi + 1)))
+        columns = formula_report(swept).entries
     lines = ["axis,value," + ",".join(columns)]
     for idx, value in enumerate(values):
         lines.append(f"{axis},{value}," + ",".join(str(col[idx]) for col in columns.values()))
@@ -536,7 +601,9 @@ def _parse_span(text: str) -> tuple[int, int]:
         raise ScenarioError(f"range must look like low:high, got {text!r}") from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="anece-lab",
         description="DoF formula evaluation and empirical verification for ANECE schemes",

@@ -1,12 +1,14 @@
+import argparse
 import csv
 import json
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from conftest import run_cli
 
-from anece_lab import cli
-from anece_lab.model import MAX_USERS
+from anece_lab import capacity, cli, numkernel, verify
+from anece_lab.model import MAX_USERS, NetworkConfig
 
 FAST_MC = {"mc_samples": 300, "seed": 7}
 
@@ -384,6 +386,139 @@ def test_mc_samples_below_one_is_refused(write_scenario, capsys, where):
     assert capsys.readouterr().err == "error: mc_samples: must be >= 1\n"
 
 
+@pytest.mark.parametrize("where", ["file", "flag"])
+def test_mc_samples_above_the_cap_is_refused_before_drawing(write_scenario, monkeypatch, capsys,
+                                                            where):
+    def drawn(*args):
+        raise AssertionError("a Monte Carlo block was drawn")
+
+    for module in (numkernel, capacity):  # capacity holds its own reference
+        monkeypatch.setattr(module, "cn_blocks", drawn)
+    samples = 10**12
+    path = write_scenario("all_user", {"antennas": [2, 2], "n_eve": 3},
+                          mc_samples=samples if where == "file" else 300)
+    flag = ["--mc-samples", str(samples)] if where == "flag" else []
+    assert cli.main(["verify", "--scenario", path, *flag]) == 2
+    assert capsys.readouterr().err == f"error: mc_samples: must be <= {cli.MAX_MC_SAMPLES}\n"
+
+
+# (K_1 = 9, D = 35, N_T = 10): phase-1 stack 35 * 10 * 9, draws 100 * (35 + 6 * 10),
+# reciprocal covariance (2 * 35)^2 and pair-wise pilots 100 * 10 * 6 * 4; the draws
+# name n_eve once the 100 * 35 user-channel draws alone fit
+@pytest.mark.parametrize("cap, problems", [
+    (0, [("antennas", 3150), ("antennas", 9500), ("antennas", 4900), ("antennas", 24000)]),
+    (9499, [("n_eve", 9500), ("antennas", 24000)]),
+    (9500, [("antennas", 24000)]),
+    (24000, []),
+])
+def test_verify_size_counts_each_array(monkeypatch, cap, problems):
+    monkeypatch.setattr(cli, "MAX_VERIFY_ENTRIES", cap)
+    found = cli._verify_size(NetworkConfig((1, 2, 3, 4), 6, k2=6), phase1=True)
+    assert [(field, int(text.split(" of ")[1].split()[0])) for field, text in found] == problems
+
+
+@pytest.mark.parametrize("scheme, network, first", [
+    ("all_user", {"antennas": [1] * 128, "n_eve": 0},
+     "network.antennas: verify needs a phase-1 synthesis stack of 132128768 entries"),
+    ("pairwise", {"antennas": [1] * 128, "n_eve": 0},
+     "network.antennas: verify needs a reciprocal covariance of 264257536 entries"),
+    ("all_user", {"antennas": [2, 2, 2], "n_eve": 4, "k1": 10**6},
+     "network.k1: verify needs a phase-1 synthesis stack of 72000000 entries"),
+    ("all_user", {"antennas": [2, 2], "n_eve": 10**6},
+     "network.n_eve: verify needs a rank-oracle draw batch of 400000400 entries"),
+    ("modified_two_user", {"n1": 2**20, "n2": 2**20, "k_total": 2**20, "n_eve": 0},
+     f"network.n2: verify needs a phase-1 synthesis stack of {2**81} entries"),
+], ids=["all_user-128", "pairwise-128", "all_user-k1", "all_user-n_eve", "modified-2^20"])
+def test_verify_refuses_an_oversized_working_set(write_scenario, monkeypatch, capsys, scheme,
+                                                 network, first):
+    def built(*args, **kwargs):
+        raise AssertionError("verify started its work")
+
+    monkeypatch.setattr(capacity, "synth_phase1", built)
+    monkeypatch.setattr(cli, "_verify_rows", built)
+    path = write_scenario(scheme, network, **FAST_MC)
+    tracemalloc.start()
+    try:
+        code = cli.main(["verify", "--scenario", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {first} > {cli.MAX_VERIFY_ENTRIES}")
+    assert "Traceback" not in err
+    assert peak < 2**20
+    # only verify is bounded
+    assert cli.main(["formula", "--scenario", path]) == 0
+
+
+def test_parser_is_built_once_per_process(write_scenario, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    try:
+        path = write_scenario("all_user", {"antennas": [2, 3], "n_eve": 2, "k2": 3}, **FAST_MC)
+        assert cli.main(["formula", "--scenario", path]) == 0
+        assert built
+        del built[:]
+        assert cli.main(["compare", "--scenario", path]) == 0
+        assert built == []
+    finally:
+        cli._build_parser.cache_clear()
+
+
+def test_usage_error_is_the_same_on_every_call(write_scenario, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # the usage text wraps at the terminal width
+    path = write_scenario(*AU_222, **FAST_MC)
+    argv = ["sweep", "--scenario", path, "--axis", "bogus", "--range", "0:2", "--out", "s.csv"]
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert errors == [proc.stderr] * 2
+    assert "invalid choice: 'bogus'" in proc.stderr
+
+
+def test_verify_evaluates_the_identity_suite_once(tmp_path, write_scenario, monkeypatch):
+    calls = []
+    suite = cli.identity_suite
+
+    def counted():
+        calls.append(1)
+        return suite()
+
+    monkeypatch.setattr(cli, "identity_suite", counted)
+    cli._identity_rows.cache_clear()
+    for tag, scenario in (("au", AU_222), ("mod", MOD_2362)):
+        path = write_scenario(*scenario, **FAST_MC)
+        out, ref = tmp_path / f"{tag}.csv", tmp_path / f"{tag}-ref.csv"
+        assert cli.main(["verify", "--scenario", path, "--out", str(out)]) == 0
+        assert run_cli("verify", "--scenario", path, "--out", str(ref)).returncode == 0
+        assert out.read_bytes() == ref.read_bytes()
+    assert len(calls) == 1
+
+
+def test_identity_suite_still_sees_a_fault_after_a_cached_verify(tmp_path, write_scenario,
+                                                                 monkeypatch):
+    path = write_scenario(*AU_222, **FAST_MC)
+    assert cli.main(["verify", "--scenario", path, "--out", str(tmp_path / "v.csv")]) == 0
+    gap = verify.dof_gap
+    monkeypatch.setattr(verify, "dof_gap", lambda s: gap(s) + (s.n_eve == 5))
+    rows = {r.name: r for r in verify.identity_suite()}
+    assert not rows["identity:gap-consistency"].passed
+    assert all(r.passed for r in cli._identity_rows())
+
+
 def test_sweep_rejects_mismatched_axis(tmp_path, write_scenario):
     path = write_scenario(
         "modified_two_user", {"n1": 2, "n2": 3, "k_total": 7, "n_eve": 6}, **FAST_MC
@@ -422,8 +557,8 @@ EXACT_SWEEPS = [
 def reference_sweep_csv(path, axis, lo, hi):
     """The sweep CSV built value by value: one validated scenario and one report each."""
     sc = cli.parse_scenario(path)
-    reports = [(value, cli.formula_report(cli._sweep_scenario(sc, axis, value)).entries)
-               for value in range(lo, hi + 1)]
+    reports = [(value, cli.formula_report(replace(sc, network=cli._sweep_network(sc, axis, value)))
+                .entries) for value in range(lo, hi + 1)]
     keys = list(dict.fromkeys(k for _, entries in reports for k in entries))
     lines = ["axis,value," + ",".join(keys)]
     for value, entries in reports:
@@ -465,7 +600,7 @@ def test_sweep_refuses_a_huge_range_at_once(tmp_path, write_scenario, monkeypatc
     def validated(*args):
         raise AssertionError("a swept value was validated")
 
-    monkeypatch.setattr(cli, "_sweep_scenario", validated)
+    monkeypatch.setattr(cli, "_sweep_network", validated)
     out = tmp_path / "s.csv"
     argv = ["sweep", "--scenario", write_scenario(*AU_222, **FAST_MC), "--axis", "n_eve",
             "--range", span, "--out", str(out)]
