@@ -23,7 +23,6 @@ from .numkernel import (
     ChannelRealization,
     log2det_grid,
     numerical_rank,
-    sample_channels,
     substream,
     synth_modified_session,
     synth_phase1,

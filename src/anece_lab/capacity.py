@@ -1,8 +1,10 @@
 """Gaussian-computable secret-key-capacity terms.
 
 Every term is a weighted sum of log2|I + s2 * A A^H| over factor matrices
-A, evaluated for a whole SNR grid at once by ``numkernel.log2det_grid``.
-The pilot-phase SKC is exact: its factors depend only on the pilots, and
+A, evaluated for a whole SNR grid at once by ``numkernel.log2det_grid`` from
+the eigenvalues of each factor's short-side Gram, so every factor has full
+rank on its short side.  The pilot-phase SKC is exact: its factors depend
+only on the pilots, ``build_pilots`` audits the rank of each P_(i), and
 ``verify`` ranks the same factors for its ``eig:*`` rows.  The
 symbol-phase terms are Monte Carlo means over channel draws from one
 ``(seed, purpose)`` stream per curve, read in sample order; every grid

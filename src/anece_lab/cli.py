@@ -48,7 +48,7 @@ from .model import (
     validate_pairwise_config,
 )
 from .pilots import build_pairwise_matrix, build_pilots, build_square_pilots, validate_pilots, write_matrix_text
-from .numkernel import numerical_rank, sample_cn, substream, user_channel_dim
+from .numkernel import MC_BLOCK, numerical_rank, sample_cn, substream, user_channel_dim
 from .verify import (
     RANK_DRAWS,
     default_grid,
@@ -67,7 +67,7 @@ EXIT_USAGE = 2
 MIN_TRUSTED_MC_SAMPLES = 100
 # a curve keeps one float per sample and grid point for its mean and error
 MAX_MC_SAMPLES = 100_000
-# entries of the largest array one verify builds; see _verify_size
+# entries of the largest array one verify or pilots builds; see _oversized
 MAX_VERIFY_ENTRIES = 2**22
 # a sweep evaluates its whole span as one array, so the span is bounded
 SWEEP_MAX_VALUES = 100_000
@@ -160,10 +160,10 @@ def _mc_samples(count: int) -> int:
     return count
 
 
-def _check_network(problems: list[tuple[str, str]]) -> None:
-    """Raise every ``(field, message)`` problem of a network, each under its scenario key."""
+def _check_keys(problems: list[tuple[str, str]], path: str = "network.") -> None:
+    """Raise every ``(field, message)`` problem, each under its scenario key ``path + field``."""
     if problems:
-        raise ScenarioError("; ".join(f"network.{field}: {text}" for field, text in problems))
+        raise ScenarioError("; ".join(f"{path}{field}: {text}" for field, text in problems))
 
 
 def parse_scenario(path: str) -> Scenario:
@@ -191,7 +191,7 @@ def parse_scenario(path: str) -> Scenario:
         raise ScenarioError("network: must be an object")
     _reject_unknown(network, SCHEMES[scheme].network_keys, "network.")
     cfg = SCHEMES[scheme].parse(network)
-    _check_network(SCHEMES[scheme].validate(cfg))
+    _check_keys(SCHEMES[scheme].validate(cfg))
 
     grid_points = raw.get("snr_grid", list(default_grid().points))
     if not isinstance(grid_points, list) or not all(
@@ -260,8 +260,14 @@ def _parse_users(network: dict) -> tuple[tuple[int, ...], int, int]:
     return antennas, n_eve, _integer(network.get("k2", 1), "network.k2")
 
 
+def _oversized(command: str, sizes) -> list[tuple[str, str]]:
+    """A ``(field, message)`` problem per ``(field, what, size)`` above MAX_VERIFY_ENTRIES."""
+    return [(field, f"{command} needs a {what} of {size} entries > {MAX_VERIFY_ENTRIES}")
+            for field, what, size in sizes if size > MAX_VERIFY_ENTRIES]
+
+
 def _verify_size(cfg: NetworkConfig, phase1: bool) -> list[tuple[str, str]]:
-    """Each array of a verify on ``cfg`` with more than MAX_VERIFY_ENTRIES entries.
+    """Each network-sized array of a verify on ``cfg`` above MAX_VERIFY_ENTRIES entries.
 
     With D = sum_{a<b} N_a N_b user-channel entries the arrays are: the
     phase-1 synthesis stack D * N_T * K_1 of ``phase1_joint_factors`` (with
@@ -271,7 +277,8 @@ def _verify_size(cfg: NetworkConfig, phase1: bool) -> list[tuple[str, str]]:
     Jacobian and the covariance of ``reciprocal_channel_covariance``.  A
     problem names ``k1`` or ``n_eve`` when the array would fit with the
     shortest K_1 or without Eve's channels.  Python integers, so no product
-    overflows; nothing is allocated.
+    overflows; nothing is allocated.  ``_curve_size`` counts the Monte Carlo
+    curves, whose size the grid and sample count set.
     """
     d, n_t, m = user_channel_dim(cfg.antennas), cfg.n_total, cfg.m
     sizes = []
@@ -285,8 +292,20 @@ def _verify_size(cfg: NetworkConfig, phase1: bool) -> list[tuple[str, str]]:
     if m >= 3:
         sizes.append(("antennas", "pair-wise pilot batch",
                       RANK_DRAWS * n_t * (m * (m - 1) // 2) * max(cfg.antennas)))
-    return [(field, f"verify needs a {what} of {size} entries > {MAX_VERIFY_ENTRIES}")
-            for field, what, size in sizes if size > MAX_VERIFY_ENTRIES]
+    return _oversized("verify", sizes)
+
+
+def _curve_size(sc: Scenario) -> list[tuple[str, str]]:
+    """The ``snr_grid`` problem of a verify whose Monte Carlo curve is too large.
+
+    A curve keeps one value per grid point and sample, and ``log2det_grid``
+    holds a log term per grid point, sample of a block and eigenvalue of a
+    factor's short side, at most max(2, N_T / 2) of them.  Nothing is allocated.
+    """
+    points, samples = len(sc.snr_grid.points), sc.mc_samples
+    short_side = max(2, sc.network.n_total // 2)
+    size = points * max(samples, min(samples, MC_BLOCK) * short_side)
+    return _oversized("verify", [("snr_grid", "Monte Carlo curve", size)])
 
 
 # all-user ANECE
@@ -338,6 +357,9 @@ def _all_user_checks(sc: Scenario) -> list[CheckResult]:
 
 def _all_user_pilots(sc: Scenario, out_path: str) -> int:
     cfg = sc.network
+    # N_T x K_1; the problem names k1 when the shortest K_1 = N_T - N_min fits
+    field = "k1" if cfg.n_total * (cfg.n_total - cfg.n_min) <= MAX_VERIFY_ENTRIES else "antennas"
+    _check_keys(_oversized("pilots", [(field, "pilot matrix", cfg.n_total * cfg.k1)]))
     ps = build_pilots(cfg, sc.seed)
     write_matrix_text(out_path, ps.stacked)
     rank = numerical_rank(ps.stacked)
@@ -383,6 +405,10 @@ def _pairwise_checks(sc: Scenario) -> list[CheckResult]:
 
 def _pairwise_pilots(sc: Scenario, out_path: str) -> int:
     cfg = sc.network
+    # N_T x P_0 * K_1; the problem names k1 when the shortest K_1 = max N_i fits
+    per_slot = cfg.n_total * (cfg.m * (cfg.m - 1) // 2)
+    field = "k1" if per_slot * max(cfg.antennas) <= MAX_VERIFY_ENTRIES else "antennas"
+    _check_keys(_oversized("pilots", [(field, "pair-wise pilot matrix", per_slot * cfg.k1)]))
     rng = substream(sc.seed, "pilots-pairwise")
     blocks = [sample_cn(rng, (n, cfg.k1)) for n in cfg.antennas]
     pair = build_pairwise_matrix(cfg, blocks)
@@ -433,6 +459,7 @@ def _modified_checks(sc: Scenario) -> list[CheckResult]:
 
 
 def _modified_pilots(sc: Scenario, out_path: str) -> int:
+    _check_keys(_oversized("pilots", [("n2", "pilot matrix", sc.network.n2**2)]))
     pp = build_square_pilots(sc.network, sc.seed)
     for tag, mat, n in (("_p1", pp.p1, sc.network.n1), ("_p2", pp.p2, sc.network.n2)):
         target = _suffixed(out_path, tag)
@@ -513,7 +540,8 @@ def cmd_verify(sc: Scenario, out_path: str | None, allow_low_samples: bool) -> i
             f"mc_samples={sc.mc_samples} is below {MIN_TRUSTED_MC_SAMPLES}; slope rows "
             "would be unreliable (pass --allow-low-samples to proceed anyway)"
         )
-    _check_network(SCHEMES[sc.scheme].verify_size(sc.network))
+    _check_keys(SCHEMES[sc.scheme].verify_size(sc.network))
+    _check_keys(_curve_size(sc), path="")
     rows = _verify_rows(sc)
     _write_lines(checks_to_csv(rows), out_path)
     real_ok = all(r.passed for r in rows if not r.name.startswith("negctrl:"))
@@ -542,7 +570,7 @@ def _swept(sc: Scenario, axis: str, value):
 def _sweep_network(sc: Scenario, axis: str, value: int):
     """The network with one axis set to ``value``, validated like a scenario file."""
     cfg = _swept(sc, axis, value)
-    _check_network(SCHEMES[sc.scheme].validate(cfg))
+    _check_keys(SCHEMES[sc.scheme].validate(cfg))
     return cfg
 
 

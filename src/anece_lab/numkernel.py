@@ -132,11 +132,6 @@ def draw_channels(antennas, n_eve: int, rng: np.random.Generator,
     return ChannelRealization(antennas, int(n_eve), user, eve)
 
 
-def sample_channels(cfg, seed: int) -> ChannelRealization:
-    """Deterministic channel realization for (cfg, seed)."""
-    return draw_channels(cfg.antennas, cfg.n_eve, substream(seed, "channels"), ())
-
-
 # --------------------------------------------------------------------------
 # signal synthesis
 # --------------------------------------------------------------------------
@@ -254,15 +249,20 @@ def synth_modified_session(cfg2u, pp, ch: ChannelRealization, sigma: float, seed
 def log2det_grid(a: np.ndarray, sigma2) -> np.ndarray:
     """log2|I + s2 A A^H| for each s2 in ``sigma2`` and A in the (..., p, q) stack ``a``.
 
-    Returns shape (len(sigma2), ...): sum_k log2(1 + s2 s_k^2) over the
-    singular values of A, from one batched SVD.  The factor, unlike its Gram,
-    keeps a null direction at s_k^2 ~ 1e-32 s_max^2, so the value is finite
-    for any s2 float64 holds; for a singular A A^H, a Cholesky of
-    s2 A A^H + I fails from s2 ~ 2^50 on.
+    Returns shape (len(sigma2), ...): sum_k log2(1 + s2 l_k) over the
+    eigenvalues l_k of the short side's Gram (A^H A for a tall A, A A^H for a
+    wide one), from one batched matmul and one batched ``eigvalsh``; the
+    eigenvalues are clamped at 0.  They carry an absolute error of about
+    1e-16 l_max, so each factor must have full rank on its short side, as
+    every caller's does: the Monte Carlo factors are Gaussian draws, each
+    P_(i)^T is audited by ``build_pilots``, and the ``eig:joint`` row ranks
+    the joint factor against its column count.
     """
-    sv = np.linalg.svd(np.asarray(a), compute_uv=False)
+    a = np.asarray(a)
+    ah = np.conj(np.swapaxes(a, -1, -2))
+    lam = np.maximum(np.linalg.eigvalsh(ah @ a if a.shape[-2] >= a.shape[-1] else a @ ah), 0.0)
     s2 = np.asarray(sigma2, dtype=float)
-    return np.log1p(s2.reshape(s2.shape + (1,) * sv.ndim) * sv**2).sum(axis=-1) / math.log(2.0)
+    return np.log1p(s2.reshape(s2.shape + (1,) * lam.ndim) * lam).sum(axis=-1) / math.log(2.0)
 
 
 def numerical_rank(m: np.ndarray) -> np.integer | np.ndarray:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from anece_lab import capacity
+from anece_lab import capacity, cli
 from anece_lab.capacity import (
     CapacityCurve,
     cij_curve,
@@ -14,9 +14,9 @@ from anece_lab.capacity import (
     phase1_joint_factors,
 )
 from anece_lab.model import NetworkConfig, SnrGrid, TwoUserModifiedConfig
-from anece_lab.numkernel import numerical_rank
+from anece_lab.numkernel import cn_blocks, log2det_grid, numerical_rank
 from anece_lab.pilots import PilotSet, build_pilots
-from anece_lab.verify import default_grid, fit_slope, rank_oracle_suite
+from anece_lab.verify import default_grid, eig_growth_suite, fit_slope, rank_oracle_suite
 
 SCALAR_PILOTS = PilotSet((np.array([[1.0 + 0j]]), np.array([[1.0 + 0j]])))
 SCALAR_CFG = NetworkConfig((1, 1), 1, k1=1, k2=1)
@@ -198,7 +198,7 @@ def test_phase1_covariance_matches_synthesized_signals():
     # empirical covariance of [vec(Y_i); vec(Y_j^T)] over fresh channel and
     # noise draws must reproduce the analytic joint assembly, cross block
     # included
-    from anece_lab.numkernel import sample_channels, synth_phase1
+    from anece_lab.numkernel import draw_channels, substream, synth_phase1
 
     cfg = NetworkConfig((1, 2), 0, k2=1)
     ps = build_pilots(cfg, 6)
@@ -207,7 +207,7 @@ def test_phase1_covariance_matches_synthesized_signals():
     acc = np.zeros_like(target)
     n_draws = 8000
     for d in range(n_draws):
-        ch = sample_channels(cfg, d)
+        ch = draw_channels(cfg.antennas, cfg.n_eve, substream(d, "channels"), ())
         sig = synth_phase1(ch, ps, math.sqrt(sigma2), d)
         v = np.concatenate(
             [sig.user_rx[0].flatten(order="F"), sig.user_rx[1].T.flatten(order="F")]
@@ -320,6 +320,96 @@ def test_cij_curve_draws_once_and_batches_linalg(monkeypatch, curve, generators)
     curve(cfg, ps)
     assert counts["rng"] == generators
     assert counts["linalg"] < 50
+
+
+# --------------------------------------------------------------------------
+# the log-determinant kernel on the factors the curves build
+# --------------------------------------------------------------------------
+
+# The distinct networks of the benchmark's 16 scenarios: all-user antenna
+# layouts and modified (N_1, N_2, K, N_E).  A pair-wise verify builds only the
+# 2x3 conditional-entropy factor, which every verify builds.
+BENCH_ALL_USER = [(2, 2, 2), (1, 2, 3, 4), (2, 3), (3, 3), (2, 2, 2, 2, 2)]
+BENCH_MODIFIED = [(2, 3, 6, 2), (1, 3, 7, 3)]
+
+
+def bench_factors():
+    """Every factor stack that phase1_curve and the three Monte Carlo specs
+    build on the benchmark networks, over every user pair."""
+    specs = [capacity._entropy_spec(2, 3, 4)]
+    specs += [capacity._ckey0_spec(TwoUserModifiedConfig(*c)) for c in BENCH_MODIFIED]
+    for antennas in BENCH_ALL_USER:
+        cfg = NetworkConfig(antennas, 0)
+        pairs = list(itertools.combinations(range(cfg.m), 2))
+        specs += [capacity._cij_spec(cfg, i, j) for i, j in pairs]
+        ps = build_pilots(cfg, 3)
+        yield from (ps.without(u).T for u in range(cfg.m))
+        yield from phase1_joint_factors(ps, pairs)
+    for purpose, dim, factors in specs:
+        yield from (a for _, a in factors(next(cn_blocks(3, purpose, 64, dim))))
+
+
+@pytest.mark.parametrize("grid", [
+    default_grid(), SnrGrid(tuple(range(12, 45))), SnrGrid((-1000, -500, -20, 0, 20, 500, 1000)),
+], ids=["default", "12..44", "+-1000"])
+def test_log2det_grid_matches_an_svd_reference_on_every_benchmark_factor(grid):
+    # reference: sum_k log2(1 + s2 s_k^2) over each factor's singular values,
+    # one grid point at a time
+    shapes = set()
+    for a in bench_factors():
+        shapes.add(a.shape[-2:])
+        sv = np.linalg.svd(a, compute_uv=False)
+        expected = np.stack([np.log1p(s2 * sv**2).sum(axis=-1) for s2 in grid.sigma2()])
+        assert np.max(np.abs(log2det_grid(a, grid.sigma2()) - expected / math.log(2.0))) <= 1e-9
+    # tall, wide and square factors all occur
+    assert {np.sign(p - q) for p, q in shapes} == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("antennas", BENCH_ALL_USER + [c[:2] for c in BENCH_MODIFIED])
+def test_phase1_factors_have_full_rank_on_their_short_side(antennas):
+    # log2det_grid needs it: each P_(i)^T is tall with full column rank, and
+    # each joint factor J has exactly as many columns as its eig:joint target
+    cfg = NetworkConfig(antennas, 0)
+    ps = build_pilots(cfg, 3)
+    for u in range(cfg.m):
+        rows, cols = ps.without(u).T.shape
+        assert rows >= cols == numerical_rank(ps.without(u)) == cfg.n_total - antennas[u]
+    targets = {r.name: r.target for r in eig_growth_suite(cfg, ps)}
+    pairs = list(itertools.combinations(range(cfg.m), 2))
+    for (i, j), jac in zip(pairs, phase1_joint_factors(ps, pairs), strict=True):
+        assert jac.shape[0] >= jac.shape[1] == targets[f"eig:joint[{i + 1}-{j + 1}]"]
+
+
+def test_verify_takes_every_log_determinant_from_one_eigvalsh(write_scenario, monkeypatch,
+                                                               tmp_path):
+    # one all-user verify: each log2det_grid call makes one eigvalsh and no
+    # svd, while numerical_rank's SVDs are still seen
+    calls = dict.fromkeys(["log2det", "svd", "eigvalsh", "svd-outside", "eigvalsh-outside"], 0)
+    inside = []
+    kernel = capacity.log2det_grid
+
+    def counted_kernel(*args):
+        calls["log2det"] += 1
+        inside.append(True)
+        try:
+            return kernel(*args)
+        finally:
+            inside.pop()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key if inside else f"{key}-outside"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(capacity, "log2det_grid", counted_kernel)
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    path = write_scenario("all_user", {"antennas": [2, 2, 2], "n_eve": 4, "k2": 2})
+    assert cli.main(["verify", "--scenario", path, "--out", str(tmp_path / "v.csv")]) == 0
+    assert calls["log2det"] > 0 and calls["svd-outside"] > 0
+    assert calls["svd"] == 0
+    assert calls["eigvalsh"] == calls["log2det"]
 
 
 def test_capacity_curve_validation():

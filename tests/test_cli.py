@@ -7,8 +7,8 @@ from dataclasses import replace
 import pytest
 from conftest import run_cli
 
-from anece_lab import capacity, cli, numkernel, verify
-from anece_lab.model import MAX_USERS, NetworkConfig
+from anece_lab import capacity, cli, numkernel, pilots, verify
+from anece_lab.model import MAX_USERS, NetworkConfig, SnrGrid, TwoUserModifiedConfig
 
 FAST_MC = {"mc_samples": 300, "seed": 7}
 
@@ -450,6 +450,77 @@ def test_verify_refuses_an_oversized_working_set(write_scenario, monkeypatch, ca
     assert peak < 2**20
     # only verify is bounded
     assert cli.main(["formula", "--scenario", path]) == 0
+
+
+def _refused_in_process(args, write_scenario, monkeypatch, capsys, modules, name, scheme, network,
+                        **overrides):
+    """Run ``anece-lab <args>`` with ``name`` patched to fail in ``modules``:
+    the exit code, stderr and tracemalloc peak."""
+    def called(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    for module in modules:
+        monkeypatch.setattr(module, name, called)
+    path = write_scenario(scheme, network, **overrides)
+    tracemalloc.start()
+    try:
+        code = cli.main([*args, "--scenario", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, capsys.readouterr().err, peak
+
+
+# 1,000 points at MAX_MC_SAMPLES keep 10^8 values; 2,049 points on [8, 8] keep
+# 2,049 * 300 values but 2,049 * 256 * 8 log terms per block
+@pytest.mark.parametrize("network, grid, samples, size", [
+    ({"antennas": [2, 2], "n_eve": 1}, list(range(-500, 500)), 100_000, 10**8),
+    ({"antennas": [8, 8], "n_eve": 1}, [x / 2 for x in range(-1024, 1025)], 300, 2049 * 2048),
+])
+def test_verify_refuses_an_oversized_curve(write_scenario, monkeypatch, capsys, network, grid,
+                                           samples, size):
+    code, err, peak = _refused_in_process(
+        ["verify"], write_scenario, monkeypatch, capsys, (numkernel, capacity), "cn_blocks",
+        "all_user", network, snr_grid=grid, mc_samples=samples)
+    assert code == 2
+    assert err == (f"error: snr_grid: verify needs a Monte Carlo curve of {size} entries "
+                   f"> {cli.MAX_VERIFY_ENTRIES}\n")
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("scheme, network, grid, samples", [
+    ("all_user", (1, 2, 3, 4), list(range(12, 25, 2)), 2000),
+    ("all_user", (2, 2, 2, 2, 2), list(range(12, 45)), 2000),
+    ("modified_two_user", (2, 3, 6, 2), list(range(12, 45)), 300),
+])
+def test_curve_size_accepts_the_benchmark_scenarios(scheme, network, grid, samples):
+    # the largest curves of tier-1 and the benchmark, 7 x 2,000 and 33 x 300,
+    # with room to spare
+    cfg = NetworkConfig(network, 6) if scheme == "all_user" else TwoUserModifiedConfig(*network)
+    sc = cli.Scenario(scheme, cfg, SnrGrid(tuple(grid)), samples, 7)
+    assert cli._curve_size(sc) == []
+
+
+@pytest.mark.parametrize("scheme, network, first", [
+    ("all_user", {"antennas": [2, 2], "n_eve": 1, "k1": 10**15},
+     "network.k1: pilots needs a pilot matrix of 4000000000000000 entries"),
+    ("all_user", {"antennas": [2**20, 2**20], "n_eve": 0},
+     f"network.antennas: pilots needs a pilot matrix of {2**41} entries"),
+    ("pairwise", {"antennas": [1, 1, 1], "n_eve": 1, "k1": 10**15},
+     "network.k1: pilots needs a pair-wise pilot matrix of 9000000000000000 entries"),
+    ("modified_two_user", {"n1": 1, "n2": 2**27, "k_total": 2**27, "n_eve": 0},
+     f"network.n2: pilots needs a pilot matrix of {2**54} entries"),
+], ids=["all_user-k1", "all_user-antennas", "pairwise-k1", "modified-n2"])
+def test_pilots_refuses_an_oversized_pilot_before_drawing(write_scenario, monkeypatch, capsys,
+                                                          tmp_path, scheme, network, first):
+    out = tmp_path / "P.txt"
+    code, err, peak = _refused_in_process(
+        ["pilots", "--out", str(out)], write_scenario, monkeypatch, capsys,
+        (numkernel, pilots, cli), "sample_cn", scheme, network, **FAST_MC)
+    assert code == 2
+    assert err == f"error: {first} > {cli.MAX_VERIFY_ENTRIES}\n"
+    assert peak < 2**20
+    assert not list(tmp_path.glob("P*.txt"))
 
 
 def test_parser_is_built_once_per_process(write_scenario, monkeypatch):

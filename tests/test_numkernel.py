@@ -6,10 +6,10 @@ import pytest
 from anece_lab.model import NetworkConfig, TwoUserModifiedConfig
 from anece_lab.numkernel import (
     cn_blocks,
+    draw_channels,
     log2det_grid,
     numerical_rank,
     reciprocal_channel_covariance,
-    sample_channels,
     sample_cn,
     substream,
     synth_modified_session,
@@ -26,7 +26,7 @@ from anece_lab.pilots import PilotSet, build_pilots, build_square_pilots
 
 def test_reciprocity_is_exact():
     cfg = NetworkConfig((2, 3, 1), 2, k2=1)
-    ch = sample_channels(cfg, 0)
+    ch = draw_channels(cfg.antennas, cfg.n_eve, substream(0, "channels"), ())
     for (i, j), h in ch.user_channels.items():
         assert np.max(np.abs(h - ch.user_channels[(j, i)].T)) == 0.0
     assert ch.user_channels[(0, 1)].shape == (2, 3)
@@ -36,7 +36,7 @@ def test_reciprocity_is_exact():
 
 
 def test_trivial_reciprocity_two_scalars():
-    ch = sample_channels(NetworkConfig((1, 1), 1, k2=1), 3)
+    ch = draw_channels((1, 1), 1, substream(3, "channels"), ())
     assert ch.user_channels[(0, 1)].shape == (1, 1)
     assert ch.user_channels[(0, 1)][0, 0] == ch.user_channels[(1, 0)][0, 0]
 
@@ -44,16 +44,16 @@ def test_trivial_reciprocity_two_scalars():
 def test_unit_total_variance():
     # 10^5 entries in one draw
     cfg = NetworkConfig((100, 1000), 0, k2=1)
-    ch = sample_channels(cfg, 42)
+    ch = draw_channels(cfg.antennas, cfg.n_eve, substream(42, "channels"), ())
     mean_sq = float(np.mean(np.abs(ch.user_channels[(0, 1)]) ** 2))
     assert abs(mean_sq - 1.0) <= 0.02
 
 
 def test_channel_determinism():
     cfg = NetworkConfig((2, 2), 3, k2=1)
-    a = sample_channels(cfg, 7)
-    b = sample_channels(cfg, 7)
-    c = sample_channels(cfg, 8)
+    a = draw_channels(cfg.antennas, cfg.n_eve, substream(7, "channels"), ())
+    b = draw_channels(cfg.antennas, cfg.n_eve, substream(7, "channels"), ())
+    c = draw_channels(cfg.antennas, cfg.n_eve, substream(8, "channels"), ())
     assert np.array_equal(a.user_channels[(0, 1)], b.user_channels[(0, 1)])
     assert np.array_equal(a.eve_stacked, b.eve_stacked)
     assert not np.array_equal(a.user_channels[(0, 1)], c.user_channels[(0, 1)])
@@ -66,7 +66,7 @@ def test_channel_determinism():
 
 def test_phase1_zero_power_is_pure_unit_noise():
     cfg = NetworkConfig((4, 4), 0, k1=500, k2=1)
-    ch = sample_channels(cfg, 1)
+    ch = draw_channels(cfg.antennas, cfg.n_eve, substream(1, "channels"), ())
     ps = build_pilots(cfg, 1)
     sig = synth_phase1(ch, ps, 0.0, 2)
     entries = sig.user_rx[0].ravel()
@@ -76,7 +76,7 @@ def test_phase1_zero_power_is_pure_unit_noise():
 def test_phase1_high_power_reveals_the_channel():
     cfg = NetworkConfig((1, 1), 0, k1=1, k2=1)
     ps = PilotSet((np.array([[1.0 + 0j]]), np.array([[1.0 + 0j]])))
-    ch = sample_channels(cfg, 5)
+    ch = draw_channels(cfg.antennas, cfg.n_eve, substream(5, "channels"), ())
     sigma = 1000.0
     sig = synth_phase1(ch, ps, sigma, 6)
     assert abs(sig.user_rx[0][0, 0] / sigma - ch.user_channels[(0, 1)][0, 0]) <= 0.05
@@ -85,7 +85,7 @@ def test_phase1_high_power_reveals_the_channel():
 def test_phase1_noiseless_matches_orthonormal_factorization():
     cfg = NetworkConfig((2, 3), 4, k2=2)
     ps = build_pilots(cfg, 1)
-    ch = sample_channels(cfg, 2)
+    ch = draw_channels(cfg.antennas, cfg.n_eve, substream(2, "channels"), ())
     sig = synth_phase1(ch, ps, 3.0, 0, noise_scale=0.0)
     expected = 3.0 * ch.eve_stacked @ ps.stacked
     resid = np.linalg.norm(sig.eve_rx - expected) / np.linalg.norm(expected)
@@ -94,7 +94,7 @@ def test_phase1_noiseless_matches_orthonormal_factorization():
 
 def test_phase2_two_users_hear_only_each_other():
     cfg = NetworkConfig((1, 1), 2, k2=1)
-    ch = sample_channels(cfg, 4)
+    ch = draw_channels(cfg.antennas, cfg.n_eve, substream(4, "channels"), ())
     sig = synth_phase2(ch, cfg, 2.0, 5, noise_scale=0.0)
     assert np.allclose(sig.user_rx[1], 2.0 * ch.user_channels[(1, 0)] @ sig.symbols[0])
     assert np.allclose(sig.user_rx[0], 2.0 * ch.user_channels[(0, 1)] @ sig.symbols[1])
@@ -105,7 +105,7 @@ def test_phase2_two_users_hear_only_each_other():
 
 def test_phase2_shapes_and_fresh_symbols():
     cfg = NetworkConfig((2, 3, 1), 2, k2=4)
-    ch = sample_channels(cfg, 4)
+    ch = draw_channels(cfg.antennas, cfg.n_eve, substream(4, "channels"), ())
     a = synth_phase2(ch, cfg, 1.0, 5)
     b = synth_phase2(ch, cfg, 1.0, 6)
     assert a.symbols[0].shape == (2, 4)
@@ -119,7 +119,7 @@ def test_phase2_shapes_and_fresh_symbols():
 def test_phase2_empirical_covariance_matches_model():
     # cov(vec(Y_1)) = I_{K_2} kron (sigma2 * H_1 H_1^H + I)
     cfg = NetworkConfig((2, 2), 0, k2=2)
-    ch = sample_channels(cfg, 11)
+    ch = draw_channels(cfg.antennas, cfg.n_eve, substream(11, "channels"), ())
     h1 = ch.channel_to(0)
     target = np.kron(np.eye(cfg.k2), h1 @ h1.conj().T + np.eye(2))
     acc = np.zeros_like(target, dtype=complex)
@@ -134,7 +134,7 @@ def test_phase2_empirical_covariance_matches_model():
 def test_modified_session_layout_noiseless():
     c2u = TwoUserModifiedConfig(1, 2, 3, 2)
     pp = build_square_pilots(c2u, 4)
-    ch = sample_channels(NetworkConfig((1, 2), 2, k2=1), 9)
+    ch = draw_channels((1, 2), 2, substream(9, "channels"), ())
     sig = synth_modified_session(c2u, pp, ch, 2.0, 1, noise_scale=0.0)
     assert sig.y1_p1.shape == (1, 2)
     assert sig.y2_p1.shape == (2, 1)
@@ -151,7 +151,7 @@ def test_modified_session_equal_antennas_degenerates():
     # user receptions to rebuild her full matrix
     c2u = TwoUserModifiedConfig(2, 2, 4, 3)
     pp = build_square_pilots(c2u, 0)
-    ch = sample_channels(NetworkConfig((2, 2), 3, k2=1), 2)
+    ch = draw_channels((2, 2), 3, substream(2, "channels"), ())
     sigma = 2.0
     sig = synth_modified_session(c2u, pp, ch, sigma, 1, noise_scale=0.0)
     pilot_cols = sigma * ch.eve_stacked @ np.vstack([pp.p1, pp.p2])
@@ -165,7 +165,7 @@ def test_modified_session_equal_antennas_degenerates():
 def test_modified_session_rejects_mismatched_channels():
     c2u = TwoUserModifiedConfig(1, 2, 3, 2)
     pp = build_square_pilots(c2u, 4)
-    ch = sample_channels(NetworkConfig((2, 2), 2, k2=1), 9)
+    ch = draw_channels((2, 2), 2, substream(9, "channels"), ())
     with pytest.raises(ValueError):
         synth_modified_session(c2u, pp, ch, 1.0, 0)
 
@@ -208,6 +208,18 @@ def test_logdet_rank_deficient_factor_is_finite_at_huge_power():
     assert math.isfinite(value)
     top_two = np.linalg.svd(a, compute_uv=False)[:2]
     assert value >= float(np.sum(np.log2(s2 * top_two**2))) - 1e-9
+
+
+@pytest.mark.parametrize("shape", [(6, 1, 4), (6, 3, 3), (6, 5, 2), (2, 3, 7, 4)])
+def test_logdet_matches_singular_values_from_either_side(shape):
+    # tall, square and wide stacks, complex and real, against
+    # sum_k log2(1 + s2 s_k^2) over the singular values
+    grid = [2.0**-1000, 2.0**-20, 1.0, 2.0**40, 2.0**1000]
+    rng = substream(3, "test-logdet")
+    for a in (sample_cn(rng, shape), rng.standard_normal(shape)):
+        sv = np.linalg.svd(a, compute_uv=False)
+        expected = np.stack([np.log2(1.0 + s2 * sv**2).sum(axis=-1) for s2 in grid])
+        assert np.max(np.abs(log2det_grid(a, grid) - expected)) <= 1e-9
 
 
 def test_cn_blocks_are_prefix_stable():
