@@ -47,7 +47,6 @@ from .dofcalc import (
 )
 from .verify import (
     SlopeFit,
-    compare_schemes,
     default_grid,
     eig_growth_suite,
     fit_slope,

@@ -37,6 +37,7 @@ from .dofcalc import (
     pos,
 )
 from .model import (
+    MAX_COUNT,
     MAX_USERS,
     CheckResult,
     DofReport,
@@ -53,7 +54,6 @@ from .verify import (
     RANK_DRAWS,
     default_grid,
     eig_growth_suite,
-    compare_schemes,
     identity_suite,
     rank_oracle_suite,
     verify_slope,
@@ -92,17 +92,19 @@ class Scheme:
 
     ``parse`` builds the config from the ``network`` object, ``validate``
     lists its ``(field, message)`` violations, ``formula`` gives its DoF
-    entries, ``checks`` its verify rows, ``verify_size`` the arrays over
-    ``MAX_VERIFY_ENTRIES`` that refuse a verify, and ``pilots`` writes and
-    audits its pilot matrices.  ``compare`` runs on ``compare_input``'s
-    all-user config and slot budget ``k2``; the ``k2`` sweep axis moves
-    ``k2_field``.
+    entries, ``compare_row`` its phase-2 SDoF and pilot slots on an all-user
+    config and aggregate budget ``k2``, ``checks`` its verify rows,
+    ``verify_size`` the arrays over ``MAX_VERIFY_ENTRIES`` that refuse a
+    verify, and ``pilots`` writes and audits its pilot matrices.  ``compare``
+    runs on ``compare_input``'s all-user config; the ``k2`` sweep axis and a
+    refused compare budget name ``k2_field``.
     """
 
     network_keys: frozenset[str]
     parse: Callable[[dict], NetworkConfig | TwoUserModifiedConfig]
     validate: Callable[..., list[tuple[str, str]]]
     formula: Callable[..., dict[str, Ints]]
+    compare_row: Callable[[NetworkConfig], tuple[int, int]]
     checks: Callable[[Scenario], list[CheckResult]]
     verify_size: Callable[..., list[tuple[str, str]]]
     pilots: Callable[[Scenario, str], int]
@@ -337,6 +339,12 @@ def _all_user_formula(cfg: NetworkConfig) -> dict[str, Ints]:
     return entries
 
 
+def _all_user_compare(cfg: NetworkConfig) -> tuple[int, int]:
+    """Pair (1, 2)'s phase-2 lower bound in its better ordering, after K_1 pilot slots."""
+    s = DofScenario.pair(cfg, 0, 1)
+    return int(max(dof_phase2_lower(s), dof_phase2_lower(s.swapped()))), cfg.k1
+
+
 def _all_user_checks(sc: Scenario) -> list[CheckResult]:
     cfg = sc.network
     s = DofScenario.pair(cfg, 0, 1)
@@ -395,6 +403,13 @@ def _pairwise_formula(cfg: NetworkConfig) -> dict[str, Ints]:
     }
 
 
+def _pairwise_compare(cfg: NetworkConfig) -> tuple[int, int]:
+    """Pair (1, 2)'s bound on an even share of K_2; M(M-1)/2 sessions of max N_i slots."""
+    p0 = cfg.m * (cfg.m - 1) // 2
+    pair = dof_pairwise(cfg.antennas[0], cfg.antennas[1], cfg.n_eve, cfg.k2 // p0)
+    return int(pair.upper), p0 * max(cfg.antennas)
+
+
 def _pairwise_checks(sc: Scenario) -> list[CheckResult]:
     cfg = sc.network
     pair = dof_pairwise(cfg.antennas[0], cfg.antennas[1], cfg.n_eve, cfg.k2)
@@ -440,6 +455,13 @@ def _modified_formula(c: TwoUserModifiedConfig) -> dict[str, Ints]:
     }
 
 
+def _modified_compare(cfg: NetworkConfig) -> tuple[int, int]:
+    """The two users' phase 2 over the same K_2 symbol slots after N_2 pilot slots."""
+    n1, n2 = sorted(cfg.antennas)
+    md = dof_modified_two_user(TwoUserModifiedConfig(n1, n2, n2 + cfg.k2, cfg.n_eve))
+    return int(md.upper), n2
+
+
 def _modified_rank_config(c: TwoUserModifiedConfig) -> NetworkConfig:
     """The two-user network whose pilot factors and ranks verify checks."""
     return NetworkConfig((c.n1, c.n2), c.n_eve, k2=max(c.k_total - c.n2, 1))
@@ -478,20 +500,22 @@ def _modified_verify_size(c: TwoUserModifiedConfig) -> list[tuple[str, str]]:
 _USER_KEYS = frozenset({"m", "antennas", "n_eve", "k1", "k2"})
 
 SCHEMES = {
-    "all_user": Scheme(_USER_KEYS, _parse_all_user, validate_config, _all_user_formula,
-                       _all_user_checks, lambda cfg: _verify_size(cfg, phase1=True),
-                       _all_user_pilots, lambda cfg: cfg, "k2"),
+    "all_user": Scheme(
+        _USER_KEYS, _parse_all_user, validate_config, _all_user_formula, _all_user_compare,
+        _all_user_checks, lambda cfg: _verify_size(cfg, phase1=True), _all_user_pilots,
+        lambda cfg: cfg, "k2"),
     # compare splits an aggregate budget over the M(M-1)/2 sessions
     "pairwise": Scheme(
-        _USER_KEYS, _parse_pairwise, validate_pairwise_config, _pairwise_formula,
+        _USER_KEYS, _parse_pairwise, validate_pairwise_config, _pairwise_formula, _pairwise_compare,
         _pairwise_checks, lambda cfg: _verify_size(cfg, phase1=False), _pairwise_pilots,
         lambda cfg: NetworkConfig(cfg.antennas, cfg.n_eve, k2=cfg.k2 * cfg.m * (cfg.m - 1) // 2),
         "k2"),
     # compare runs the two-user schemes over the same K - N_2 symbol slots
     "modified_two_user": Scheme(
         frozenset({"n1", "n2", "k_total", "n_eve"}), _parse_modified, validate_modified_config,
-        _modified_formula, _modified_checks, _modified_verify_size, _modified_pilots,
-        lambda c: NetworkConfig((c.n1, c.n2), c.n_eve, k2=c.k_total - c.n2), "k_total"),
+        _modified_formula, _modified_compare, _modified_checks, _modified_verify_size,
+        _modified_pilots, lambda c: NetworkConfig((c.n1, c.n2), c.n_eve, k2=c.k_total - c.n2),
+        "k_total"),
 }
 
 
@@ -600,18 +624,29 @@ def cmd_sweep(sc: Scenario, axis: str, span: tuple[int, int], out_path: str) -> 
     return EXIT_OK
 
 
+def compare_schemes(sc: Scenario) -> list[tuple[str, int, int, int, int, int]]:
+    """Rows (scheme, pair (1, 2)'s phase-1, phase-2 and total SDoF, pilot and symbol
+    slots): all-user, then pair-wise for M >= 3 or modified for M = 2.  A K_2 of
+    ``compare_input`` above MAX_COUNT, or not split evenly over the M(M-1)/2
+    sessions, is refused under ``k2_field``."""
+    scheme = SCHEMES[sc.scheme]
+    cfg = scheme.compare_input(sc.network)
+    p0 = cfg.m * (cfg.m - 1) // 2
+    problems = [f"K_2 > {MAX_COUNT}"] if cfg.k2 > MAX_COUNT else []
+    if cfg.m >= 3 and cfg.k2 % p0:
+        problems.append(f"phase-2 budget {cfg.k2} is not divisible by {p0} sessions")
+    _check_keys([(scheme.k2_field, text) for text in problems])
+    phase1 = dof_phase1(cfg.antennas[0], cfg.antennas[1])
+    rows = []
+    for name in ("all_user", "pairwise" if cfg.m >= 3 else "modified_two_user"):
+        phase2, slots = SCHEMES[name].compare_row(cfg)
+        rows.append((name, phase1, phase2, phase1 + max(phase2, 0), slots, cfg.k2))
+    return rows
+
+
 def cmd_compare(sc: Scenario, out_path: str | None) -> int:
-    cfg = SCHEMES[sc.scheme].compare_input(sc.network)
-    try:
-        table = compare_schemes(cfg)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
     lines = ["scheme,phase1_dof,phase2_dof,total_dof,phase1_slots,phase2_slots"]
-    for row in table.rows:
-        lines.append(
-            f"{row.scheme},{row.phase1_dof},{row.phase2_dof},{row.total_dof},"
-            f"{row.phase1_slots},{row.phase2_slots}"
-        )
+    lines += [",".join(map(str, row)) for row in compare_schemes(sc)]
     _write_lines(lines, out_path)
     return EXIT_OK
 

@@ -90,6 +90,9 @@ class SnrGrid:
             raise ValueError("SnrGrid needs at least 3 points")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("SnrGrid points must be strictly increasing")
+        # a narrower span leaves the slope fit's sum of squares at or near 0
+        if pts[-1] - pts[0] < 1:
+            raise ValueError("SnrGrid points must span at least 1 (last - first >= 1)")
         object.__setattr__(self, "points", pts)
 
     def sigma2(self) -> tuple[float, ...]:

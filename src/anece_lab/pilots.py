@@ -169,13 +169,16 @@ def build_square_pilots(cfg2u: TwoUserModifiedConfig, seed: int) -> ModifiedPilo
 
 
 def write_matrix_text(path, m: np.ndarray) -> None:
-    """Write a complex matrix: header "rows cols", then row-major re/im pairs."""
-    a = np.atleast_2d(np.asarray(m, dtype=complex))
-    lines = [f"{a.shape[0]} {a.shape[1]}"]
-    for row in a:
-        lines.append(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row))
+    """Write a complex matrix: header "rows cols", then row-major re/im pairs,
+    formatted 4,096 entries at a time so that no string holds the matrix."""
+    a, step = np.atleast_2d(np.asarray(m, dtype=complex)), 4096
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{a.shape[0]} {a.shape[1]}\n")
+        for row in a:
+            for start in range(0, len(row), step):
+                text = " ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row[start:start + step])
+                fh.write(f" {text}" if start else text)
+            fh.write("\n")
 
 
 def read_matrix_text(path) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Empirical verification: slope fits, pilot-phase factor ranks, rank
-oracles, exact integer identity suites, and scheme comparison.
+oracles and exact integer identity suites.  Scheme comparison lives with
+each scheme's record in ``cli.SCHEMES``.
 
 Checks are pure and independent of evaluation order; suites sort their
 results by name before returning so that aggregation is reproducible no
@@ -22,8 +23,6 @@ from .dofcalc import (
     dof_gap,
     dof_leakage,
     dof_modified_two_user,
-    dof_pairwise,
-    dof_phase1,
     dof_phase2_lower,
     dof_phase2_lower_plus,
     dof_phase2_upper,
@@ -34,7 +33,7 @@ from .dofcalc import (
     modified_lower_12_piecewise,
     pos,
 )
-from .model import CheckResult, NetworkConfig, SnrGrid, TwoUserModifiedConfig, validate_config
+from .model import CheckResult, NetworkConfig, SnrGrid, TwoUserModifiedConfig
 from .numkernel import (
     draw_channels,
     numerical_rank,
@@ -372,68 +371,3 @@ def _piecewise_boundary_violations() -> int:
         c = TwoUserModifiedConfig(n1, n2, k, n_eve)
         bad += _count(modified_lower_12_piecewise(c) != modified)
     return bad
-
-
-# --------------------------------------------------------------------------
-# scheme comparison
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    scheme: str
-    phase1_dof: int
-    phase2_dof: int
-    total_dof: int
-    phase1_slots: int
-    phase2_slots: int
-
-
-@dataclass(frozen=True)
-class ComparisonTable:
-    rows: tuple[ComparisonRow, ...]
-
-    def __post_init__(self):
-        for row in self.rows:
-            if row.total_dof != row.phase1_dof + pos(row.phase2_dof):
-                raise ValueError(f"inconsistent totals in comparison row {row.scheme}")
-
-
-def compare_schemes(cfg: NetworkConfig) -> ComparisonTable:
-    """Side-by-side DoFs and slot counts for the applicable schemes.
-
-    The pair (1, 2) anchors the per-pair values.  All-user phase 1 uses
-    K_1 slots; the pair-wise schedule spends max(N_i) pilot slots per
-    session over M(M-1)/2 sessions and splits the aggregate symbol budget
-    K_2 evenly (non-divisible budgets are rejected rather than rounded).
-    For M = 2 the comparison is against the modified two-user scheme over
-    the same N_2 + K_2 total slots.
-    """
-    problems = validate_config(cfg)
-    if problems:
-        raise ValueError("; ".join(text for _, text in problems))
-    n_i, n_j, k2 = cfg.antennas[0], cfg.antennas[1], cfg.k2
-    rows = []
-
-    s = DofScenario.pair(cfg, 0, 1)
-    phase2 = int(max(dof_phase2_lower(s), dof_phase2_lower(s.swapped())))
-    phase1 = dof_phase1(n_i, n_j)
-    rows.append(ComparisonRow("all_user", phase1, phase2, phase1 + max(phase2, 0), cfg.k1, k2))
-
-    if cfg.m >= 3:
-        p0 = cfg.m * (cfg.m - 1) // 2
-        if k2 % p0 != 0:
-            raise ValueError(f"phase-2 budget {k2} is not divisible by {p0} sessions")
-        upper = int(dof_pairwise(n_i, n_j, cfg.n_eve, k2 // p0).upper)
-        rows.append(
-            ComparisonRow("pairwise", phase1, upper, phase1 + max(upper, 0),
-                          p0 * max(cfg.antennas), k2)
-        )
-    else:
-        n1, n2 = sorted((n_i, n_j))
-        c2u = TwoUserModifiedConfig(n1, n2, n2 + k2, cfg.n_eve)
-        upper = int(dof_modified_two_user(c2u).upper)
-        rows.append(
-            ComparisonRow("modified_two_user", phase1, upper, phase1 + max(upper, 0), n2, k2)
-        )
-    return ComparisonTable(tuple(rows))

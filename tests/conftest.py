@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+
+from anece_lab import cli
+from anece_lab.verify import default_grid
 
 
 @pytest.fixture
@@ -23,9 +28,32 @@ def write_scenario(tmp_path):
 
 
 def run_cli(*args):
-    """Run the CLI in a subprocess; returns the completed process."""
-    return subprocess.run(
-        [sys.executable, "-m", "anece_lab.cli", *args],
-        capture_output=True,
-        text=True,
-    )
+    """Run ``cli.main`` in this process with stdout and stderr captured.
+
+    Returns a completed process like ``subprocess.run`` would, with a usage
+    error's ``SystemExit`` mapped to its code.  Monkeypatches reach this
+    call, and the parser and identity-row caches persist between calls.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_module(*args):
+    """Run ``python -m anece_lab.cli`` in a subprocess; returns the completed process."""
+    return subprocess.run([sys.executable, "-m", "anece_lab.cli", *args],
+                          capture_output=True, text=True)
+
+
+COMPARE_FIELDS = ("scheme", "phase1_dof", "phase2_dof", "total_dof", "phase1_slots",
+                  "phase2_slots")
+
+
+def compare_rows(cfg, scheme="all_user"):
+    """``cli.compare_schemes`` on ``cfg``, each row a dict keyed by its CSV column."""
+    sc = cli.Scenario(scheme, cfg, default_grid(), 100, 0)
+    return {row[0]: dict(zip(COMPARE_FIELDS, row)) for row in cli.compare_schemes(sc)}

@@ -6,7 +6,7 @@ lines as they are produced.
 
 import time
 
-from conftest import run_cli
+from conftest import compare_rows, run_cli
 
 from anece_lab import cli
 from anece_lab.capacity import (
@@ -20,7 +20,6 @@ from anece_lab.model import NetworkConfig, TwoUserModifiedConfig
 from anece_lab.numkernel import numerical_rank
 from anece_lab.pilots import build_pilots
 from anece_lab.verify import (
-    compare_schemes,
     default_grid,
     fit_slope,
     identity_suite,
@@ -132,13 +131,12 @@ def test_criterion_07_identity_suite():
 
 
 def test_criterion_08_scheme_comparison_numbers():
-    table = compare_schemes(NetworkConfig((2, 2, 2), 7, k2=3))
-    rows = {r.scheme: r for r in table.rows}
+    rows = compare_rows(NetworkConfig((2, 2, 2), 7, k2=3))
     ok = (
-        rows["all_user"].phase2_dof == 2
-        and rows["pairwise"].phase2_dof == 0
-        and rows["all_user"].phase1_slots == 4
-        and rows["pairwise"].phase1_slots == 6
+        rows["all_user"]["phase2_dof"] == 2
+        and rows["pairwise"]["phase2_dof"] == 0
+        and rows["all_user"]["phase1_slots"] == 4
+        and rows["pairwise"]["phase1_slots"] == 6
     )
     report(8, "M=3 N=2 N_E=7 K_2=3: all-user phase-2 2 vs pair-wise 0, slots 4 vs 6", ok)
 

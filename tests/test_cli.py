@@ -5,7 +5,7 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
-from conftest import run_cli
+from conftest import run_cli, run_module
 
 from anece_lab import capacity, cli, numkernel, pilots, verify
 from anece_lab.model import MAX_USERS, NetworkConfig, SnrGrid, TwoUserModifiedConfig
@@ -106,7 +106,8 @@ def test_outputs_are_pinned(tmp_path, write_scenario, scheme, network, formula, 
      "network.n1: N_1 < 1; network.k_total: K < N_2 (need >= 3); network.n_eve: N_E < 0"),
     ("all_user", {"antennas": [2, 2], "n_eve": 10**20, "k2": 2**28 + 1},
      "network.n_eve: N_E > 268435456; network.k2: K_2 > 268435456"),
-], ids=["bogus", "all_user", "pairwise", "modified_two_user", "count_cap"])
+    ("all_user", {"antennas": [2], "n_eve": 0, "k1": 1, "k2": 1}, "network.antennas: M < 2"),
+], ids=["bogus", "all_user", "pairwise", "modified_two_user", "count_cap", "one_user"])
 def test_invalid_scenario_names_every_violation(write_scenario, scheme, network, message):
     proc = run_cli("formula", "--scenario", write_scenario(scheme, network, **FAST_MC))
     assert proc.returncode == 2
@@ -139,6 +140,17 @@ def test_malformed_grid_is_rejected(write_scenario, grid):
     proc = run_cli("verify", "--scenario", path)
     assert proc.returncode == 2
     assert "snr_grid" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("grid", [[0, 1e-200, 2e-200], [0, 1e-300, 2e-300]])
+def test_grid_narrower_than_one_is_refused_at_parse(write_scenario, grid):
+    # the slope fit's sum of squares of such a grid underflows to 0
+    path = write_scenario("all_user", {"antennas": [2, 2], "n_eve": 1, "k2": 1},
+                          snr_grid=grid, mc_samples=100, seed=7)
+    proc = run_cli("verify", "--scenario", path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: snr_grid: ")
     assert "Traceback" not in proc.stderr
 
 
@@ -554,7 +566,7 @@ def test_usage_error_is_the_same_on_every_call(write_scenario, monkeypatch, caps
             cli.main(argv)
         assert exc.value.code == 2
         errors.append(capsys.readouterr().err)
-    proc = run_cli(*argv)
+    proc = run_module(*argv)
     assert proc.returncode == 2
     assert errors == [proc.stderr] * 2
     assert "invalid choice: 'bogus'" in proc.stderr
@@ -574,7 +586,7 @@ def test_verify_evaluates_the_identity_suite_once(tmp_path, write_scenario, monk
         path = write_scenario(*scenario, **FAST_MC)
         out, ref = tmp_path / f"{tag}.csv", tmp_path / f"{tag}-ref.csv"
         assert cli.main(["verify", "--scenario", path, "--out", str(out)]) == 0
-        assert run_cli("verify", "--scenario", path, "--out", str(ref)).returncode == 0
+        assert run_module("verify", "--scenario", path, "--out", str(ref)).returncode == 0
         assert out.read_bytes() == ref.read_bytes()
     assert len(calls) == 1
 
@@ -751,6 +763,31 @@ def test_compare_command_equal_antennas_tie(write_scenario):
     proc = run_cli("compare", "--scenario", path)
     rows = {line.split(",")[0]: line.split(",") for line in proc.stdout.strip().splitlines()[1:]}
     assert rows["all_user"][3] == rows["modified_two_user"][3]
+
+
+@pytest.mark.parametrize("scheme, network, message", [
+    ("all_user", {"antennas": [2, 2, 2], "n_eve": 4, "k2": 4},
+     "phase-2 budget 4 is not divisible by 3 sessions"),
+    ("pairwise", {"antennas": [2, 2, 2], "n_eve": 4, "k2": 2**28}, "K_2 > 268435456"),
+], ids=["uneven_budget", "budget_cap"])
+def test_compare_refusal_names_its_key(write_scenario, scheme, network, message):
+    # the pair-wise budget is K_2 per session times the 3 sessions
+    proc = run_cli("compare", "--scenario", write_scenario(scheme, network, **FAST_MC))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: network.k2: {message}\n"
+
+
+def test_module_entry_point_exits_with_the_command_code(write_scenario):
+    ok = write_scenario("pairwise", {"antennas": [2, 2, 2], "n_eve": 4, "k2": 1}, **FAST_MC)
+    proc = run_module("compare", "--scenario", ok)
+    assert proc.returncode == 0
+    assert proc.stdout == run_cli("compare", "--scenario", ok).stdout
+    refused = write_scenario("all_user", {"antennas": [2, 2, 2], "n_eve": 4, "k2": 4}, **FAST_MC)
+    proc = run_module("compare", "--scenario", refused)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: network.k2: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_seed_override_changes_mc_rows(tmp_path, write_scenario):

@@ -96,6 +96,13 @@ def test_snr_grid_validation():
     assert SnrGrid((-1000.0, 0.0, 1000.0)).sigma2()[2] == 2.0**1000
 
 
+def test_snr_grid_spans_at_least_one():
+    assert SnrGrid((0.0, 0.5, 1.0)).points == (0.0, 0.5, 1.0)
+    for narrow in ((0.0, 0.5, 0.999), (0.0, 1e-200, 2e-200), (0.0, 1e-300, 2e-300)):
+        with pytest.raises(ValueError, match="span at least 1"):
+            SnrGrid(narrow)
+
+
 def test_snr_grid_powers():
     assert SnrGrid((0.0, 1.0, 3.0)).sigma2() == (1.0, 2.0, 8.0)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,26 @@ def test_matrix_file_round_trip(tmp_path):
     assert np.array_equal(back, mat)  # 17 significant digits round-trip exactly
     header = path.read_text().splitlines()[0]
     assert header == "4 3"
+
+
+def reference_matrix_text(mat):
+    rows = [" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row) for row in mat]
+    return "\n".join([f"{mat.shape[0]} {mat.shape[1]}", *rows]) + "\n"
+
+
+def test_matrix_file_is_written_without_a_whole_matrix_string(tmp_path):
+    # 16 whole chunks of 4,096 entries per row and a partial one
+    mat = sample_cn(substream(6, "test-io"), (2, 2**16 + 5))
+    path = tmp_path / "m.txt"
+    tracemalloc.start()
+    try:
+        write_matrix_text(path, mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = path.read_text(encoding="utf-8")
+    assert text == reference_matrix_text(mat)
+    assert peak < len(text) / 4
 
 
 def test_matrix_file_rejects_truncated(tmp_path):

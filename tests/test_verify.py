@@ -4,14 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import compare_rows
 
-from anece_lab import capacity, verify
+from anece_lab import capacity, cli, verify
 from anece_lab.capacity import CapacityCurve, cij_curve, phase1_curve
 from anece_lab.model import CheckResult, NetworkConfig, SnrGrid
 from anece_lab.pilots import PilotSet, build_pilots
 from anece_lab.verify import (
     IDENTITY_MANIFEST,
-    compare_schemes,
     default_grid,
     eig_growth_suite,
     fit_slope,
@@ -286,40 +286,35 @@ def test_identity_suite_evaluates_each_grid_at_once(monkeypatch):
 
 def test_compare_schemes_three_users():
     # all-user phase-2 survives where the pair-wise scheme is wiped out
-    table = compare_schemes(NetworkConfig((2, 2, 2), 7, k2=3))
-    rows = {r.scheme: r for r in table.rows}
-    assert rows["all_user"].phase2_dof == 2
-    assert rows["pairwise"].phase2_dof == 0
-    assert rows["all_user"].phase1_slots == 4
-    assert rows["pairwise"].phase1_slots == 6
-    assert rows["all_user"].phase1_dof == rows["pairwise"].phase1_dof == 4
-    assert rows["pairwise"].total_dof == 4
+    rows = compare_rows(NetworkConfig((2, 2, 2), 7, k2=3))
+    assert list(rows) == ["all_user", "pairwise"]
+    assert rows["all_user"]["phase2_dof"] == 2
+    assert rows["pairwise"]["phase2_dof"] == 0
+    assert rows["all_user"]["phase1_slots"] == 4
+    assert rows["pairwise"]["phase1_slots"] == 6
+    assert rows["all_user"]["phase1_dof"] == rows["pairwise"]["phase1_dof"] == 4
+    assert rows["pairwise"]["total_dof"] == 4
 
 
 def test_compare_schemes_two_users_modified_wins():
-    table = compare_schemes(NetworkConfig((2, 3), 6, k2=4))
-    rows = {r.scheme: r for r in table.rows}
-    assert rows["all_user"].total_dof == 14  # 6 + 8
-    assert rows["modified_two_user"].total_dof == 16  # 6 + 10
-    assert rows["modified_two_user"].total_dof - rows["all_user"].total_dof == 2  # N_1 * dN
-    assert rows["all_user"].phase1_slots == rows["modified_two_user"].phase1_slots == 3
+    rows = compare_rows(NetworkConfig((2, 3), 6, k2=4))
+    assert list(rows) == ["all_user", "modified_two_user"]
+    assert rows["all_user"]["total_dof"] == 14  # 6 + 8
+    assert rows["modified_two_user"]["total_dof"] == 16  # 6 + 10
+    assert rows["modified_two_user"]["total_dof"] - rows["all_user"]["total_dof"] == 2  # N_1 dN
+    assert rows["all_user"]["phase1_slots"] == rows["modified_two_user"]["phase1_slots"] == 3
 
 
 def test_compare_schemes_equal_antennas_tie():
-    table = compare_schemes(NetworkConfig((2, 2), 5, k2=3))
-    rows = {r.scheme: r for r in table.rows}
-    assert rows["all_user"].phase2_dof == rows["modified_two_user"].phase2_dof
-    assert rows["all_user"].total_dof == rows["modified_two_user"].total_dof
+    rows = compare_rows(NetworkConfig((2, 2), 5, k2=3))
+    assert rows["all_user"]["phase2_dof"] == rows["modified_two_user"]["phase2_dof"]
+    assert rows["all_user"]["total_dof"] == rows["modified_two_user"]["total_dof"]
 
 
 def test_compare_schemes_rejects_uneven_budget():
-    with pytest.raises(ValueError):
-        compare_schemes(NetworkConfig((2, 2, 2), 4, k2=4))  # 3 sessions, budget 4
-
-
-def test_compare_schemes_rejects_invalid_config():
-    with pytest.raises(ValueError):
-        compare_schemes(NetworkConfig((2,), 0, k1=1, k2=1))
+    with pytest.raises(cli.ScenarioError, match="^network.k2: phase-2 budget 4 is not divisible "
+                                                "by 3 sessions$"):
+        compare_rows(NetworkConfig((2, 2, 2), 4, k2=4))  # 3 sessions, budget 4
 
 
 def test_check_result_boundary_semantics():
