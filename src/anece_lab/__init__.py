@@ -12,7 +12,6 @@ from .model import (
 )
 from .pilots import (
     ModifiedPilotPair,
-    PairwisePilotMatrix,
     PilotSet,
     build_pairwise_matrix,
     build_pilots,

@@ -130,18 +130,16 @@ def _curve(grid: SnrGrid, n_samples: int, values, stderr) -> CapacityCurve:
     return CapacityCurve(grid, tuple(values.tolist()), n_samples, tuple(stderr.tolist()))
 
 
-def phase1_curve(cfg: NetworkConfig, ps, i: int, j: int, grid: SnrGrid) -> CapacityCurve:
+def phase1_curve(ps, i: int, j: int, grid: SnrGrid) -> CapacityCurve:
     """Exact pilot-phase SKC between users i and j, in bits, over the grid.
 
     Evaluates log2|R_i| + log2|R_j| - log2|R_joint| for the Gaussian
     reception model; the single-user determinants reduce to N_i times the
     determinant of the K_1 x K_1 pilot Gram, factored as P_(i)^T.
     """
-    if ps.antennas != tuple(cfg.antennas):
-        raise ValueError("pilot set does not match config")
     sigma2 = grid.sigma2()
     joint = log2det_grid(next(phase1_joint_factors(ps, [(i, j)])), sigma2)
-    values = sum(cfg.antennas[u] * log2det_grid(ps.without(u).T, sigma2) for u in (i, j)) - joint
+    values = sum(ps.antennas[u] * log2det_grid(ps.without(u).T, sigma2) for u in (i, j)) - joint
     return _curve(grid, 0, values, np.zeros(len(values)))
 
 

@@ -42,18 +42,6 @@ class PilotSet:
 
 
 @dataclass(frozen=True)
-class PairwisePilotMatrix:
-    """Stacked pilot matrix of all pair-wise sessions in one period.
-
-    Session p carries the pilots of its two participants in their row
-    blocks and zeros elsewhere; ``session_index[p]`` gives the pair.
-    """
-
-    matrix: np.ndarray  # (..., N_T, P_0 * k1)
-    session_index: dict[int, tuple[int, int]]
-
-
-@dataclass(frozen=True)
 class ModifiedPilotPair:
     """Square nonsingular pilots of the modified two-user scheme."""
 
@@ -61,27 +49,23 @@ class ModifiedPilotPair:
     p2: np.ndarray  # N_2 x N_2
 
 
-def validate_pilots(ps: PilotSet, cfg: NetworkConfig) -> list[str]:
+def validate_pilots(ps: PilotSet) -> list[str]:
     """Check the three pilot rank conditions; [] when all hold.
 
     Requires rank(P_i) = N_i for every block, rank of the stack without
     block i equal to N_T - N_i, and rank of the full stack equal to
-    N_T - N_min.
+    N_T - N_min, which also requires K_1 >= N_T - N_min.
     """
-    if ps.antennas != tuple(cfg.antennas) or ps.k1 != cfg.k1:
-        raise ValueError(
-            f"pilot shapes {ps.antennas} x {ps.k1} do not match config "
-            f"{tuple(cfg.antennas)} x {cfg.k1}"
-        )
+    antennas = ps.antennas
+    n_total = sum(antennas)
     violations = []
     for i, block in enumerate(ps.blocks):
-        if numerical_rank(block) != cfg.antennas[i]:
+        if numerical_rank(block) != antennas[i]:
             violations.append(f"rank(P_{i + 1}) < N_{i + 1}")
-    for i in range(cfg.m):
-        want = cfg.n_total - cfg.antennas[i]
-        if numerical_rank(ps.without(i)) != want:
-            violations.append(f"rank of stack without user {i + 1} != {want}")
-    want = cfg.n_total - cfg.n_min
+    for i, n in enumerate(antennas):
+        if numerical_rank(ps.without(i)) != n_total - n:
+            violations.append(f"rank of stack without user {i + 1} != {n_total - n}")
+    want = n_total - min(antennas)
     if numerical_rank(ps.stacked) != want:
         violations.append(f"rank(P) != N_T-N_min ({want})")
     return violations
@@ -98,58 +82,51 @@ def build_pilots(cfg: NetworkConfig, seed: int) -> PilotSet:
     rank_target = cfg.n_total - cfg.n_min
     if cfg.k1 < rank_target:
         raise ValueError(f"K_1 < N_T-N_min (need >= {rank_target})")
+    offsets = np.cumsum((0,) + tuple(cfg.antennas))
     for attempt in range(_MAX_BUILD_ATTEMPTS):
         rng = substream(seed, "pilots", attempt)
         core = sample_cn(rng, (cfg.n_total, rank_target))
-        if cfg.k1 > rank_target:
-            extra = core @ sample_cn(rng, (rank_target, cfg.k1 - rank_target))
-            stacked = np.hstack([core, extra])
-        else:
-            stacked = core
-        offsets = np.cumsum((0,) + tuple(cfg.antennas))
-        blocks = tuple(stacked[offsets[i]:offsets[i + 1]] for i in range(cfg.m))
-        ps = PilotSet(blocks)
-        if not validate_pilots(ps, cfg):
+        stacked = np.hstack([core, core @ sample_cn(rng, (rank_target, cfg.k1 - rank_target))])
+        ps = PilotSet(tuple(stacked[offsets[i]:offsets[i + 1]] for i in range(cfg.m)))
+        if not validate_pilots(ps):
             return ps
     raise RuntimeError(f"pilot construction failed rank audit after {_MAX_BUILD_ATTEMPTS} attempts")
 
 
-def build_pairwise_matrix(cfg: NetworkConfig, per_session_blocks) -> PairwisePilotMatrix:
-    """Assemble the stacked pilot of all M(M-1)/2 pair-wise sessions.
+def build_pairwise_matrix(blocks) -> np.ndarray:
+    """The (..., N_T, P_0 * K_1) stacked pilot of all P_0 = M(M-1)/2 pair-wise sessions.
 
-    Sessions are ordered lexicographically over user pairs (i, j), i < j.
-    With M >= 3 and full-row-rank per-user blocks the result has full row
-    rank N_T, which is what lets Eve resolve her whole channel under the
-    pair-wise schedule.  Rejects M = 2, where the schedule cannot reach
+    ``blocks`` holds one N_i x K_1 pilot per user.  Session p takes columns
+    p * K_1 up to (p + 1) * K_1, where its two participants' blocks fill their
+    row blocks and zeros the rest; the pairs (i, j), i < j, come in
+    lexicographic order.  With M >= 3 and full-row-rank blocks the result has
+    full row rank N_T, which is what lets Eve resolve her whole channel under
+    the pair-wise schedule.  Rejects M = 2, where the schedule cannot reach
     full row rank.  Blocks may share leading batch axes; the matrices are
     then stacked along them, and a block or matrix of any draw that fails
     its rank audit rejects the batch.
     """
-    if cfg.m < 3:
+    blocks = [np.asarray(b) for b in blocks]
+    if len(blocks) < 3:
         raise ValueError("pair-wise pilot schedule needs M >= 3")
-    blocks = [np.asarray(b) for b in per_session_blocks]
-    if len(blocks) != cfg.m:
-        raise ValueError("need one pilot block per user")
     batch, k1 = blocks[0].shape[:-2], blocks[0].shape[-1]
+    antennas = [b.shape[-2] for b in blocks]
     for i, b in enumerate(blocks):
-        if b.shape != batch + (cfg.antennas[i], k1):
-            raise ValueError(f"block {i + 1} must be {cfg.antennas[i]} x {k1}")
-        if np.any(numerical_rank(b) != cfg.antennas[i]):
-            raise ValueError(f"block {i + 1} must have full row rank {cfg.antennas[i]}")
-    if k1 < max(cfg.antennas):
-        raise ValueError("per-session pilot length must be >= max antenna count")
+        if b.shape != batch + (antennas[i], k1):
+            raise ValueError(f"block {i + 1} must have batch shape {batch} and K_1 = {k1}")
+        if np.any(numerical_rank(b) != antennas[i]):
+            raise ValueError(f"block {i + 1} must have full row rank {antennas[i]}")
 
-    pairs = [(i, j) for i in range(cfg.m) for j in range(i + 1, cfg.m)]
-    offsets = np.cumsum((0,) + tuple(cfg.antennas))
-    matrix = np.zeros(batch + (cfg.n_total, len(pairs) * k1), dtype=complex)
+    pairs = [(i, j) for i in range(len(blocks)) for j in range(i + 1, len(blocks))]
+    offsets = np.cumsum([0] + antennas)
+    matrix = np.zeros(batch + (offsets[-1], len(pairs) * k1), dtype=complex)
     for p, (i, j) in enumerate(pairs):
         col = p * k1
         matrix[..., offsets[i]:offsets[i + 1], col:col + k1] = blocks[i]
         matrix[..., offsets[j]:offsets[j + 1], col:col + k1] = blocks[j]
-    out = PairwisePilotMatrix(matrix, dict(enumerate(pairs)))
-    if np.any(numerical_rank(matrix) != cfg.n_total):
+    if np.any(numerical_rank(matrix) != offsets[-1]):
         raise RuntimeError("pair-wise pilot matrix failed the full-row-rank audit")
-    return out
+    return matrix
 
 
 def build_square_pilots(cfg2u: TwoUserModifiedConfig, seed: int) -> ModifiedPilotPair:
@@ -171,25 +148,13 @@ def build_square_pilots(cfg2u: TwoUserModifiedConfig, seed: int) -> ModifiedPilo
 def write_matrix_text(path, m: np.ndarray) -> None:
     """Write a complex matrix: header "rows cols", then row-major re/im pairs,
     formatted 4,096 entries at a time so that no string holds the matrix."""
-    a, step = np.atleast_2d(np.asarray(m, dtype=complex)), 4096
+    a = np.ascontiguousarray(np.atleast_2d(np.asarray(m, dtype=complex)))
+    step = 2 * 4096  # re/im floats per chunk
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"{a.shape[0]} {a.shape[1]}\n")
-        for row in a:
+        for row in a.view(float):
             for start in range(0, len(row), step):
-                text = " ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row[start:start + step])
+                chunk = row[start:start + step].tolist()
+                text = " ".join(["%.17g"] * len(chunk)) % tuple(chunk)
                 fh.write(f" {text}" if start else text)
             fh.write("\n")
-
-
-def read_matrix_text(path) -> np.ndarray:
-    """Read a matrix written by :func:`write_matrix_text`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2:
-        raise ValueError(f"{path}: missing matrix header")
-    rows, cols = int(tokens[0]), int(tokens[1])
-    values = [float(t) for t in tokens[2:]]
-    if len(values) != 2 * rows * cols:
-        raise ValueError(f"{path}: expected {2 * rows * cols} numbers, got {len(values)}")
-    flat = np.array(values[0::2]) + 1j * np.array(values[1::2])
-    return flat.reshape(rows, cols)

@@ -133,7 +133,7 @@ def rank_oracle_suite(cfg: NetworkConfig, seed: int) -> list[CheckResult]:
         rng = substream(seed, "rank-pairwise")
         blocks = [sample_cn(rng, (RANK_DRAWS, n, max(antennas))) for n in antennas]
         try:
-            build_pairwise_matrix(cfg, blocks)
+            build_pairwise_matrix(blocks)
             passes["rank:pairwise-pilot"] = RANK_DRAWS
         except (ValueError, RuntimeError):  # some draw failed the builder's rank audit
             passes["rank:pairwise-pilot"] = 0
@@ -148,7 +148,7 @@ def rank_oracle_suite(cfg: NetworkConfig, seed: int) -> list[CheckResult]:
 # --------------------------------------------------------------------------
 
 
-def eig_growth_suite(cfg: NetworkConfig, ps) -> list[CheckResult]:
+def eig_growth_suite(ps) -> list[CheckResult]:
     """Count the power-scaled eigenvalues of the pilot-phase covariances.
 
     sigma^2 A A^H + I grows along rank(A) directions, so each count is the
@@ -156,15 +156,16 @@ def eig_growth_suite(cfg: NetworkConfig, ps) -> list[CheckResult]:
     N_i*(N_T-N_i), and the rank of a pair's ``phase1_joint_factors``, which
     must be N_i(N_T-N_i) + N_j(N_T-N_j) - N_i*N_j, less the shared entries.
     """
-    n_t = cfg.n_total
+    antennas = ps.antennas
+    n_t = sum(antennas)
     results = []
-    for i in range(cfg.m):
-        count = cfg.antennas[i] * numerical_rank(ps.without(i))
-        target = cfg.antennas[i] * (n_t - cfg.antennas[i])
-        results.append(CheckResult(f"eig:single[user {i + 1}]", float(count), float(target), 0.0))
-    pairs = list(itertools.combinations(range(cfg.m), 2))
+    for i, n_i in enumerate(antennas):
+        count = n_i * numerical_rank(ps.without(i))
+        results.append(CheckResult(f"eig:single[user {i + 1}]", float(count),
+                                   float(n_i * (n_t - n_i)), 0.0))
+    pairs = list(itertools.combinations(range(len(antennas)), 2))
     for (i, j), factor in zip(pairs, phase1_joint_factors(ps, pairs)):
-        n_i, n_j = cfg.antennas[i], cfg.antennas[j]
+        n_i, n_j = antennas[i], antennas[j]
         target = n_i * (n_t - n_i) + n_j * (n_t - n_j) - n_i * n_j
         results.append(CheckResult(f"eig:joint[{i + 1}-{j + 1}]",
                                    float(numerical_rank(factor)), float(target), 0.0))

@@ -46,7 +46,7 @@ def test_criterion_01_phase1_slopes():
         start = time.perf_counter()
         cfg = NetworkConfig(antennas, 0, k2=1)
         ps = build_pilots(cfg, 3)
-        slope = fit_slope(phase1_curve(cfg, ps, 0, 1, default_grid())).slope
+        slope = fit_slope(phase1_curve(ps, 0, 1, default_grid())).slope
         elapsed = time.perf_counter() - start
         good = abs(slope - target) <= 0.15 and elapsed < 5.0
         ok = ok and good

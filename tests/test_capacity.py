@@ -19,7 +19,6 @@ from anece_lab.pilots import PilotSet, build_pilots
 from anece_lab.verify import default_grid, eig_growth_suite, fit_slope, rank_oracle_suite
 
 SCALAR_PILOTS = PilotSet((np.array([[1.0 + 0j]]), np.array([[1.0 + 0j]])))
-SCALAR_CFG = NetworkConfig((1, 1), 1, k1=1, k2=1)
 
 # sigma^2 = 1 is the first point; sigma^2 = 4, the quadrature tests' point, is the last
 UNIT_GRID = SnrGrid((0.0, 1.0, 2.0))
@@ -47,21 +46,21 @@ def phase1_cov_joint(ps, i, j, sigma2):
 
 def test_phase1_hand_value():
     # single-user dets are 2, joint covariance [[2, 1], [1, 2]] has det 3
-    value = phase1_curve(SCALAR_CFG, SCALAR_PILOTS, 0, 1, UNIT_GRID).values[0]
+    value = phase1_curve(SCALAR_PILOTS, 0, 1, UNIT_GRID).values[0]
     assert abs(value - (2.0 - math.log2(3.0))) <= 1e-12
 
 
 def test_phase1_zero_power_is_zero():
-    assert abs(phase1_curve(SCALAR_CFG, SCALAR_PILOTS, 0, 1, ZERO_GRID).values[0]) <= 1e-290
+    assert abs(phase1_curve(SCALAR_PILOTS, 0, 1, ZERO_GRID).values[0]) <= 1e-290
     cfg = NetworkConfig((2, 3), 0, k2=1)
     ps = build_pilots(cfg, 3)
-    assert abs(phase1_curve(cfg, ps, 0, 1, ZERO_GRID).values[0]) <= 1e-290
+    assert abs(phase1_curve(ps, 0, 1, ZERO_GRID).values[0]) <= 1e-290
 
 
 def test_phase1_hand_curve_formula():
     # with scalar unit pilots the value is 2*log2(s2+1) - log2(2*s2+1)
     grid = default_grid()
-    curve = phase1_curve(SCALAR_CFG, SCALAR_PILOTS, 0, 1, grid)
+    curve = phase1_curve(SCALAR_PILOTS, 0, 1, grid)
     for s2, got in zip(grid.sigma2(), curve.values):
         expected = 2.0 * math.log2(s2 + 1.0) - math.log2(2.0 * s2 + 1.0)
         assert abs(got - expected) <= 1e-9
@@ -71,7 +70,7 @@ def test_phase1_symmetry_in_the_pair():
     cfg = NetworkConfig((2, 3, 1), 0, k2=1)
     ps = build_pilots(cfg, 5)
     grid = SnrGrid((0.0, 10.0, 20.0))
-    pairs = zip(phase1_curve(cfg, ps, 0, 1, grid).values, phase1_curve(cfg, ps, 1, 0, grid).values)
+    pairs = zip(phase1_curve(ps, 0, 1, grid).values, phase1_curve(ps, 1, 0, grid).values)
     for a, b in pairs:
         assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
@@ -79,14 +78,14 @@ def test_phase1_symmetry_in_the_pair():
 def test_phase1_nonnegative_and_nondecreasing():
     cfg = NetworkConfig((2, 2, 2), 0, k2=1)
     ps = build_pilots(cfg, 2)
-    values = phase1_curve(cfg, ps, 0, 1, default_grid()).values
+    values = phase1_curve(ps, 0, 1, default_grid()).values
     assert all(v >= 0.0 for v in values)
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 def test_phase1_rejects_same_user():
     with pytest.raises(ValueError):
-        phase1_curve(SCALAR_CFG, SCALAR_PILOTS, 0, 0, UNIT_GRID)
+        phase1_curve(SCALAR_PILOTS, 0, 0, UNIT_GRID)
 
 
 def test_cij_zero_power_is_zero():
@@ -153,7 +152,7 @@ def test_phase1_slope_insensitive_to_longer_pilots():
     # any pilot length above the minimum leaves the slope at N_i*N_j
     cfg = NetworkConfig((2, 3), 0, k1=6, k2=1)
     ps = build_pilots(cfg, 2)
-    slope = fit_slope(phase1_curve(cfg, ps, 0, 1, default_grid())).slope
+    slope = fit_slope(phase1_curve(ps, 0, 1, default_grid())).slope
     assert abs(slope - 6.0) <= 0.15
 
 
@@ -166,7 +165,7 @@ def test_slopes_for_a_non_adjacent_user_pair():
     slope = fit_slope(cij_curve(cfg, 0, 2, default_grid(), 800, 3)).slope
     assert abs(slope - target) <= 0.15
     ps = build_pilots(cfg, 1)
-    p1 = fit_slope(phase1_curve(cfg, ps, 0, 2, default_grid())).slope
+    p1 = fit_slope(phase1_curve(ps, 0, 2, default_grid())).slope
     assert abs(p1 - 3.0) <= 0.15
 
 
@@ -294,7 +293,7 @@ def test_curve_does_not_depend_on_the_block_size(monkeypatch, block):
 
 @pytest.mark.parametrize("curve, generators", [
     pytest.param(lambda cfg, ps: cij_curve(cfg, 0, 1, default_grid(), 2000, 7), 1, id="cij"),
-    pytest.param(lambda cfg, ps: phase1_curve(cfg, ps, 0, 1, default_grid()), 0, id="phase1"),
+    pytest.param(lambda cfg, ps: phase1_curve(ps, 0, 1, default_grid()), 0, id="phase1"),
     pytest.param(lambda cfg, ps: rank_oracle_suite(cfg, 7), 2, id="rank-oracle"),
 ])
 def test_cij_curve_draws_once_and_batches_linalg(monkeypatch, curve, generators):
@@ -374,7 +373,7 @@ def test_phase1_factors_have_full_rank_on_their_short_side(antennas):
     for u in range(cfg.m):
         rows, cols = ps.without(u).T.shape
         assert rows >= cols == numerical_rank(ps.without(u)) == cfg.n_total - antennas[u]
-    targets = {r.name: r.target for r in eig_growth_suite(cfg, ps)}
+    targets = {r.name: r.target for r in eig_growth_suite(ps)}
     pairs = list(itertools.combinations(range(cfg.m), 2))
     for (i, j), jac in zip(pairs, phase1_joint_factors(ps, pairs), strict=True):
         assert jac.shape[0] >= jac.shape[1] == targets[f"eig:joint[{i + 1}-{j + 1}]"]

@@ -4,6 +4,7 @@ import json
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from conftest import run_cli, run_module
 
@@ -53,7 +54,8 @@ def test_formula_pairwise_blocked_by_large_eve(write_scenario):
 
 
 # one scenario per scheme: exact `formula` stdout (key order included),
-# exact `compare` stdout and the header of an n_eve `sweep` CSV
+# exact `compare` stdout, the header of an n_eve `sweep` CSV and exact
+# `pilots` stdout for --out {stem}.txt
 PINNED = [
     ("all_user", {"antennas": [2, 3], "n_eve": 2, "k2": 3},
      '{"dof_phase1": 6, "dof_cij": 12, "dof_leakage": 1, "dof_phase2_lower": 11, '
@@ -61,25 +63,28 @@ PINNED = [
      '"dof_two_user_original": 11}\n',
      "all_user,6,11,17,3,3\nmodified_two_user,6,13,19,3,3\n",
      "dof_phase1,dof_cij,dof_leakage,dof_phase2_lower,dof_phase2_lower_plus,dof_phase2_upper,"
-     "dof_gap,dof_total,dof_two_user_original"),
+     "dof_gap,dof_total,dof_two_user_original",
+     "wrote {stem}.txt: rank(P)=3 OK\n  rank(P_1)=2 OK\n  rank(P_2)=3 OK\n"),
     ("pairwise", {"antennas": [2, 2, 2], "n_eve": 4, "k2": 1},
      '{"dof_phase1": 4, "dof_phase2_lower": 0, "dof_phase2_upper": 0, "dof_gap": 0, '
      '"dof_total": 4}\n',
      "all_user,4,4,8,4,3\npairwise,4,0,4,6,3\n",
-     "dof_phase1,dof_phase2_lower,dof_phase2_upper,dof_gap,dof_total"),
+     "dof_phase1,dof_phase2_lower,dof_phase2_upper,dof_gap,dof_total",
+     "wrote {stem}.txt: rank(P_pair)=6 OK\n"),
     ("modified_two_user", {"n1": 2, "n2": 3, "k_total": 7, "n_eve": 6},
      '{"dof_phase1": 6, "dof_phase2": 10, "dof_phase2_lower_12": 10, "dof_phase2_lower_21": 8, '
      '"dof_total": 16, "dof_original_phase2": 8, "dof_gain_over_original": 2}\n',
      "all_user,6,8,14,3,4\nmodified_two_user,6,10,16,3,4\n",
      "dof_phase1,dof_phase2,dof_phase2_lower_12,dof_phase2_lower_21,dof_total,"
-     "dof_original_phase2,dof_gain_over_original"),
+     "dof_original_phase2,dof_gain_over_original",
+     "wrote {stem}_p1.txt: rank(P1)=2 OK\nwrote {stem}_p2.txt: rank(P2)=3 OK\n"),
 ]
 
 
-@pytest.mark.parametrize("scheme, network, formula, compare, sweep_keys", PINNED,
+@pytest.mark.parametrize("scheme, network, formula, compare, sweep_keys, pilots", PINNED,
                          ids=[case[0] for case in PINNED])
 def test_outputs_are_pinned(tmp_path, write_scenario, scheme, network, formula, compare,
-                            sweep_keys):
+                            sweep_keys, pilots):
     path = write_scenario(scheme, network, **FAST_MC)
     assert run_cli("formula", "--scenario", path).stdout == formula
     header = "scheme,phase1_dof,phase2_dof,total_dof,phase1_slots,phase2_slots\n"
@@ -89,6 +94,9 @@ def test_outputs_are_pinned(tmp_path, write_scenario, scheme, network, formula, 
                    "--out", str(out))
     assert proc.returncode == 0
     assert out.read_text(encoding="utf-8").splitlines()[0] == "axis,value," + sweep_keys
+    stem = tmp_path / "P"
+    proc = run_cli("pilots", "--scenario", path, "--out", f"{stem}.txt")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, pilots.format(stem=stem), "")
 
 
 @pytest.mark.parametrize("scheme, network, message", [
@@ -693,40 +701,57 @@ def test_sweep_refuses_a_huge_range_at_once(tmp_path, write_scenario, monkeypatc
     assert not out.exists()
 
 
-def test_pilots_command_all_user(tmp_path, write_scenario):
-    from anece_lab.pilots import read_matrix_text
+def read_matrix(path):
+    """A matrix file of ``pilots.write_matrix_text`` as a complex array."""
+    return np.loadtxt(path, skiprows=1, ndmin=2).view(complex)
 
+
+def test_pilots_command_all_user(tmp_path, write_scenario):
     path = write_scenario("all_user", {"antennas": [1, 1, 1], "n_eve": 0, "k2": 1}, **FAST_MC)
     out = tmp_path / "P.txt"
     proc = run_cli("pilots", "--scenario", path, "--out", str(out))
     assert proc.returncode == 0
     assert "rank(P)=2 OK" in proc.stdout
-    assert read_matrix_text(out).shape == (3, 2)
+    assert read_matrix(out).shape == (3, 2)
 
     again = tmp_path / "P2.txt"
     assert run_cli("pilots", "--scenario", path, "--out", str(again)).returncode == 0
     assert out.read_bytes() == again.read_bytes()
 
     # the emitted matrix is the library's build for the scenario seed
-    from anece_lab.model import NetworkConfig
-    from anece_lab.pilots import build_pilots
-    import numpy as np
+    expected = pilots.build_pilots(NetworkConfig((1, 1, 1), 0, k2=1), 7).stacked
+    assert np.allclose(read_matrix(out), expected)
 
-    expected = build_pilots(NetworkConfig((1, 1, 1), 0, k2=1), 7).stacked
-    assert np.allclose(read_matrix_text(out), expected)
+
+def test_pilots_command_pairwise(tmp_path, write_scenario):
+    # six sessions of K_1 = 4 slots each
+    network = {"antennas": [1, 2, 2, 3], "n_eve": 2, "k1": 4, "k2": 1}
+    path = write_scenario("pairwise", network, **FAST_MC)
+    out = tmp_path / "P.txt"
+    proc = run_cli("pilots", "--scenario", path, "--out", str(out))
+    assert proc.returncode == 0
+    assert "rank(P_pair)=8 OK" in proc.stdout
+    assert read_matrix(out).shape == (8, 6 * 4)
+
+    # the emitted matrix is the library's build from the scenario seed's blocks
+    rng = numkernel.substream(7, "pilots-pairwise")
+    blocks = [numkernel.sample_cn(rng, (n, 4)) for n in network["antennas"]]
+    assert np.array_equal(read_matrix(out), pilots.build_pairwise_matrix(blocks))
+
+    again = tmp_path / "P2.txt"
+    assert run_cli("pilots", "--scenario", path, "--out", str(again)).returncode == 0
+    assert out.read_bytes() == again.read_bytes()
 
 
 def test_pilots_command_modified(tmp_path, write_scenario):
-    from anece_lab.pilots import read_matrix_text
-
     path = write_scenario(
         "modified_two_user", {"n1": 2, "n2": 3, "k_total": 7, "n_eve": 6}, **FAST_MC
     )
     out = tmp_path / "P.txt"
     proc = run_cli("pilots", "--scenario", path, "--out", str(out))
     assert proc.returncode == 0
-    assert read_matrix_text(tmp_path / "P_p1.txt").shape == (2, 2)
-    assert read_matrix_text(tmp_path / "P_p2.txt").shape == (3, 3)
+    assert read_matrix(tmp_path / "P_p1.txt").shape == (2, 2)
+    assert read_matrix(tmp_path / "P_p2.txt").shape == (3, 3)
 
 
 def test_pilots_command_invalid_config(write_scenario, tmp_path):
@@ -746,6 +771,15 @@ def test_compare_command_three_users(write_scenario):
     assert rows["pairwise"][2] == "0"
     assert rows["all_user"][4] == "4"
     assert rows["pairwise"][4] == "6"
+
+
+def test_compare_gives_each_scheme_its_shortest_pilot_phase(write_scenario):
+    # all-user K_1 = 9 is longer than needed: the row prices N_T - N_min = 4 slots,
+    # fewer than the pair-wise schedule's 3 sessions of max N_i = 2
+    network = {"antennas": [2, 2, 2], "n_eve": 4, "k1": 9, "k2": 3}
+    proc = run_cli("compare", "--scenario", write_scenario("all_user", network, **FAST_MC))
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[1:] == ["all_user,4,4,8,4,3", "pairwise,4,0,4,6,3"]
 
 
 def test_compare_command_modified_beats_original(write_scenario):

@@ -10,7 +10,6 @@ from anece_lab.pilots import (
     build_pairwise_matrix,
     build_pilots,
     build_square_pilots,
-    read_matrix_text,
     validate_pilots,
     write_matrix_text,
 )
@@ -35,13 +34,12 @@ def test_three_single_antenna_users():
 
 def test_hand_built_three_user_pilot_is_accepted():
     # rows (1,0), (0,1), (1,1): full stack rank 2 and every sub-stack full rank
-    cfg = NetworkConfig((1, 1, 1), 0, k2=1)
     blocks = (
         np.array([[1.0 + 0j, 0.0]]),
         np.array([[0.0, 1.0 + 0j]]),
         np.array([[1.0 + 0j, 1.0]]),
     )
-    assert validate_pilots(PilotSet(blocks), cfg) == []
+    assert validate_pilots(PilotSet(blocks)) == []
 
 
 def test_mixed_antenna_ranks():
@@ -66,7 +64,7 @@ def test_mixed_antenna_ranks():
 def test_rank_conditions_hold_across_seeds(cfg):
     for seed in range(100):
         ps = build_pilots(cfg, seed)
-        assert validate_pilots(ps, cfg) == []
+        assert validate_pilots(ps) == []
         assert numerical_rank(ps.stacked) == cfg.n_total - cfg.n_min
 
 
@@ -79,83 +77,89 @@ def test_build_pilots_is_deterministic():
 
 
 def test_validate_pilots_flags_zero_row():
-    cfg = NetworkConfig((1, 1, 1), 0, k2=1)
     blocks = (
         np.array([[1.0 + 0j, 0.0]]),
         np.array([[0.0, 1.0 + 0j]]),
         np.zeros((1, 2), dtype=complex),
     )
-    out = validate_pilots(PilotSet(blocks), cfg)
+    out = validate_pilots(PilotSet(blocks))
     assert "rank(P_3) < N_3" in out
 
 
 def test_validate_pilots_accepts_duplicated_scalar():
-    cfg = NetworkConfig((1, 1), 0, k1=1, k2=1)
     ps = PilotSet((np.array([[1.0 + 0j]]), np.array([[1.0 + 0j]])))
-    assert validate_pilots(ps, cfg) == []
+    assert validate_pilots(ps) == []
 
 
-def test_validate_pilots_shape_mismatch_raises():
-    cfg = NetworkConfig((2, 2), 0, k2=1)
-    ps = build_pilots(NetworkConfig((1, 1), 0, k2=1), 0)
-    with pytest.raises(ValueError):
-        validate_pilots(ps, cfg)
+def test_validate_pilots_flags_pilots_shorter_than_the_stack_rank():
+    # antennas [1, 1, 2] need K_1 >= N_T - N_min = 3; these pilots have K_1 = 2
+    # and full-rank blocks, so the rank conditions that need K_1 >= 3 fail
+    rows = np.array([[1, 0], [0, 1], [1, 1], [1, 2]], dtype=complex)
+    assert validate_pilots(PilotSet((rows[:1], rows[1:2], rows[2:]))) == [
+        "rank of stack without user 1 != 3",
+        "rank of stack without user 2 != 3",
+        "rank(P) != N_T-N_min (3)",
+    ]
 
 
 def test_pairwise_hand_matrix():
-    cfg = NetworkConfig((1, 1, 1), 0, k1=1, k2=1)
+    # sessions (1, 2), (1, 3) and (2, 3), one column each
     one = np.ones((1, 1), dtype=complex)
-    pm = build_pairwise_matrix(cfg, [one, one, one])
-    assert np.allclose(pm.matrix, [[1, 1, 0], [1, 0, 1], [0, 1, 1]])
-    assert numerical_rank(pm.matrix) == 3
-    assert pm.session_index == {0: (0, 1), 1: (0, 2), 2: (1, 2)}
+    pm = build_pairwise_matrix([one, one, one])
+    assert np.allclose(pm, [[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    assert numerical_rank(pm) == 3
 
 
 def test_pairwise_six_by_six():
-    cfg = NetworkConfig((2, 2, 2), 0, k2=1)
     rng = substream(0, "test-pairwise")
     blocks = [sample_cn(rng, (2, 2)) for _ in range(3)]
-    pm = build_pairwise_matrix(cfg, blocks)
-    assert pm.matrix.shape == (6, 6)
-    assert numerical_rank(pm.matrix) == 6
+    pm = build_pairwise_matrix(blocks)
+    assert pm.shape == (6, 6)
+    assert numerical_rank(pm) == 6
 
 
 def test_pairwise_batch_stacks_the_per_draw_matrices():
-    cfg = NetworkConfig((1, 2, 2), 0, k2=1)
     rng = substream(0, "test-pairwise-batch")
-    blocks = [sample_cn(rng, (4, n, 2)) for n in cfg.antennas]
-    pm = build_pairwise_matrix(cfg, blocks)
-    per_draw = [build_pairwise_matrix(cfg, [b[d] for b in blocks]) for d in range(4)]
-    assert np.array_equal(pm.matrix, np.stack([p.matrix for p in per_draw]))
-    assert pm.session_index == per_draw[0].session_index
+    blocks = [sample_cn(rng, (4, n, 2)) for n in (1, 2, 2)]
+    pm = build_pairwise_matrix(blocks)
+    per_draw = [build_pairwise_matrix([b[d] for b in blocks]) for d in range(4)]
+    assert np.array_equal(pm, np.stack(per_draw))
     blocks[2][3, 1] = blocks[2][3, 0]  # one rank-deficient block in the last draw
     with pytest.raises(ValueError):
-        build_pairwise_matrix(cfg, blocks)
+        build_pairwise_matrix(blocks)
 
 
 def test_pairwise_rejects_two_users():
-    cfg = NetworkConfig((2, 2), 0, k2=1)
     rng = substream(0, "test-pairwise")
     with pytest.raises(ValueError):
-        build_pairwise_matrix(cfg, [sample_cn(rng, (2, 2)) for _ in range(2)])
+        build_pairwise_matrix([sample_cn(rng, (2, 2)) for _ in range(2)])
 
 
 def test_pairwise_rejects_short_sessions():
-    cfg = NetworkConfig((1, 2, 2), 0, k2=1)
     rng = substream(0, "test-pairwise")
     with pytest.raises(ValueError):
-        build_pairwise_matrix(cfg, [sample_cn(rng, (n, 1)) for n in (1, 2, 2)])
+        build_pairwise_matrix([sample_cn(rng, (n, 1)) for n in (1, 2, 2)])
+
+
+@pytest.mark.parametrize("shapes", [
+    [(1, 2), (2, 2), (2, 3)],
+    [(4, 1, 2), (4, 2, 2), (3, 2, 2)],
+], ids=["k1", "batch"])
+def test_pairwise_rejects_blocks_of_differing_shape(shapes):
+    # each set of blocks has full row rank; only the third block's shape is off
+    rng = substream(0, "test-pairwise-shapes")
+    with pytest.raises(ValueError, match="block 3 must have batch shape"):
+        build_pairwise_matrix([sample_cn(rng, shape) for shape in shapes])
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pairwise_full_row_rank_sweep(m, n):
-    cfg = NetworkConfig((n,) * m, 0, k2=1)
     for seed in range(20):
         rng = substream(seed, "test-pairwise-sweep")
         blocks = [sample_cn(rng, (n, n)) for _ in range(m)]
-        pm = build_pairwise_matrix(cfg, blocks)
-        assert numerical_rank(pm.matrix) == m * n
+        pm = build_pairwise_matrix(blocks)
+        assert numerical_rank(pm) == m * n
 
 
 def test_square_pilots():
@@ -182,7 +186,7 @@ def test_matrix_file_round_trip(tmp_path):
     mat = sample_cn(rng, (4, 3))
     path = tmp_path / "m.txt"
     write_matrix_text(path, mat)
-    back = read_matrix_text(path)
+    back = np.loadtxt(path, skiprows=1, ndmin=2).view(complex)
     assert back.shape == (4, 3)
     assert np.array_equal(back, mat)  # 17 significant digits round-trip exactly
     header = path.read_text().splitlines()[0]
@@ -207,10 +211,3 @@ def test_matrix_file_is_written_without_a_whole_matrix_string(tmp_path):
     text = path.read_text(encoding="utf-8")
     assert text == reference_matrix_text(mat)
     assert peak < len(text) / 4
-
-
-def test_matrix_file_rejects_truncated(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("2 2\n1 0 2 0\n")
-    with pytest.raises(ValueError):
-        read_matrix_text(path)

@@ -40,8 +40,7 @@ def test_fit_slope_constant_input():
 
 def test_fit_slope_phase1_scalar_network():
     ps = PilotSet((np.array([[1.0 + 0j]]), np.array([[1.0 + 0j]])))
-    cfg = NetworkConfig((1, 1), 1, k1=1, k2=1)
-    curve = phase1_curve(cfg, ps, 0, 1, default_grid())
+    curve = phase1_curve(ps, 0, 1, default_grid())
     fit = fit_slope(curve)
     assert abs(fit.slope - 1.0) <= 0.02
     assert fit.r_squared > 0.9999
@@ -100,7 +99,7 @@ def _repeat_a_row_in_draw_0(sample):
 
 
 def _reject_the_batch(build):
-    def faulty(cfg, blocks):
+    def faulty(blocks):
         raise RuntimeError("pair-wise pilot matrix failed the full-row-rank audit")
     return faulty
 
@@ -135,12 +134,12 @@ def test_eig_growth_suite_counts():
     for antennas, joint in cases.items():
         cfg = NetworkConfig(antennas, 0, k2=1)
         ps = build_pilots(cfg, 3)
-        rows = {r.name: r for r in eig_growth_suite(cfg, ps)}
+        rows = {r.name: r for r in eig_growth_suite(ps)}
         assert rows["eig:joint[1-2]"].measured == joint
         assert all(r.passed for r in rows.values())
 
     cfg = NetworkConfig((1, 1, 1), 0, k2=1)
-    rows = {r.name: r for r in eig_growth_suite(cfg, build_pilots(cfg, 1))}
+    rows = {r.name: r for r in eig_growth_suite(build_pilots(cfg, 1))}
     assert rows["eig:joint[1-2]"].measured == 3.0  # 2 + 2 - 1
     assert rows["eig:single[user 1]"].measured == 2.0
 
@@ -151,7 +150,7 @@ def test_eig_growth_suite_catches_rank_deficient_pilots():
     cfg = NetworkConfig((1, 2, 2), 0, k2=1)
     blocks = [b.copy() for b in build_pilots(cfg, 3).blocks]
     blocks[1][1] = blocks[1][0]
-    rows = eig_growth_suite(cfg, PilotSet(tuple(blocks)))
+    rows = eig_growth_suite(PilotSet(tuple(blocks)))
     assert {r.name: (r.measured, r.target) for r in rows if not r.passed} == {
         "eig:joint[1-3]": (5.0, 8.0),
         "eig:single[user 1]": (3.0, 4.0),
@@ -168,7 +167,7 @@ def test_eig_growth_suite_catches_a_dropped_factor_column(monkeypatch):
 
     monkeypatch.setattr(verify, "phase1_joint_factors", dropping)
     cfg = NetworkConfig((2, 2, 2), 0, k2=1)
-    rows = eig_growth_suite(cfg, build_pilots(cfg, 3))
+    rows = eig_growth_suite(build_pilots(cfg, 3))
     assert [(r.name, r.measured, r.target) for r in rows if not r.passed] == [
         ("eig:joint[1-2]", 11.0, 12.0)]
 
@@ -192,7 +191,7 @@ def test_eig_growth_suite_work(monkeypatch, antennas):
     cfg = NetworkConfig(antennas, 0, k2=1)
     ps = build_pilots(cfg, 3)
     calls.clear()
-    assert all(r.passed for r in eig_growth_suite(cfg, ps))
+    assert all(r.passed for r in eig_growth_suite(ps))
     m = len(antennas)
     assert calls == {"synth": 1, "linalg": m + m * (m - 1) // 2}
 
