@@ -2,13 +2,14 @@
 
 Every term is a weighted sum of log2|I + s2 * A A^H| over factor matrices
 A, evaluated for a whole SNR grid at once by ``numkernel.log2det_grid`` from
-the eigenvalues of each factor's short-side Gram, so every factor has full
-rank on its short side.  The pilot-phase SKC is exact: its factors depend
-only on the pilots, ``build_pilots`` audits the rank of each P_(i), and
-``verify`` ranks the same factors for its ``eig:*`` rows.  The
-symbol-phase terms are Monte Carlo means over channel draws from one
-``(seed, purpose)`` stream per curve, read in sample order; every grid
-point reuses the same draws (common random numbers), and the means are
+the squared singular values of each factor: in closed form when its short
+side is 1 or 2, else from the eigenvalues of its short-side Gram, so such a
+factor must have full rank on its short side.  The pilot-phase SKC is
+exact: its factors depend only on the pilots, ``build_pilots`` audits the
+rank of each P_(i), and ``verify`` ranks the same factors for its ``eig:*``
+rows.  The symbol-phase terms are Monte Carlo means over channel draws
+from one ``(seed, purpose)`` stream per curve, read in sample order; every
+grid point reuses the same draws (common random numbers), and the means are
 bit-reproducible.
 """
 

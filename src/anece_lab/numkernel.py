@@ -246,35 +246,75 @@ def synth_modified_session(cfg2u, pp, ch: ChannelRealization, sigma: float, seed
 # --------------------------------------------------------------------------
 
 
+def _short_side_spectrum(a: np.ndarray) -> np.ndarray:
+    """Squared singular values of each matrix of the (..., p, q) stack ``a``.
+
+    Returns shape (..., min(p, q)).  A short side of 1 gives the squared
+    column norm.  A short side of 2, with columns u and v, gives the pair
+    fixed by its sum and product, largest first: with a = |u|^2, b = |v|^2
+    and g = u^H v, l_max = (a + b)/2 + hypot((a - b)/2, |g|) and
+    l_min = a |v - (g/a) u|^2 / l_max.  The Gram-Schmidt residual avoids the
+    cancellation in ab - |g|^2, so sqrt(l_min) carries an absolute error of
+    about 1e-16 sqrt(l_max), as an SVD's does; a zero column or matrix gives
+    0.  A longer short side takes the eigenvalues of its Gram from one
+    batched ``eigvalsh``, clamped at 0, with an absolute error of about
+    1e-16 l_max.  The size switch is the maths': a pair of eigenvalues is
+    fixed by its sum and product, three are not.
+    """
+    a = np.asarray(a)
+    if a.shape[-2] < a.shape[-1]:
+        a = np.swapaxes(a, -1, -2)  # A^T has the singular values of A
+    if a.shape[-1] > 2:
+        return np.maximum(np.linalg.eigvalsh(np.conj(np.swapaxes(a, -1, -2)) @ a), 0.0)
+    sq = np.einsum("...ij,...ij->...j", a.conj(), a).real
+    if a.shape[-1] < 2:
+        return sq
+    u, v = a[..., 0], a[..., 1]
+    alpha, beta = sq[..., 0], sq[..., 1]
+    gamma = np.einsum("...i,...i->...", u.conj(), v)
+    l_max = 0.5 * (alpha + beta) + np.hypot(0.5 * (alpha - beta), np.abs(gamma))
+    coef = np.divide(gamma, alpha, out=np.zeros_like(gamma), where=alpha > 0)
+    r = v - coef[..., None] * u
+    det = alpha * np.einsum("...i,...i->...", r.conj(), r).real
+    l_min = np.divide(det, l_max, out=np.zeros_like(det), where=l_max > 0)
+    return np.stack([l_max, l_min], axis=-1)
+
+
 def log2det_grid(a: np.ndarray, sigma2) -> np.ndarray:
     """log2|I + s2 A A^H| for each s2 in ``sigma2`` and A in the (..., p, q) stack ``a``.
 
     Returns shape (len(sigma2), ...): sum_k log2(1 + s2 l_k) over the
-    eigenvalues l_k of the short side's Gram (A^H A for a tall A, A A^H for a
-    wide one), from one batched matmul and one batched ``eigvalsh``; the
-    eigenvalues are clamped at 0.  They carry an absolute error of about
-    1e-16 l_max, so each factor must have full rank on its short side, as
-    every caller's does: the Monte Carlo factors are Gaussian draws, each
-    P_(i)^T is audited by ``build_pilots``, and the ``eig:joint`` row ranks
-    the joint factor against its column count.
+    squared singular values l_k of ``_short_side_spectrum``, closed form on a
+    short side of 1 or 2 and one batched ``eigvalsh`` of the short side's Gram
+    (A^H A for a tall A, A A^H for a wide one) on a longer one.  Those
+    eigenvalues carry an absolute error of about 1e-16 l_max, so a factor
+    whose short side exceeds 2 must have full rank on it, as every caller's
+    has: the Monte Carlo factors are Gaussian draws, each P_(i)^T is audited
+    by ``build_pilots``, and the ``eig:joint`` row ranks the joint factor
+    against its column count.
     """
-    a = np.asarray(a)
-    ah = np.conj(np.swapaxes(a, -1, -2))
-    lam = np.maximum(np.linalg.eigvalsh(ah @ a if a.shape[-2] >= a.shape[-1] else a @ ah), 0.0)
+    lam = _short_side_spectrum(a)
     s2 = np.asarray(sigma2, dtype=float)
     return np.log1p(s2.reshape(s2.shape + (1,) * lam.ndim) * lam).sum(axis=-1) / math.log(2.0)
 
 
 def numerical_rank(m: np.ndarray) -> np.integer | np.ndarray:
-    """Rank of each matrix of the (..., rows, cols) stack ``m``, from one SVD.
+    """Rank of each matrix of the (..., rows, cols) stack ``m``.
 
     Counts singular values above ``max(rows, cols) * 1e-12 * s_max``, a
     scale-invariant threshold adequate for the moderately sized matrices
-    used here; an empty or all-zero matrix has rank 0.  A single matrix
-    gives a numpy integer, a stack an integer array of its leading shape.
+    used here; an empty or all-zero matrix has rank 0.  A short side of 1 or
+    2 takes its singular values from ``_short_side_spectrum`` after dividing
+    each matrix by its largest |entry|, so that no square under- or
+    overflows; a longer one from one stacked SVD.  A single matrix gives a
+    numpy integer, a stack an integer array of its leading shape.
     """
     a = np.asarray(m)
-    s = np.linalg.svd(a, compute_uv=False)
+    if min(a.shape[-2:]) > 2:
+        s = np.linalg.svd(a, compute_uv=False)
+    else:
+        scale = np.abs(a).max(axis=(-2, -1), keepdims=True, initial=0.0)
+        s = np.sqrt(_short_side_spectrum(a / np.where(scale > 0, scale, 1.0)))
     return np.count_nonzero(s > max(a.shape[-2:]) * 1e-12 * s[..., :1], axis=-1)
 
 

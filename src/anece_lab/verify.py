@@ -107,7 +107,7 @@ def rank_oracle_suite(cfg: NetworkConfig, seed: int) -> list[CheckResult]:
     reciprocal-channel covariance, which no draw enters, has rank deficiency
     N_i*N_j for each pair and counts RANK_DRAWS passes when it does.  All
     draws come from one stream and each row ranks its whole batch with one
-    stacked SVD.  The pair-wise row's count is ``build_pairwise_matrix``'s
+    ``numerical_rank`` call.  The pair-wise row's count is ``build_pairwise_matrix``'s
     own audit, which ranks every draw's blocks and matrix and rejects the
     batch on any miss: RANK_DRAWS when it accepts the batch, 0 when it
     rejects it.  Any miss indicates a tolerance or construction bug, not bad

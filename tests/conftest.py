@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from anece_lab import cli
@@ -57,3 +58,13 @@ def compare_rows(cfg, scheme="all_user"):
     """``cli.compare_schemes`` on ``cfg``, each row a dict keyed by its CSV column."""
     sc = cli.Scenario(scheme, cfg, default_grid(), 100, 0)
     return {row[0]: dict(zip(COMPARE_FIELDS, row)) for row in cli.compare_schemes(sc)}
+
+
+def svd_rank(a):
+    """``numerical_rank``'s rule, one matrix and one LAPACK SVD at a time."""
+    a = np.asarray(a)
+    ranks = np.zeros(a.shape[:-2], dtype=int)
+    for index in np.ndindex(a.shape[:-2]):
+        s = np.linalg.svd(a[index], compute_uv=False)
+        ranks[index] = np.sum(s > max(a.shape[-2:]) * 1e-12 * s[0]) if s.size else 0
+    return ranks

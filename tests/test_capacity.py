@@ -379,16 +379,16 @@ def test_phase1_factors_have_full_rank_on_their_short_side(antennas):
         assert jac.shape[0] >= jac.shape[1] == targets[f"eig:joint[{i + 1}-{j + 1}]"]
 
 
-def test_verify_takes_every_log_determinant_from_one_eigvalsh(write_scenario, monkeypatch,
-                                                               tmp_path):
-    # one all-user verify: each log2det_grid call makes one eigvalsh and no
-    # svd, while numerical_rank's SVDs are still seen
-    calls = dict.fromkeys(["log2det", "svd", "eigvalsh", "svd-outside", "eigvalsh-outside"], 0)
+def test_verify_decomposes_only_stacks_whose_short_side_exceeds_2(write_scenario, monkeypatch,
+                                                                   tmp_path):
+    # one all-user verify: log2det_grid makes no svd, and its eigvalsh calls
+    # are the three phase-1 factors' (the Monte Carlo factors of [2,2,2] all
+    # have a short side of 2); every svd and eigvalsh sees a short side above 2
+    shapes = {"svd": [], "eigvalsh": [], "svd-inside": [], "eigvalsh-inside": []}
     inside = []
     kernel = capacity.log2det_grid
 
     def counted_kernel(*args):
-        calls["log2det"] += 1
         inside.append(True)
         try:
             return kernel(*args)
@@ -396,9 +396,9 @@ def test_verify_takes_every_log_determinant_from_one_eigvalsh(write_scenario, mo
             inside.pop()
 
     def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key if inside else f"{key}-outside"] += 1
-            return fn(*args, **kwargs)
+        def wrapper(a, *args, **kwargs):
+            shapes[f"{key}-inside" if inside else key].append(np.shape(a)[-2:])
+            return fn(a, *args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(capacity, "log2det_grid", counted_kernel)
@@ -406,9 +406,9 @@ def test_verify_takes_every_log_determinant_from_one_eigvalsh(write_scenario, mo
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     path = write_scenario("all_user", {"antennas": [2, 2, 2], "n_eve": 4, "k2": 2})
     assert cli.main(["verify", "--scenario", path, "--out", str(tmp_path / "v.csv")]) == 0
-    assert calls["log2det"] > 0 and calls["svd-outside"] > 0
-    assert calls["svd"] == 0
-    assert calls["eigvalsh"] == calls["log2det"]
+    assert shapes["svd"] and shapes["svd-inside"] == []
+    assert sorted(shapes["eigvalsh-inside"]) == [(4, 4), (4, 4), (12, 12)]
+    assert all(min(shape) > 2 for calls in shapes.values() for shape in calls)
 
 
 def test_capacity_curve_validation():

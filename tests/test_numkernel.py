@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import svd_rank
 
 from anece_lab.model import NetworkConfig, TwoUserModifiedConfig
 from anece_lab.numkernel import (
@@ -181,6 +182,11 @@ def test_logdet_examples():
     # I + A A^H = diag(2, 4)
     assert abs(log2det_grid(np.diag([1.0, math.sqrt(3.0)]), [1.0])[0] - 3.0) < 1e-12
     assert log2det_grid(np.zeros((5, 2, 3)), [1.0, 2.0, 4.0, 8.0]).shape == (4, 5)
+    # short sides of 1 and 2 with a zero column or no nonzero entry: never nan
+    assert np.all(log2det_grid(np.zeros((4, 5, 2)), [1.0, 2.0**40]) == 0.0)
+    assert np.all(log2det_grid(np.zeros((4, 1, 5)), [1.0, 2.0**40]) == 0.0)
+    # I + A A^H = [[2, 1], [1, 2]], eigenvalues 3 and 1
+    assert abs(log2det_grid(np.array([[0.0, 1.0], [0.0, 1.0]]), [1.0])[0] - math.log2(3.0)) < 1e-12
 
 
 def test_logdet_gram_plus_identity_is_nonnegative():
@@ -210,7 +216,8 @@ def test_logdet_rank_deficient_factor_is_finite_at_huge_power():
     assert value >= float(np.sum(np.log2(s2 * top_two**2))) - 1e-9
 
 
-@pytest.mark.parametrize("shape", [(6, 1, 4), (6, 3, 3), (6, 5, 2), (2, 3, 7, 4)])
+@pytest.mark.parametrize("shape", [(6, 1, 4), (6, 3, 3), (6, 5, 2), (2, 3, 7, 4), (6, 2, 5),
+                                   (6, 2, 2)])
 def test_logdet_matches_singular_values_from_either_side(shape):
     # tall, square and wide stacks, complex and real, against
     # sum_k log2(1 + s2 s_k^2) over the singular values
@@ -244,6 +251,39 @@ def test_numerical_rank_examples():
     stack = np.stack([np.eye(3), np.outer(u, [3.0, -1.0, 2.0]), np.zeros((3, 3))])
     assert numerical_rank(stack).tolist() == [3, 1, 0]
     assert numerical_rank(np.zeros((0, 3, 3))).shape == (0,)
+
+
+def rank_cases(rng, p, q):
+    """Gaussian and deliberately degenerate p x q matrices, real and complex,
+    each with its rank."""
+    n = min(p, q)
+    for draw in (lambda shape: sample_cn(rng, shape), rng.standard_normal):
+        yield draw((5, p, q)), n
+        yield np.zeros((p, q)), 0
+        if n == 0:
+            continue
+        col = draw((p, 1))
+        yield np.hstack([col] * q), 1  # every column repeated
+        yield col @ draw((1, q)), 1  # an outer product
+        a = draw((p, q))
+        a[:, 0] = 0.0  # a zero column
+        yield a, min(p, q - 1)
+        # full rank at s_min/s_max = 1e-9, deficient at 1e-15
+        u = np.linalg.qr(draw((p, n)))[0]
+        v = np.linalg.qr(draw((q, n)))[0]
+        yield (u * np.geomspace(1.0, 1e-9, n)) @ v.conj().T, n
+        yield (u * np.geomspace(1.0, 1e-15, n)) @ v.conj().T, 1 if n == 1 else n - 1
+
+
+@pytest.mark.parametrize("p, q", [(0, 3), (1, 1), (1, 4), (5, 1), (2, 2), (2, 6), (7, 2),
+                                  (3, 3), (3, 5), (6, 3)])
+def test_numerical_rank_matches_an_svd_reference(p, q):
+    # short sides 0 to 3, tall, wide and square, at entry scales 2^-600, 1 and 2^600
+    for a, rank in rank_cases(substream(4, "test-rank", p, q), p, q):
+        expected = svd_rank(a)
+        assert np.all(expected == rank)
+        for scale in (2.0**-600, 1.0, 2.0**600):
+            assert np.array_equal(numerical_rank(a * scale), expected), (a.shape, rank, scale)
 
 
 @pytest.mark.parametrize("antennas", [(1, 1), (2, 2), (2, 3), (1, 2, 3), (2, 2, 2)])

@@ -4,9 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import compare_rows
+from conftest import compare_rows, svd_rank
 
-from anece_lab import capacity, cli, verify
+from anece_lab import capacity, cli, pilots, verify
 from anece_lab.capacity import CapacityCurve, cij_curve, phase1_curve
 from anece_lab.model import CheckResult, NetworkConfig, SnrGrid
 from anece_lab.pilots import PilotSet, build_pilots
@@ -123,6 +123,39 @@ def test_rank_oracle_suite_catches_a_seeded_fault(monkeypatch, case):
     rows = {r.name: r for r in rank_oracle_suite(NetworkConfig((1, 2, 1), 3, k2=1), 7)}
     assert {n: r.measured for n, r in rows.items() if not r.passed} == failing
     assert all(r.measured == 100.0 for n, r in rows.items() if n not in failing)
+
+
+# The distinct (antennas, N_E) that the benchmark's verify ranks.  Each
+# modified scenario ranks the two-user network (N_1, N_2); (2, 3) with
+# N_E = 2 is also an all-user scenario.
+BENCH_RANKED = {
+    "all_user": [((2, 2, 2), 4), ((1, 2, 3, 4), 6), ((2, 3), 2), ((3, 3), 2),
+                 ((2, 2, 2, 2, 2), 5), ((1, 3), 3)],
+    "pairwise": [((2, 2, 2), 4), ((1, 2, 2, 3), 3)],
+}
+
+
+def test_ranks_match_an_svd_reference_on_every_benchmark_stack(monkeypatch):
+    # every stack the rank oracle, the eig:* rows and the pilot audits rank
+    stacks = []
+    rank = verify.numerical_rank
+
+    def recorded(a):
+        stacks.append(np.array(a))
+        return rank(a)
+
+    monkeypatch.setattr(verify, "numerical_rank", recorded)
+    monkeypatch.setattr(pilots, "numerical_rank", recorded)
+    for scheme, networks in BENCH_RANKED.items():
+        for antennas, n_eve in networks:
+            cfg = NetworkConfig(antennas, n_eve, k2=1)
+            assert all(r.passed for r in rank_oracle_suite(cfg, 5))
+            if scheme == "all_user":
+                assert all(r.passed for r in eig_growth_suite(build_pilots(cfg, 5)))
+    for a in stacks:
+        assert np.array_equal(rank(a), svd_rank(a)), a.shape
+    # short sides of 1 and 2 take the closed form, longer ones the SVD
+    assert {min(a.shape[-2:]) for a in stacks} >= {1, 2, 3}
 
 
 def test_eig_growth_suite_counts():
