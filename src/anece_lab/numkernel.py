@@ -298,23 +298,65 @@ def log2det_grid(a: np.ndarray, sigma2) -> np.ndarray:
     return np.log1p(s2.reshape(s2.shape + (1,) * lam.ndim) * lam).sum(axis=-1) / math.log(2.0)
 
 
-def numerical_rank(m: np.ndarray) -> np.integer | np.ndarray:
-    """Rank of each matrix of the (..., rows, cols) stack ``m``.
+# Full-rank certificate of ``numerical_rank``: the shift, as a share of tr(G),
+# and the range every trace must lie in.
+_CERT_SHIFT = 2.0**-20
+_CERT_TRACE = (2.0**-500, 2.0**1000)
 
-    Counts singular values above ``max(rows, cols) * 1e-12 * s_max``, a
+
+def _full_rank_certified(a: np.ndarray) -> bool:
+    """Whether ``numerical_rank``'s certificate proves full rank for the whole stack ``a``."""
+    a = np.asarray(a, dtype=np.result_type(a, 1.0))  # an integer Gram could wrap
+    p, q = a.shape[-2:]
+    with np.errstate(all="ignore"):  # out-of-range traces are refused below
+        if p >= q:
+            gram = np.swapaxes(np.conj(a), -1, -2) @ a
+        else:
+            gram = a @ np.swapaxes(np.conj(a), -1, -2)
+        diag = np.einsum("...ii->...i", gram)  # a writable view
+        trace = diag.real.sum(axis=-1)
+    lo, hi = _CERT_TRACE
+    if not np.all((trace >= lo) & (trace <= hi)):
+        return False
+    diag -= _CERT_SHIFT * trace[..., None]
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def numerical_rank(m: np.ndarray) -> np.integer | np.ndarray:
+    """Rank of each matrix of the (..., p, q) stack ``m``.
+
+    The rule counts singular values above ``max(p, q) * 1e-12 * s_max``, a
     scale-invariant threshold adequate for the moderately sized matrices
-    used here; an empty or all-zero matrix has rank 0.  A short side of 1 or
-    2 takes its singular values from ``_short_side_spectrum`` after dividing
-    each matrix by its largest |entry|, so that no square under- or
-    overflows; a longer one from one stacked SVD.  A single matrix gives a
-    numpy integer, a stack an integer array of its leading shape.
+    used here; an empty or all-zero matrix has rank 0.  A single matrix
+    gives a numpy integer, a stack an integer array of its leading shape.
+
+    Most stacks ranked here have full rank n = min(p, q), so the whole stack
+    first tries a certificate of that: with G the short-side Gram of each
+    matrix (A^H A for a tall A, A A^H for a wide one, one batched matmul),
+    every tr(G) must lie in [2^-500, 2^1000] and one batched Cholesky of
+    G - 2^-20 tr(G) I must complete.  Any other stack, and so every
+    rank-deficient one, takes the rule from one stacked SVD.
+
+    The certificate is sufficient, never necessary, so every rank is the
+    rule's.  In the trace range no entry of G overflows, and the products
+    that round as subnormals lose at most 2^-1074 each, below 2^-540 tr(G)
+    in all.  With unit roundoff u = 2^-53, forming G errs by at most about
+    max(p, q) u tr(G), and a Cholesky that completes is exact for a matrix
+    within about n^2 u tr(G) of the shifted one (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 10).  While both stay below
+    2^-21 tr(G), which needs max(p, q) + n^2 below about 2^31, success gives s_min^2 >= 2^-21 tr(G) >= 2^-21 s_max^2, so
+    s_min / s_max >= 2^-10.5, about 7e-4, above the rule's threshold for
+    every max(p, q) below 7e8.  Every matrix the CLI ranks is far smaller:
+    ``cli.MAX_VERIFY_ENTRIES`` caps each at 2^22 entries.
     """
     a = np.asarray(m)
-    if min(a.shape[-2:]) > 2:
-        s = np.linalg.svd(a, compute_uv=False)
-    else:
-        scale = np.abs(a).max(axis=(-2, -1), keepdims=True, initial=0.0)
-        s = np.sqrt(_short_side_spectrum(a / np.where(scale > 0, scale, 1.0)))
+    if _full_rank_certified(a):
+        return np.full(a.shape[:-2], min(a.shape[-2:]))[()]
+    s = np.linalg.svd(a, compute_uv=False)
     return np.count_nonzero(s > max(a.shape[-2:]) * 1e-12 * s[..., :1], axis=-1)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from anece_lab.numkernel import (
     synth_phase2,
 )
 from anece_lab.pilots import PilotSet, build_pilots, build_square_pilots
+from anece_lab.verify import rank_oracle_suite
 
 
 # --------------------------------------------------------------------------
@@ -240,6 +242,7 @@ def test_cn_blocks_are_prefix_stable():
 
 def test_numerical_rank_examples():
     assert numerical_rank(np.eye(3)) == 3
+    assert numerical_rank(np.array([[2**40, 1], [2**40, 1]])) == 1
     u = np.array([1.0, 2.0, 0.5])
     v = np.array([3.0, -1.0])
     assert numerical_rank(np.outer(u, v)) == 1
@@ -278,12 +281,75 @@ def rank_cases(rng, p, q):
 @pytest.mark.parametrize("p, q", [(0, 3), (1, 1), (1, 4), (5, 1), (2, 2), (2, 6), (7, 2),
                                   (3, 3), (3, 5), (6, 3)])
 def test_numerical_rank_matches_an_svd_reference(p, q):
-    # short sides 0 to 3, tall, wide and square, at entry scales 2^-600, 1 and 2^600
+    # short sides 0 to 3, tall, wide and square, at entry scales 2^-600, 1 and
+    # 2^600, and 2^-532, where the Gram's entries are subnormal
     for a, rank in rank_cases(substream(4, "test-rank", p, q), p, q):
         expected = svd_rank(a)
         assert np.all(expected == rank)
-        for scale in (2.0**-600, 1.0, 2.0**600):
+        for scale in (2.0**-600, 2.0**-532, 1.0, 2.0**600):
             assert np.array_equal(numerical_rank(a * scale), expected), (a.shape, rank, scale)
+
+
+def svd_calls(monkeypatch):
+    """Patch ``np.linalg.svd`` to record every array it is handed; returns the record."""
+    seen, svd = [], np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("p, q", [(7, 3), (3, 7), (4, 4)])
+@pytest.mark.parametrize("degenerate", ["repeated-column", "s_min-1e-15"])
+def test_one_degenerate_matrix_sends_its_stack_to_the_svd(monkeypatch, p, q, degenerate):
+    rng = substream(5, "test-certificate-stack", p, q)
+    stack = sample_cn(rng, (100, p, q))
+    if degenerate == "repeated-column":
+        tall = stack[37] if p >= q else stack[37].T  # a view: columns of the short side
+        tall[:, 1] = tall[:, 0]
+    else:  # s_min/s_max = 1e-15
+        u, s, vh = np.linalg.svd(stack[37])
+        s[-1] = 1e-15 * s[0]
+        stack[37] = (u[:, :len(s)] * s) @ vh[:len(s)]
+    expected = svd_rank(stack)
+    seen = svd_calls(monkeypatch)
+    ranks = numerical_rank(stack)
+    assert len(seen) == 1  # the certificate rejected the stack
+    assert np.array_equal(ranks, expected)
+    assert ranks[37] == min(p, q) - 1 and np.all(np.delete(ranks, 37) == min(p, q))
+
+
+@pytest.mark.parametrize("p, q", [(7, 3), (3, 7), (4, 4)])
+@pytest.mark.parametrize("side", [1, -1], ids=["above", "below"])
+def test_certificate_holds_down_to_its_shift(monkeypatch, p, q, side):
+    # n - 1 unit singular values and s_min^2 / tr(G) just either side of 2^-20
+    share = 2.0**-20 * (1 + side * 2.0**-8)
+    n = min(p, q)
+    s = np.ones(n)
+    s[-1] = math.sqrt(share * (n - 1) / (1 - share))
+    rng = substream(6, "test-certificate-shift", p, q)
+    u = np.linalg.qr(sample_cn(rng, (p, n)))[0]
+    v = np.linalg.qr(sample_cn(rng, (q, n)))[0]
+    a = (u * s) @ v.conj().T
+    assert svd_rank(a) == n
+    seen = svd_calls(monkeypatch)
+    assert numerical_rank(a) == n
+    assert len(seen) == (0 if side > 0 else 1)
+
+
+def test_rank_oracle_takes_svds_only_of_the_reciprocal_covariances(monkeypatch):
+    # every drawn stack of all-user [1,2,3,4] is certified at this seed; the
+    # covariances are rank-deficient by construction, so each needs its SVD
+    antennas = (1, 2, 3, 4)
+    seen = svd_calls(monkeypatch)
+    assert all(r.passed for r in rank_oracle_suite(NetworkConfig(antennas, 6, k2=1), 5))
+    covs = [reciprocal_channel_covariance(antennas, i, j)
+            for i, j in itertools.combinations(range(len(antennas)), 2)]
+    assert len(seen) == len(covs)
+    assert all(np.array_equal(a, cov) for a, cov in zip(seen, covs))
 
 
 @pytest.mark.parametrize("antennas", [(1, 1), (2, 2), (2, 3), (1, 2, 3), (2, 2, 2)])

@@ -154,7 +154,8 @@ def test_ranks_match_an_svd_reference_on_every_benchmark_stack(monkeypatch):
                 assert all(r.passed for r in eig_growth_suite(build_pilots(cfg, 5)))
     for a in stacks:
         assert np.array_equal(rank(a), svd_rank(a)), a.shape
-    # short sides of 1 and 2 take the closed form, longer ones the SVD
+    # short sides from 1 up: each stack tries the Cholesky certificate, and the
+    # stacks it rejects, such as the reciprocal covariances, take the SVD
     assert {min(a.shape[-2:]) for a in stacks} >= {1, 2, 3}
 
 
@@ -207,7 +208,8 @@ def test_eig_growth_suite_catches_a_dropped_factor_column(monkeypatch):
 
 @pytest.mark.parametrize("antennas", [(2, 2, 2), (1, 2, 3, 4)])
 def test_eig_growth_suite_work(monkeypatch, antennas):
-    # one synthesis, and one SVD per user and per pair
+    # one synthesis, and one linalg call per user and per pair: each factor's
+    # full rank is certified by one Cholesky
     calls = Counter()
 
     def counted(key, fn):
