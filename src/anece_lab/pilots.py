@@ -1,8 +1,11 @@
 """Collaborative pilot construction for the three ANECE variants.
 
-All-user pilots are drawn i.i.d. complex Gaussian and rank-checked: random
-matrices meet the required rank pattern with probability one, and only the
-rank pattern (not any finite-SNR optimality) drives the DoF results.
+Only the rank pattern of the pilots drives the DoF results, so the pilots are
+designed, not drawn.  The all-user stack is G Q: G is Vandermonde on the N_T-th
+roots of unity, and Q has orthonormal rows.  Any N_T - N_min rows of G are
+independent, so every rank condition holds by construction, and each P_(i)
+has the singular values of its rows of G.  The modified scheme's square
+pilots are unitary.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ import numpy as np
 
 from .model import NetworkConfig, TwoUserModifiedConfig
 from .numkernel import numerical_rank, sample_cn, substream
-
-_MAX_BUILD_ATTEMPTS = 8
 
 
 @dataclass(frozen=True)
@@ -72,25 +73,26 @@ def validate_pilots(ps: PilotSet) -> list[str]:
 
 
 def build_pilots(cfg: NetworkConfig, seed: int) -> PilotSet:
-    """Random pilots meeting all rank conditions, deterministic per seed.
+    """The designed pilots G Q, deterministic per seed; ``validate_pilots`` audits them.
 
-    Draws an N_T x (N_T - N_min) Gaussian core; any further K_1 columns are
-    random combinations of the core so the stacked rank stays N_T - N_min.
-    Retries with a perturbed substream on the measure-zero event that a
-    draw fails the rank audit.
+    G is N_T x r, r = N_T - N_min.  The N_T-th roots of unity w^k are dealt
+    to the rows round-robin, antenna a of every user before antenna a + 1 of
+    any, and row k of the deal is (1, w^k, ..., w^(k(r-1))).  Q is the .T of
+    the reduced QR's Q factor of a K_1 x r Gaussian draw.
     """
     rank_target = cfg.n_total - cfg.n_min
     if cfg.k1 < rank_target:
         raise ValueError(f"K_1 < N_T-N_min (need >= {rank_target})")
+    keys = np.hstack([np.arange(n) * cfg.m + i for i, n in enumerate(cfg.antennas)])
+    nodes = np.exp(2j * np.pi * np.argsort(np.argsort(keys)) / cfg.n_total)  # by place in the deal
+    q = np.linalg.qr(sample_cn(substream(seed, "pilots"), (cfg.k1, rank_target)))[0]
+    stacked = np.vander(nodes, rank_target, increasing=True) @ q.T
     offsets = np.cumsum((0,) + tuple(cfg.antennas))
-    for attempt in range(_MAX_BUILD_ATTEMPTS):
-        rng = substream(seed, "pilots", attempt)
-        core = sample_cn(rng, (cfg.n_total, rank_target))
-        stacked = np.hstack([core, core @ sample_cn(rng, (rank_target, cfg.k1 - rank_target))])
-        ps = PilotSet(tuple(stacked[offsets[i]:offsets[i + 1]] for i in range(cfg.m)))
-        if not validate_pilots(ps):
-            return ps
-    raise RuntimeError(f"pilot construction failed rank audit after {_MAX_BUILD_ATTEMPTS} attempts")
+    ps = PilotSet(tuple(stacked[offsets[i]:offsets[i + 1]] for i in range(cfg.m)))
+    violations = validate_pilots(ps)
+    if violations:
+        raise RuntimeError("designed pilots failed the rank audit: " + "; ".join(violations))
+    return ps
 
 
 def build_pairwise_matrix(blocks) -> np.ndarray:
@@ -130,14 +132,12 @@ def build_pairwise_matrix(blocks) -> np.ndarray:
 
 
 def build_square_pilots(cfg2u: TwoUserModifiedConfig, seed: int) -> ModifiedPilotPair:
-    """Nonsingular N_1 x N_1 and N_2 x N_2 pilots, deterministic per seed."""
-    for attempt in range(_MAX_BUILD_ATTEMPTS):
-        rng = substream(seed, "pilots-square", attempt)
-        p1 = sample_cn(rng, (cfg2u.n1, cfg2u.n1))
-        p2 = sample_cn(rng, (cfg2u.n2, cfg2u.n2))
-        if numerical_rank(p1) == cfg2u.n1 and numerical_rank(p2) == cfg2u.n2:
-            return ModifiedPilotPair(p1, p2)
-    raise RuntimeError(f"square pilot construction failed after {_MAX_BUILD_ATTEMPTS} attempts")
+    """Unitary N_1 x N_1 and N_2 x N_2 pilots from the QR of two draws, deterministic per seed."""
+    rng = substream(seed, "pilots-square")
+    p1, p2 = (np.linalg.qr(sample_cn(rng, (n, n)))[0] for n in (cfg2u.n1, cfg2u.n2))
+    if numerical_rank(p1) != cfg2u.n1 or numerical_rank(p2) != cfg2u.n2:
+        raise RuntimeError("square pilots failed the rank audit")
+    return ModifiedPilotPair(p1, p2)
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,13 @@ from anece_lab.capacity import (
 from anece_lab.model import NetworkConfig, SnrGrid, TwoUserModifiedConfig
 from anece_lab.numkernel import cn_blocks, log2det_grid, numerical_rank
 from anece_lab.pilots import PilotSet, build_pilots
-from anece_lab.verify import default_grid, eig_growth_suite, fit_slope, rank_oracle_suite
+from anece_lab.verify import (
+    default_grid,
+    eig_growth_suite,
+    fit_slope,
+    rank_oracle_suite,
+    slope_tolerance,
+)
 
 SCALAR_PILOTS = PilotSet((np.array([[1.0 + 0j]]), np.array([[1.0 + 0j]])))
 
@@ -154,6 +160,14 @@ def test_phase1_slope_insensitive_to_longer_pilots():
     ps = build_pilots(cfg, 2)
     slope = fit_slope(phase1_curve(ps, 0, 1, default_grid())).slope
     assert abs(slope - 6.0) <= 0.15
+
+
+def test_phase1_slope_of_eight_three_antenna_users():
+    # the slope reaches N_i * N_j on the grid only if every P_(i) is well
+    # conditioned; a full-rank but ill-conditioned one still bends inside it
+    ps = build_pilots(NetworkConfig((3,) * 8, 1, k2=1), 2)
+    slope = fit_slope(phase1_curve(ps, 0, 1, default_grid())).slope
+    assert abs(slope - 9.0) <= slope_tolerance(9)
 
 
 def test_slopes_for_a_non_adjacent_user_pair():

@@ -220,6 +220,25 @@ def test_verify_runs_green_and_is_deterministic(tmp_path, write_scenario):
     assert real and all(r["passed"] == "true" for r in real)
 
 
+@pytest.mark.parametrize("antennas, n_eve, k2, seed", [
+    ([3, 3], 2, 3, 606877412),
+    ([2, 2, 2], 4, 3, 1969069028),
+    ([2] * 5, 5, 10, 1211454174),
+    ([2] * 5, 5, 10, 1290796144),
+], ids=["au-33", "au-222", "au-22222-a", "au-22222-b"])
+def test_verify_passes_where_drawn_pilots_failed(tmp_path, write_scenario, antennas, n_eve, k2,
+                                                 seed):
+    # benchmark scenarios on which pilots of full rank but poor conditioning
+    # would fail slope:phase1[1-2] on the default grid
+    path = write_scenario("all_user", {"antennas": antennas, "n_eve": n_eve, "k2": k2},
+                          mc_samples=100, seed=seed)
+    out = tmp_path / "v.csv"
+    assert run_cli("verify", "--scenario", path, "--out", str(out)).returncode == 0
+    rows = read_csv_rows(out)
+    controls = [r for r in rows if r["name"].startswith("negctrl:")]
+    assert controls and all(r["passed"] == "false" for r in controls)
+
+
 @pytest.mark.parametrize("top", [60, 1000])
 @pytest.mark.parametrize("scheme, network", [
     ("all_user", {"antennas": [2, 2, 2], "n_eve": 4, "k2": 2}),

@@ -68,6 +68,19 @@ def test_rank_conditions_hold_across_seeds(cfg):
         assert numerical_rank(ps.stacked) == cfg.n_total - cfg.n_min
 
 
+@pytest.mark.parametrize("antennas", [
+    (1, 2), (2, 3), (2, 2, 2), (1, 2, 3, 4), (1,) * 16, (3,) * 8, (2,) * 12, (10, 10), (16,) * 3,
+], ids=lambda antennas: "-".join(map(str, antennas)))
+def test_every_p_without_i_is_well_conditioned(antennas):
+    # a measured floor, not a proven one: on these networks every P_(i) of the
+    # design has sigma_min^2 / sigma_max^2 >= 1 / N_T, some with equality
+    cfg = NetworkConfig(antennas, 0, k2=1)
+    ps = build_pilots(cfg, 2)
+    for i in range(cfg.m):
+        s = np.linalg.svd(ps.without(i), compute_uv=False)
+        assert s[-1] ** 2 / s[0] ** 2 >= (1 - 1e-9) / cfg.n_total
+
+
 def test_build_pilots_is_deterministic():
     cfg = NetworkConfig((2, 3), 0, k2=1)
     a, b = build_pilots(cfg, 11), build_pilots(cfg, 11)
@@ -179,6 +192,14 @@ def test_square_pilots():
     second = build_square_pilots(TwoUserModifiedConfig(2, 3, 5, 2), 1)
     assert np.array_equal(first.p1, second.p1)
     assert np.array_equal(first.p2, second.p2)
+    other = build_square_pilots(TwoUserModifiedConfig(2, 3, 5, 2), 2)
+    assert not np.array_equal(first.p2, other.p2)
+
+    # unitary, so perfectly conditioned
+    for n1, n2 in [(1, 1), (2, 3), (4, 4), (3, 8)]:
+        pp = build_square_pilots(TwoUserModifiedConfig(n1, n2, n2 + 1, 0), 3)
+        for p in (pp.p1, pp.p2):
+            assert np.abs(p.conj().T @ p - np.eye(len(p))).max() <= 1e-12
 
 
 def test_matrix_file_round_trip(tmp_path):
