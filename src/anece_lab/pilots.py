@@ -2,10 +2,10 @@
 
 Only the rank pattern of the pilots drives the DoF results, so the pilots are
 designed, not drawn.  The all-user stack is G Q: G is Vandermonde on the N_T-th
-roots of unity, and Q has orthonormal rows.  Any N_T - N_min rows of G are
-independent, so every rank condition holds by construction, and each P_(i)
-has the singular values of its rows of G.  The modified scheme's square
-pilots are unitary.
+roots of unity, with each user's roots spread round the circle, and Q has
+orthonormal rows.  Any N_T - N_min rows of G are independent in exact
+arithmetic, and the spread keeps each P_(i), which has the singular values of
+its rows of G, well conditioned.  The modified scheme's square pilots are unitary.
 """
 
 from __future__ import annotations
@@ -75,16 +75,16 @@ def validate_pilots(ps: PilotSet) -> list[str]:
 def build_pilots(cfg: NetworkConfig, seed: int) -> PilotSet:
     """The designed pilots G Q, deterministic per seed; ``validate_pilots`` audits them.
 
-    G is N_T x r, r = N_T - N_min.  The N_T-th roots of unity w^k are dealt
-    to the rows round-robin, antenna a of every user before antenna a + 1 of
-    any, and row k of the deal is (1, w^k, ..., w^(k(r-1))).  Q is the .T of
-    the reduced QR's Q factor of a K_1 x r Gaussian draw.
+    G is N_T x r, r = N_T - N_min; its rows are (1, w^k, ..., w^(k(r-1))) for the
+    N_T-th roots of unity w^k, dealt in the order of the key ((a + 1/2) / N_i, i)
+    of antenna a of user i, which is round-robin when all N_i are equal.  Q is
+    the .T of the reduced QR's Q factor of a K_1 x r Gaussian draw.
     """
     rank_target = cfg.n_total - cfg.n_min
     if cfg.k1 < rank_target:
         raise ValueError(f"K_1 < N_T-N_min (need >= {rank_target})")
-    keys = np.hstack([np.arange(n) * cfg.m + i for i, n in enumerate(cfg.antennas)])
-    nodes = np.exp(2j * np.pi * np.argsort(np.argsort(keys)) / cfg.n_total)  # by place in the deal
+    spread = np.hstack([(np.arange(n) + 0.5) / n for n in cfg.antennas])  # a stable sort breaks ties by i
+    nodes = np.exp(2j * np.pi * np.argsort(np.argsort(spread, kind="stable")) / cfg.n_total)
     q = np.linalg.qr(sample_cn(substream(seed, "pilots"), (cfg.k1, rank_target)))[0]
     stacked = np.vander(nodes, rank_target, increasing=True) @ q.T
     offsets = np.cumsum((0,) + tuple(cfg.antennas))

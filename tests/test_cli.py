@@ -742,6 +742,18 @@ def test_pilots_command_all_user(tmp_path, write_scenario):
     assert np.allclose(read_matrix(out), expected)
 
 
+def test_pilots_command_all_user_with_unbalanced_antennas(tmp_path, write_scenario):
+    # user 1's 8 rows among 1,008 must get roots spread round the circle: on a
+    # short arc its P_(i) is full rank in exact arithmetic only, fails the audit
+    # and the command raises
+    path = write_scenario("all_user", {"antennas": [8, 1000], "n_eve": 0, "k2": 1}, **FAST_MC)
+    out = tmp_path / "P.txt"
+    proc = run_cli("pilots", "--scenario", path, "--out", str(out))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"wrote {out}: rank(P)=1000 OK\n  rank(P_1)=8 OK\n  rank(P_2)=1000 OK\n"
+    out.unlink()  # 41 MB of text
+
+
 def test_pilots_command_pairwise(tmp_path, write_scenario):
     # six sessions of K_1 = 4 slots each
     network = {"antennas": [1, 2, 2, 3], "n_eve": 2, "k1": 4, "k2": 1}

@@ -70,6 +70,10 @@ def test_rank_conditions_hold_across_seeds(cfg):
 
 @pytest.mark.parametrize("antennas", [
     (1, 2), (2, 3), (2, 2, 2), (1, 2, 3, 4), (1,) * 16, (3,) * 8, (2,) * 12, (10, 10), (16,) * 3,
+    # unbalanced: dealt round-robin, the smaller user's roots would bunch on a
+    # short arc and leave sigma_min^2 / sigma_max^2 at 0.12 / N_T on (2, 16),
+    # 5e-6 / N_T on (4, 60) and below the rank threshold on (8, 1000)
+    (2, 16), (4, 60), (8, 1000), (3, 5), (2, 9), (5, 7, 11), (3, 3, 40), (2, 50, 3), (4, 6, 9, 20),
 ], ids=lambda antennas: "-".join(map(str, antennas)))
 def test_every_p_without_i_is_well_conditioned(antennas):
     # a measured floor, not a proven one: on these networks every P_(i) of the
@@ -79,6 +83,16 @@ def test_every_p_without_i_is_well_conditioned(antennas):
     for i in range(cfg.m):
         s = np.linalg.svd(ps.without(i), compute_uv=False)
         assert s[-1] ** 2 / s[0] ** 2 >= (1 - 1e-9) / cfg.n_total
+
+
+def test_equal_antenna_counts_are_dealt_round_robin():
+    # antenna a of every user before antenna a + 1 of any: the row of antenna
+    # a of user i is the Vandermonde row of the root w^(a * M + i)
+    cfg = NetworkConfig((2, 2, 2), 0, k2=1)
+    ps = build_pilots(cfg, 4)
+    places = [a * cfg.m + i for i in range(cfg.m) for a in range(2)]
+    g = np.vander(np.exp(2j * np.pi * np.array(places) / 6), 4, increasing=True)
+    assert np.allclose(ps.stacked @ ps.stacked.conj().T, g @ g.conj().T)
 
 
 def test_build_pilots_is_deterministic():
