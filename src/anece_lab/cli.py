@@ -275,8 +275,9 @@ def _verify_size(cfg: NetworkConfig, phase1: bool) -> list[tuple[str, str]]:
     phase-1 synthesis stack D * N_T * K_1 of ``phase1_joint_factors`` (with
     ``phase1``); the rank oracle's draws RANK_DRAWS * (D + N_E * N_T) and,
     for M >= 3, its pair-wise pilot matrices RANK_DRAWS * N_T * P_0 * max N_i
-    over P_0 = M(M-1)/2 sessions; and (2D)^2, which bounds the basis, the
-    Jacobian and the covariance of ``reciprocal_channel_covariance``.  A
+    over P_0 = M(M-1)/2 sessions; and (2D)^2, which bounds each array the
+    rank oracle's reciprocal covariances hold: the one D^2 channel basis,
+    all M users' Jacobians together (2D^2) and each pair's covariance.  A
     problem names ``k1`` or ``n_eve`` when the array would fit with the
     shortest K_1 or without Eve's channels.  Python integers, so no product
     overflows; nothing is allocated.  ``_curve_size`` counts the Monte Carlo

@@ -304,8 +304,8 @@ _CERT_SHIFT = 2.0**-20
 _CERT_TRACE = (2.0**-500, 2.0**1000)
 
 
-def _full_rank_certified(a: np.ndarray) -> bool:
-    """Whether ``numerical_rank``'s certificate proves full rank for the whole stack ``a``."""
+def _full_rank_certified(a: np.ndarray) -> np.ndarray:
+    """Whether ``numerical_rank``'s certificate proves full rank, per matrix of the stack ``a``."""
     a = np.asarray(a, dtype=np.result_type(a, 1.0))  # an integer Gram could wrap
     p, q = a.shape[-2:]
     with np.errstate(all="ignore"):  # out-of-range traces are refused below
@@ -315,15 +315,25 @@ def _full_rank_certified(a: np.ndarray) -> bool:
             gram = a @ np.swapaxes(np.conj(a), -1, -2)
         diag = np.einsum("...ii->...i", gram)  # a writable view
         trace = diag.real.sum(axis=-1)
+        diag -= _CERT_SHIFT * trace[..., None]
     lo, hi = _CERT_TRACE
-    if not np.all((trace >= lo) & (trace <= hi)):
-        return False
-    diag -= _CERT_SHIFT * trace[..., None]
+    certified = np.asarray((trace >= lo) & (trace <= hi))  # writable for one matrix too
+    if certified.any():
+        certified[certified] = _cholesky_completes(gram[certified])
+    return certified
+
+
+def _cholesky_completes(gram: np.ndarray) -> np.ndarray:
+    """Whether each Cholesky of the (B, n, n) stack ``gram`` completes: one
+    batched call, and on a failure the same for each half of the stack."""
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        if len(gram) == 1:
+            return np.zeros(1, dtype=bool)
+        half = len(gram) // 2
+        return np.concatenate([_cholesky_completes(gram[:half]), _cholesky_completes(gram[half:])])
+    return np.ones(len(gram), dtype=bool)
 
 
 def numerical_rank(m: np.ndarray) -> np.integer | np.ndarray:
@@ -334,12 +344,13 @@ def numerical_rank(m: np.ndarray) -> np.integer | np.ndarray:
     used here; an empty or all-zero matrix has rank 0.  A single matrix
     gives a numpy integer, a stack an integer array of its leading shape.
 
-    Most stacks ranked here have full rank n = min(p, q), so the whole stack
-    first tries a certificate of that: with G the short-side Gram of each
-    matrix (A^H A for a tall A, A A^H for a wide one, one batched matmul),
-    every tr(G) must lie in [2^-500, 2^1000] and one batched Cholesky of
-    G - 2^-20 tr(G) I must complete.  Any other stack, and so every
-    rank-deficient one, takes the rule from one stacked SVD.
+    Most matrices ranked here have full rank n = min(p, q), so each first
+    tries a certificate of that: with G its short-side Gram (A^H A for a
+    tall A, A A^H for a wide one, one batched matmul), tr(G) must lie in
+    [2^-500, 2^1000] and the Cholesky of G - 2^-20 tr(G) I must complete.
+    The Cholesky is one batched call, split in halves only where it fails.
+    Every matrix the certificate rejects, and so every rank-deficient one,
+    takes the rule from one stacked SVD of those matrices alone.
 
     The certificate is sufficient, never necessary, so every rank is the
     rule's.  In the trace range no entry of G overflows, and the products
@@ -354,24 +365,9 @@ def numerical_rank(m: np.ndarray) -> np.integer | np.ndarray:
     ``cli.MAX_VERIFY_ENTRIES`` caps each at 2^22 entries.
     """
     a = np.asarray(m)
-    if _full_rank_certified(a):
-        return np.full(a.shape[:-2], min(a.shape[-2:]))[()]
-    s = np.linalg.svd(a, compute_uv=False)
-    return np.count_nonzero(s > max(a.shape[-2:]) * 1e-12 * s[..., :1], axis=-1)
-
-
-def reciprocal_channel_covariance(antennas, i: int, j: int) -> np.ndarray:
-    """Exact covariance of the stacked receive-channel vectors of users i, j.
-
-    The vector for user i is vec(H_(i)), stacking vec(H[(i, l)]) over
-    l != i; each coordinate is one unit-variance channel entry, and
-    reciprocity makes exactly N_i * N_j coordinates of the two vectors
-    identical (the entries of H[(i, j)]), so the covariance is unit-diagonal
-    with a 0/1 cross block and rank deficiency N_i * N_j.
-    """
-    m = len(antennas)
-    if i == j or not (0 <= i < m and 0 <= j < m):
-        raise ValueError("need two distinct user indices")
-    basis = channel_basis(tuple(int(n) for n in antennas))
-    jac = np.concatenate([vec_batch(basis.channel_to(u)) for u in (i, j)], axis=1)
-    return jac.T @ jac
+    ranks = np.full(a.shape[:-2], min(a.shape[-2:]))
+    rejected = ~_full_rank_certified(a)
+    if rejected.any():
+        s = np.linalg.svd(a[rejected] if a.ndim > 2 else a, compute_uv=False)
+        ranks[rejected] = np.count_nonzero(s > max(a.shape[-2:]) * 1e-12 * s[..., :1], axis=-1)
+    return ranks[()]

@@ -35,11 +35,12 @@ from .dofcalc import (
 )
 from .model import CheckResult, NetworkConfig, SnrGrid, TwoUserModifiedConfig
 from .numkernel import (
+    channel_basis,
     draw_channels,
     numerical_rank,
-    reciprocal_channel_covariance,
     sample_cn,
     substream,
+    vec_batch,
 )
 from .pilots import build_pairwise_matrix
 
@@ -103,10 +104,12 @@ def rank_oracle_suite(cfg: NetworkConfig, seed: int) -> list[CheckResult]:
     Per draw: each user's channel stack H_(i), the factor of its summed
     channel Gram, has rank min(N_i, N_T-N_i); the [H_ij; H_Ej] stack has
     rank min(N_E+N_i, N_j); and (for M >= 3) a fresh pair-wise pilot
-    matrix has full row rank N_T.  The analytically assembled
-    reciprocal-channel covariance, which no draw enters, has rank deficiency
-    N_i*N_j for each pair and counts RANK_DRAWS passes when it does.  All
-    draws come from one stream and each row ranks its whole batch with one
+    matrix has full row rank N_T.  The reciprocal-channel covariance J^T J
+    of each pair, J = [J_i, J_j] with J_i the Jacobian of user i's receive
+    channels vec(H_(i)), each taken once from one ``channel_basis``, has
+    rank deficiency N_i*N_j, the entries of H[(i, j)] both users see; it
+    enters no draw and counts RANK_DRAWS passes when it holds.  All draws
+    come from one stream and each row ranks its whole batch with one
     ``numerical_rank`` call.  The pair-wise row's count is ``build_pairwise_matrix``'s
     own audit, which ranks every draw's blocks and matrix and rejects the
     batch on any miss: RANK_DRAWS when it accepts the batch, 0 when it
@@ -116,9 +119,12 @@ def rank_oracle_suite(cfg: NetworkConfig, seed: int) -> list[CheckResult]:
     m = len(cfg.antennas)
     antennas, n_eve, n_t = cfg.antennas, cfg.n_eve, cfg.n_total
     ch = draw_channels(antennas, n_eve, substream(seed, "rank-draws"), (RANK_DRAWS,))
+    basis = channel_basis(antennas)
+    jacobians = [vec_batch(basis.channel_to(u)) for u in range(m)]
     passes: dict[str, int] = {}
     for i, j in itertools.combinations(range(m), 2):
-        cov = reciprocal_channel_covariance(antennas, i, j)
+        jac = np.concatenate([jacobians[i], jacobians[j]], axis=1)
+        cov = jac.T @ jac
         holds = cov.shape[0] - numerical_rank(cov) == antennas[i] * antennas[j]
         passes[f"rank:reciprocal-cov[{i + 1}-{j + 1}]"] = RANK_DRAWS if holds else 0
     for i in range(m):

@@ -1,6 +1,8 @@
 import argparse
 import csv
 import json
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -597,6 +599,13 @@ def test_usage_error_is_the_same_on_every_call(write_scenario, monkeypatch, caps
     assert proc.returncode == 2
     assert errors == [proc.stderr] * 2
     assert "invalid choice: 'bogus'" in proc.stderr
+
+
+def test_importing_the_package_imports_no_numpy():
+    # the modules are the API; the package itself re-exports nothing
+    code = "import sys, anece_lab; assert 'numpy' not in sys.modules, 'numpy imported'"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_evaluates_the_identity_suite_once(tmp_path, write_scenario, monkeypatch):

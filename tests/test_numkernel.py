@@ -7,16 +7,17 @@ from conftest import svd_rank
 
 from anece_lab.model import NetworkConfig, TwoUserModifiedConfig
 from anece_lab.numkernel import (
+    channel_basis,
     cn_blocks,
     draw_channels,
     log2det_grid,
     numerical_rank,
-    reciprocal_channel_covariance,
     sample_cn,
     substream,
     synth_modified_session,
     synth_phase1,
     synth_phase2,
+    vec_batch,
 )
 from anece_lab.pilots import PilotSet, build_pilots, build_square_pilots
 from anece_lab.verify import rank_oracle_suite
@@ -302,24 +303,33 @@ def svd_calls(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("p, q", [(7, 3), (3, 7), (4, 4)])
-@pytest.mark.parametrize("degenerate", ["repeated-column", "s_min-1e-15"])
-def test_one_degenerate_matrix_sends_its_stack_to_the_svd(monkeypatch, p, q, degenerate):
-    rng = substream(5, "test-certificate-stack", p, q)
-    stack = sample_cn(rng, (100, p, q))
+def make_degenerate(stack, k, degenerate):
+    """Make matrix ``k`` of ``stack`` lose one rank in place."""
     if degenerate == "repeated-column":
-        tall = stack[37] if p >= q else stack[37].T  # a view: columns of the short side
+        tall = stack[k] if stack.shape[-2] >= stack.shape[-1] else stack[k].T  # short-side columns
         tall[:, 1] = tall[:, 0]
     else:  # s_min/s_max = 1e-15
-        u, s, vh = np.linalg.svd(stack[37])
+        u, s, vh = np.linalg.svd(stack[k])
         s[-1] = 1e-15 * s[0]
-        stack[37] = (u[:, :len(s)] * s) @ vh[:len(s)]
+        stack[k] = (u[:, :len(s)] * s) @ vh[:len(s)]
+
+
+@pytest.mark.parametrize("p, q", [(7, 3), (3, 7), (4, 4)])
+@pytest.mark.parametrize("degenerate", ["repeated-column", "s_min-1e-15"])
+@pytest.mark.parametrize("bad", [(37,), (0, 99)], ids=["one", "two"])
+def test_degenerate_matrices_alone_go_to_the_svd(monkeypatch, p, q, degenerate, bad):
+    rng = substream(5, "test-certificate-stack", p, q)
+    stack = sample_cn(rng, (100, p, q))
+    for k in bad:
+        make_degenerate(stack, k, degenerate)
     expected = svd_rank(stack)
     seen = svd_calls(monkeypatch)
     ranks = numerical_rank(stack)
-    assert len(seen) == 1  # the certificate rejected the stack
+    # one SVD, of the rejected matrices only
+    assert len(seen) == 1 and np.array_equal(seen[0], stack[list(bad)])
     assert np.array_equal(ranks, expected)
-    assert ranks[37] == min(p, q) - 1 and np.all(np.delete(ranks, 37) == min(p, q))
+    assert np.all(ranks[list(bad)] == min(p, q) - 1)
+    assert np.all(np.delete(ranks, bad) == min(p, q))
 
 
 @pytest.mark.parametrize("p, q", [(7, 3), (3, 7), (4, 4)])
@@ -340,13 +350,21 @@ def test_certificate_holds_down_to_its_shift(monkeypatch, p, q, side):
     assert len(seen) == (0 if side > 0 else 1)
 
 
+def reciprocal_covariance(antennas, i, j):
+    """Exact covariance of users i and j's stacked receive-channel vectors,
+    J^T J for the pair's channel Jacobian J: the rank oracle's reference."""
+    basis = channel_basis(antennas)
+    jac = np.concatenate([vec_batch(basis.channel_to(u)) for u in (i, j)], axis=1)
+    return jac.T @ jac
+
+
 def test_rank_oracle_takes_svds_only_of_the_reciprocal_covariances(monkeypatch):
     # every drawn stack of all-user [1,2,3,4] is certified at this seed; the
     # covariances are rank-deficient by construction, so each needs its SVD
     antennas = (1, 2, 3, 4)
     seen = svd_calls(monkeypatch)
     assert all(r.passed for r in rank_oracle_suite(NetworkConfig(antennas, 6, k2=1), 5))
-    covs = [reciprocal_channel_covariance(antennas, i, j)
+    covs = [reciprocal_covariance(antennas, i, j)
             for i, j in itertools.combinations(range(len(antennas)), 2)]
     assert len(seen) == len(covs)
     assert all(np.array_equal(a, cov) for a, cov in zip(seen, covs))
@@ -360,7 +378,7 @@ def test_reciprocal_covariance_rank_deficiency(antennas):
         for j in range(m):
             if i == j:
                 continue
-            cov = reciprocal_channel_covariance(antennas, i, j)
+            cov = reciprocal_covariance(antennas, i, j)
             dim_i = antennas[i] * (n_t - antennas[i])
             dim_j = antennas[j] * (n_t - antennas[j])
             expected = dim_i + dim_j - antennas[i] * antennas[j]

@@ -125,6 +125,21 @@ def test_rank_oracle_suite_catches_a_seeded_fault(monkeypatch, case):
     assert all(r.measured == 100.0 for n, r in rows.items() if n not in failing)
 
 
+@pytest.mark.parametrize("antennas", [(1,) * 6, (1, 2, 3, 4)])
+def test_rank_oracle_builds_one_channel_basis(monkeypatch, antennas):
+    # the M(M-1)/2 reciprocal covariances share one basis
+    calls = []
+    basis = verify.channel_basis
+
+    def counted(*args):
+        calls.append(args)
+        return basis(*args)
+
+    monkeypatch.setattr(verify, "channel_basis", counted)
+    assert all(r.passed for r in rank_oracle_suite(NetworkConfig(antennas, 2, k2=1), 5))
+    assert calls == [(antennas,)]
+
+
 # The distinct (antennas, N_E) that the benchmark's verify ranks.  Each
 # modified scenario ranks the two-user network (N_1, N_2); (2, 3) with
 # N_E = 2 is also an all-user scenario.
