@@ -22,11 +22,12 @@ import numpy as np
 
 from .model import NetworkConfig, SnrGrid, TwoUserModifiedConfig
 from .numkernel import (
+    ChannelRealization,
     channel_basis,
     cn_blocks,
     log2det_grid,
+    receive,
     split_user_channels,
-    synth_phase1,
     user_channel_dim,
     vec_batch,
 )
@@ -58,12 +59,13 @@ class CapacityCurve:
 def phase1_joint_factors(ps, pairs):
     """Yield the joint pilot-phase factor J of each user pair (i, j) in ``pairs``.
 
-    J is the Jacobian of the noiseless ``synth_phase1`` receptions
-    [vec(Y_i); vec(Y_j^T)] at sigma = 1 over the user-channel entries, less
-    the zero columns of entries neither user hears, so that sigma^2 J J^H + I
-    is the pair's joint reception covariance.  One synthesis serves every pair.
+    J is the Jacobian of the pilot receptions [vec(Y_i); vec(Y_j^T)] of
+    ``receive`` over the user-channel entries, less the zero columns of
+    entries neither user hears, so that sigma^2 J J^H + I is the pair's joint
+    reception covariance at power sigma^2 under unit noise.  One ``receive``
+    over ``channel_basis`` serves every pair.
     """
-    rx = synth_phase1(channel_basis(ps.antennas), ps, 1.0, 0, noise_scale=0.0).user_rx
+    rx = receive(channel_basis(ps.antennas), ps.blocks)[0]
     for i, j in pairs:
         if i == j:
             raise ValueError("need two distinct users")
@@ -99,11 +101,11 @@ def _cij_spec(cfg: NetworkConfig, i: int, j: int):
     others = [l for l in range(cfg.m) if l not in (i, j)]
 
     def factors(z):
-        ch = split_user_channels(cfg.antennas, z)
-        terms = [(cfg.k2, np.concatenate([ch[(u, l)] for l in range(cfg.m) if l != u], axis=-1))
-                 for u in (i, j)]
+        h = split_user_channels(cfg.antennas, z)
+        ch = ChannelRealization(cfg.antennas, 0, h, ())
+        terms = [(cfg.k2, ch.channel_to(u)) for u in (i, j)]
         if others:  # for M = 2 the stack has no columns and adds nothing
-            stack = [np.concatenate([ch[(i, l)], ch[(j, l)]], axis=-2) for l in others]
+            stack = [np.concatenate([h[(i, l)], h[(j, l)]], axis=-2) for l in others]
             terms.append((-cfg.k2, np.concatenate(stack, axis=-1)))
         return terms
 

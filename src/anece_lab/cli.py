@@ -272,8 +272,9 @@ def _verify_size(cfg: NetworkConfig, phase1: bool) -> list[tuple[str, str]]:
     """Each network-sized array of a verify on ``cfg`` above MAX_VERIFY_ENTRIES entries.
 
     With D = sum_{a<b} N_a N_b user-channel entries the arrays are: the
-    phase-1 synthesis stack D * N_T * K_1 of ``phase1_joint_factors`` (with
-    ``phase1``); the rank oracle's draws RANK_DRAWS * (D + N_E * N_T) and,
+    phase-1 synthesis stack D * N_T * K_1, the receptions that
+    ``phase1_joint_factors`` takes from one ``receive`` over ``channel_basis``
+    (with ``phase1``); the rank oracle's draws RANK_DRAWS * (D + N_E * N_T) and,
     for M >= 3, its pair-wise pilot matrices RANK_DRAWS * N_T * P_0 * max N_i
     over P_0 = M(M-1)/2 sessions; and (2D)^2, which bounds each array the
     rank oracle's reciprocal covariances hold: the one D^2 channel basis,

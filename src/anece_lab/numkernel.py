@@ -1,4 +1,4 @@
-"""Channel sampling, per-phase signal synthesis, and numeric primitives.
+"""Channel sampling, the noiseless reception map, and numeric primitives.
 
 Randomness convention: every sampling entry point takes an integer seed and
 derives an independent substream from ``(seed, purpose, index...)``, so
@@ -106,7 +106,7 @@ def channel_basis(antennas) -> ChannelRealization:
     """D realizations on a leading axis, the e-th with only user-channel entry e at 1.
 
     Eve has no antennas.  Through a map linear in the user channels, such as
-    noiseless signal synthesis, it gives that map's Jacobian.
+    ``receive``, it gives that map's Jacobian.
     """
     dim = user_channel_dim(antennas)
     no_eve = tuple(np.zeros((dim, 0, n)) for n in antennas)
@@ -133,112 +133,23 @@ def draw_channels(antennas, n_eve: int, rng: np.random.Generator,
 
 
 # --------------------------------------------------------------------------
-# signal synthesis
+# reception
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Phase1Signals:
-    user_rx: tuple[np.ndarray, ...]  # Y_i, N_i x K_1
-    eve_rx: np.ndarray  # N_E x K_1
+def receive(ch: ChannelRealization, tx) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Noiseless unit-power receptions ``(user_rx, eve_rx)`` of the N_j x K blocks ``tx``.
 
-
-@dataclass(frozen=True)
-class Phase2Signals:
-    symbols: tuple[np.ndarray, ...]  # X_i, N_i x K_2
-    user_rx: tuple[np.ndarray, ...]  # Y_i, N_i x K_2
-    eve_rx: np.ndarray  # N_E x K_2
-
-
-@dataclass(frozen=True)
-class ModifiedSessionSignals:
-    """Receptions of one modified two-user session with unequal pilot lengths.
-
-    Node 1 hears node 2's pilot for N_2 slots then symbols for K - N_2 slots;
-    node 2 symmetrically with N_1.  ``eve_rx_full`` covers all K slots.
+    Full duplex: user i hears Y_i = sum_{j != i} H_ij X_j = H_(i) [X_j]_{j != i}
+    and Eve hears H_E [X_1; ...; X_M], whichever phase the blocks X_j belong
+    to.  Channels may carry leading batch axes, as ``channel_basis`` gives
+    them; the blocks are matrices.
     """
-
-    y1_p1: np.ndarray  # N_1 x N_2
-    y2_p1: np.ndarray  # N_2 x N_1
-    y1_p2: np.ndarray  # N_1 x (K - N_2)
-    y2_p2: np.ndarray  # N_2 x (K - N_1)
-    eve_rx_full: np.ndarray  # N_E x K
-
-
-def synth_phase1(ch: ChannelRealization, ps, sigma: float, seed: int,
-                 noise_scale: float = 1.0) -> Phase1Signals:
-    """Pilot-phase receptions: Y_i = sigma*H_i*P_(i) + W_i, Y_E = sigma*H_E*P + W_E.
-
-    Channels may carry a leading batch axis, as ``channel_basis`` gives them.
-    At ``noise_scale`` 0 no noise generator is built and no noise is drawn.
-    """
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
-    m = len(ch.antennas)
-    if len(ps.blocks) != m:
-        raise ValueError("pilot block count does not match channel realization")
-    rng = substream(seed, "phase1-noise") if noise_scale else None
-    user_rx = []
-    for i in range(m):
-        p_without_i = np.vstack([ps.blocks[l] for l in range(m) if l != i])
-        w = noise_scale * sample_cn(rng, (ch.antennas[i], ps.k1)) if rng else 0.0
-        user_rx.append(sigma * ch.channel_to(i) @ p_without_i + w)
-    w_eve = noise_scale * sample_cn(rng, (ch.n_eve, ps.k1)) if rng else 0.0
-    eve_rx = sigma * ch.eve_stacked @ ps.stacked + w_eve
-    return Phase1Signals(tuple(user_rx), eve_rx)
-
-
-def synth_phase2(ch: ChannelRealization, cfg, sigma: float, seed: int,
-                 noise_scale: float = 1.0) -> Phase2Signals:
-    """Symbol-phase receptions: Y_i = sigma*sum_{j!=i} H_ij X_j + W_i."""
-    if cfg.k2 < 1:
-        raise ValueError("phase 2 needs K_2 >= 1")
-    if tuple(cfg.antennas) != ch.antennas:
-        raise ValueError("config antennas do not match channel realization")
-    m = len(ch.antennas)
-    rng = substream(seed, "phase2")
-    symbols = tuple(sample_cn(rng, (n, cfg.k2)) for n in ch.antennas)
-    user_rx = []
-    for i in range(m):
-        y = noise_scale * sample_cn(rng, (ch.antennas[i], cfg.k2))
-        for j in range(m):
-            if j != i:
-                y = y + sigma * ch.user_channels[(i, j)] @ symbols[j]
-        user_rx.append(y)
-    w_eve = noise_scale * sample_cn(rng, (ch.n_eve, cfg.k2))
-    eve_rx = sigma * ch.eve_stacked @ np.vstack(symbols) + w_eve
-    return Phase2Signals(symbols, tuple(user_rx), eve_rx)
-
-
-def synth_modified_session(cfg2u, pp, ch: ChannelRealization, sigma: float, seed: int,
-                           noise_scale: float = 1.0) -> ModifiedSessionSignals:
-    """One full modified two-user session (both phases, both nodes, Eve).
-
-    Eve's K-slot reception is sigma * H_E @ [[P1, X11, X12], [P21, P22, X2]]
-    plus noise, where P21/P22 split node 2's pilot at column N_1 and X11/X12
-    split node 1's symbols at column N_2 - N_1.
-    """
-    n1, n2, k = cfg2u.n1, cfg2u.n2, cfg2u.k_total
-    if ch.antennas != (n1, n2):
-        raise ValueError("channel realization must be built for (N_1, N_2)")
-    if pp.p1.shape != (n1, n1) or pp.p2.shape != (n2, n2):
-        raise ValueError("pilot shapes do not match config")
-    h12 = ch.user_channels[(0, 1)]
-    h21 = ch.user_channels[(1, 0)]
-    rng = substream(seed, "modified-session")
-    x1 = sample_cn(rng, (n1, k - n1))
-    x2 = sample_cn(rng, (n2, k - n2))
-
-    y1_p1 = sigma * h12 @ pp.p2 + noise_scale * sample_cn(rng, (n1, n2))
-    y2_p1 = sigma * h21 @ pp.p1 + noise_scale * sample_cn(rng, (n2, n1))
-    y1_p2 = sigma * h12 @ x2 + noise_scale * sample_cn(rng, (n1, k - n2))
-    y2_p2 = sigma * h21 @ x1 + noise_scale * sample_cn(rng, (n2, k - n1))
-
-    x11, x12 = x1[:, : n2 - n1], x1[:, n2 - n1:]
-    p21, p22 = pp.p2[:, :n1], pp.p2[:, n1:]
-    tx = np.block([[pp.p1, x11, x12], [p21, p22, x2]])
-    eve_rx_full = sigma * ch.eve_stacked @ tx + noise_scale * sample_cn(rng, (ch.n_eve, k))
-    return ModifiedSessionSignals(y1_p1, y2_p1, y1_p2, y2_p2, eve_rx_full)
+    if [np.shape(x)[0] for x in tx] != list(ch.antennas):
+        raise ValueError("each transmit block needs one row per antenna of its user")
+    users = range(len(tx))
+    user_rx = tuple(ch.channel_to(i) @ np.vstack([tx[j] for j in users if j != i]) for i in users)
+    return user_rx, ch.eve_stacked @ np.vstack(tx)
 
 
 # --------------------------------------------------------------------------

@@ -208,25 +208,21 @@ def test_cond_entropy_value_matches_quadrature_oracle():
 
 
 def test_phase1_covariance_matches_synthesized_signals():
-    # empirical covariance of [vec(Y_i); vec(Y_j^T)] over fresh channel and
-    # noise draws must reproduce the analytic joint assembly, cross block
-    # included
-    from anece_lab.numkernel import draw_channels, substream, synth_phase1
+    # empirical covariance of [vec(Y_i); vec(Y_j^T)], Y = sigma * receive + W,
+    # over fresh channel and unit-noise draws must reproduce the analytic
+    # joint assembly, cross block included
+    from anece_lab.numkernel import draw_channels, receive, sample_cn, substream, vec_batch
 
     cfg = NetworkConfig((1, 2), 0, k2=1)
     ps = build_pilots(cfg, 6)
     sigma2 = 2.0
     target = phase1_cov_joint(ps, 0, 1, sigma2)
-    acc = np.zeros_like(target)
     n_draws = 8000
-    for d in range(n_draws):
-        ch = draw_channels(cfg.antennas, cfg.n_eve, substream(d, "channels"), ())
-        sig = synth_phase1(ch, ps, math.sqrt(sigma2), d)
-        v = np.concatenate(
-            [sig.user_rx[0].flatten(order="F"), sig.user_rx[1].T.flatten(order="F")]
-        )
-        acc += np.outer(v, v.conj())
-    est = acc / n_draws
+    rng = substream(0, "phase1-covariance")
+    ch = draw_channels(cfg.antennas, cfg.n_eve, rng, (n_draws,))
+    y0, y1 = (math.sqrt(sigma2) * y + sample_cn(rng, y.shape) for y in receive(ch, ps.blocks)[0])
+    v = np.concatenate([vec_batch(y0), vec_batch(np.swapaxes(y1, 1, 2))], axis=1)
+    est = v.T @ v.conj() / n_draws
     assert np.linalg.norm(est - target) / np.linalg.norm(target) <= 0.05
 
 
@@ -240,15 +236,15 @@ def test_phase1_factor_reproduces_joint_covariance(antennas):
 
 
 def test_phase1_joint_factors_share_one_synthesis(monkeypatch):
-    # every pair's factor comes from one synthesis and equals its own pair's
+    # every pair's factor comes from one reception and equals its own pair's
     calls = []
-    synth = capacity.synth_phase1
+    receive = capacity.receive
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return synth(*args, **kwargs)
+        return receive(*args, **kwargs)
 
-    monkeypatch.setattr(capacity, "synth_phase1", counted)
+    monkeypatch.setattr(capacity, "receive", counted)
     ps = build_pilots(NetworkConfig((1, 2, 3, 4), 0, k2=1), 2)
     pairs = list(itertools.permutations(range(4), 2))
     factors = list(phase1_joint_factors(ps, pairs))

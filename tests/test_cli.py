@@ -475,7 +475,7 @@ def test_verify_refuses_an_oversized_working_set(write_scenario, monkeypatch, ca
     def built(*args, **kwargs):
         raise AssertionError("verify started its work")
 
-    monkeypatch.setattr(capacity, "synth_phase1", built)
+    monkeypatch.setattr(capacity, "receive", built)
     monkeypatch.setattr(cli, "_verify_rows", built)
     path = write_scenario(scheme, network, **FAST_MC)
     tracemalloc.start()

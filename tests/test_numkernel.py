@@ -13,10 +13,8 @@ from anece_lab.numkernel import (
     log2det_grid,
     numerical_rank,
     sample_cn,
+    receive,
     substream,
-    synth_modified_session,
-    synth_phase1,
-    synth_phase2,
     vec_batch,
 )
 from anece_lab.pilots import PilotSet, build_pilots, build_square_pilots
@@ -64,106 +62,143 @@ def test_channel_determinism():
 
 
 # --------------------------------------------------------------------------
-# phase synthesis
+# reception
 # --------------------------------------------------------------------------
 
 
-def test_phase1_zero_power_is_pure_unit_noise():
-    cfg = NetworkConfig((4, 4), 0, k1=500, k2=1)
-    ch = draw_channels(cfg.antennas, cfg.n_eve, substream(1, "channels"), ())
-    ps = build_pilots(cfg, 1)
-    sig = synth_phase1(ch, ps, 0.0, 2)
-    entries = sig.user_rx[0].ravel()
-    assert abs(float(np.mean(np.abs(entries) ** 2)) - 1.0) <= 0.1
+@pytest.mark.parametrize("channels", ["one", "batch", "basis"])
+def test_receive_sums_every_pair_in_channel_order(channels):
+    # unequal antennas, so a column of H_(i) or H_E that meets the wrong row
+    # of the transmit stack changes a shape or a sum; pair by pair, per
+    # realization of the leading axis
+    antennas, k = (1, 2, 3), 4
+    rng = substream(3, "receive")
+    if channels == "basis":
+        ch = channel_basis(antennas)
+    else:
+        ch = draw_channels(antennas, 2, rng, () if channels == "one" else (5,))
+    tx = tuple(sample_cn(rng, (n, k)) for n in antennas)
+    user_rx, eve_rx = receive(ch, tx)
+    for b in np.ndindex(ch.eve_channels[0].shape[:-2]):
+        for i in range(3):
+            want = sum(ch.user_channels[(i, j)][b] @ tx[j] for j in range(3) if j != i)
+            assert user_rx[i][b].shape == (antennas[i], k)
+            assert np.allclose(user_rx[i][b], want, rtol=0, atol=1e-12)
+        want = sum(h[b] @ x for h, x in zip(ch.eve_channels, tx, strict=True))
+        assert eve_rx[b].shape == (ch.n_eve, k)
+        assert np.allclose(eve_rx[b], want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [(1, 3, 2), (1, 2), (1, 2, 3, 1)])
+def test_receive_refuses_a_block_of_the_wrong_height(rows):
+    ch = draw_channels((1, 2, 3), 2, substream(3, "receive"), ())
+    with pytest.raises(ValueError):
+        receive(ch, tuple(np.ones((n, 4)) for n in rows))
 
 
 def test_phase1_high_power_reveals_the_channel():
-    cfg = NetworkConfig((1, 1), 0, k1=1, k2=1)
     ps = PilotSet((np.array([[1.0 + 0j]]), np.array([[1.0 + 0j]])))
-    ch = draw_channels(cfg.antennas, cfg.n_eve, substream(5, "channels"), ())
+    ch = draw_channels((1, 1), 0, substream(5, "channels"), ())
     sigma = 1000.0
-    sig = synth_phase1(ch, ps, sigma, 6)
-    assert abs(sig.user_rx[0][0, 0] / sigma - ch.user_channels[(0, 1)][0, 0]) <= 0.05
+    y = sigma * receive(ch, ps.blocks)[0][0] + sample_cn(substream(6, "noise"), (1, 1))
+    assert abs(y[0, 0] / sigma - ch.user_channels[(0, 1)][0, 0]) <= 0.05
 
 
 def test_phase1_noiseless_matches_orthonormal_factorization():
     cfg = NetworkConfig((2, 3), 4, k2=2)
     ps = build_pilots(cfg, 1)
     ch = draw_channels(cfg.antennas, cfg.n_eve, substream(2, "channels"), ())
-    sig = synth_phase1(ch, ps, 3.0, 0, noise_scale=0.0)
-    expected = 3.0 * ch.eve_stacked @ ps.stacked
-    resid = np.linalg.norm(sig.eve_rx - expected) / np.linalg.norm(expected)
+    expected = ch.eve_stacked @ ps.stacked
+    resid = np.linalg.norm(receive(ch, ps.blocks)[1] - expected) / np.linalg.norm(expected)
     assert resid <= 1e-10
+
+
+def draw_symbols(antennas, k2, seed):
+    """Phase-2 symbols X_i, N_i x K_2 with i.i.d. CN(0, 1) entries."""
+    rng = substream(seed, "symbols")
+    return tuple(sample_cn(rng, (n, k2)) for n in antennas)
 
 
 def test_phase2_two_users_hear_only_each_other():
     cfg = NetworkConfig((1, 1), 2, k2=1)
     ch = draw_channels(cfg.antennas, cfg.n_eve, substream(4, "channels"), ())
-    sig = synth_phase2(ch, cfg, 2.0, 5, noise_scale=0.0)
-    assert np.allclose(sig.user_rx[1], 2.0 * ch.user_channels[(1, 0)] @ sig.symbols[0])
-    assert np.allclose(sig.user_rx[0], 2.0 * ch.user_channels[(0, 1)] @ sig.symbols[1])
-    assert np.allclose(
-        sig.eve_rx, 2.0 * ch.eve_stacked @ np.vstack(sig.symbols)
-    )
+    symbols = draw_symbols(cfg.antennas, cfg.k2, 5)
+    user_rx, eve_rx = receive(ch, symbols)
+    assert np.allclose(user_rx[1], ch.user_channels[(1, 0)] @ symbols[0])
+    assert np.allclose(user_rx[0], ch.user_channels[(0, 1)] @ symbols[1])
+    assert np.allclose(eve_rx, ch.eve_stacked @ np.vstack(symbols))
 
 
 def test_phase2_shapes_and_fresh_symbols():
     cfg = NetworkConfig((2, 3, 1), 2, k2=4)
     ch = draw_channels(cfg.antennas, cfg.n_eve, substream(4, "channels"), ())
-    a = synth_phase2(ch, cfg, 1.0, 5)
-    b = synth_phase2(ch, cfg, 1.0, 6)
-    assert a.symbols[0].shape == (2, 4)
-    assert a.user_rx[2].shape == (1, 4)
-    assert a.eve_rx.shape == (2, 4)
-    assert not np.array_equal(a.symbols[0], b.symbols[0])
-    again = synth_phase2(ch, cfg, 1.0, 5)
-    assert np.array_equal(a.user_rx[0], again.user_rx[0])
+    a = receive(ch, draw_symbols(cfg.antennas, cfg.k2, 5))
+    b = receive(ch, draw_symbols(cfg.antennas, cfg.k2, 6))
+    assert [y.shape for y in a[0]] == [(2, 4), (3, 4), (1, 4)]
+    assert a[1].shape == (2, 4)
+    assert not np.array_equal(a[0][0], b[0][0])
+    again = receive(ch, draw_symbols(cfg.antennas, cfg.k2, 5))
+    assert np.array_equal(a[0][0], again[0][0])
+    assert np.array_equal(a[1], again[1])
 
 
 def test_phase2_empirical_covariance_matches_model():
-    # cov(vec(Y_1)) = I_{K_2} kron (sigma2 * H_1 H_1^H + I)
+    # cov(vec(Y_1)) = I_{K_2} kron (sigma2 * H_1 H_1^H + I), at sigma2 = 1 under
+    # unit noise; draw d sends the K_2 columns d*K_2 ... (d+1)*K_2 - 1
     cfg = NetworkConfig((2, 2), 0, k2=2)
     ch = draw_channels(cfg.antennas, cfg.n_eve, substream(11, "channels"), ())
     h1 = ch.channel_to(0)
     target = np.kron(np.eye(cfg.k2), h1 @ h1.conj().T + np.eye(2))
-    acc = np.zeros_like(target, dtype=complex)
     n_draws = 10_000
-    for d in range(n_draws):
-        y = synth_phase2(ch, cfg, 1.0, d).user_rx[0].flatten(order="F")
-        acc += np.outer(y, y.conj())
-    est = acc / n_draws
+    y = receive(ch, draw_symbols(cfg.antennas, n_draws * cfg.k2, 12))[0][0]
+    y = y + sample_cn(substream(13, "noise"), y.shape)
+    v = y.T.reshape(n_draws, -1)  # row d is vec(Y_1) of draw d
+    est = v.T @ v.conj() / n_draws
     assert np.linalg.norm(est - target) / np.linalg.norm(target) <= 0.05
+
+
+def modified_session(c2u, pp, ch, seed):
+    """One noiseless modified two-user session on the realization ``ch``.
+
+    Node 1 sends [P1 | X1] and node 2 [P2 | X2] over K slots; node 1 hears
+    node 2's pilot for N_2 slots, node 2 node 1's for N_1.  Returns the
+    symbols, both nodes' pilot-phase and symbol-phase receptions, and Eve's.
+    """
+    n1, n2, k = c2u.n1, c2u.n2, c2u.k_total
+    rng = substream(seed, "symbols")
+    x1, x2 = sample_cn(rng, (n1, k - n1)), sample_cn(rng, (n2, k - n2))
+    (y1, y2), eve_rx = receive(ch, (np.hstack([pp.p1, x1]), np.hstack([pp.p2, x2])))
+    return (x1, x2), (y1[:, :n2], y2[:, :n1]), (y1[:, n2:], y2[:, n1:]), eve_rx
 
 
 def test_modified_session_layout_noiseless():
     c2u = TwoUserModifiedConfig(1, 2, 3, 2)
     pp = build_square_pilots(c2u, 4)
     ch = draw_channels((1, 2), 2, substream(9, "channels"), ())
-    sig = synth_modified_session(c2u, pp, ch, 2.0, 1, noise_scale=0.0)
-    assert sig.y1_p1.shape == (1, 2)
-    assert sig.y2_p1.shape == (2, 1)
-    assert sig.y1_p2.shape == (1, 1)  # K - N_2 columns
-    assert sig.y2_p2.shape == (2, 2)  # K - N_1 columns
-    assert sig.eve_rx_full.shape == (2, 3)
-    first_col = 2.0 * ch.eve_stacked @ np.vstack([pp.p1[:, :1], pp.p2[:, :1]])
-    assert np.allclose(sig.eve_rx_full[:, :1], first_col)
+    (x1, x2), (y1_p1, y2_p1), (y1_p2, y2_p2), eve_rx = modified_session(c2u, pp, ch, 1)
+    assert y1_p1.shape == (1, 2)
+    assert y2_p1.shape == (2, 1)
+    assert y1_p2.shape == (1, 1)  # K - N_2 columns
+    assert y2_p2.shape == (2, 2)  # K - N_1 columns
+    assert eve_rx.shape == (2, 3)
+    assert np.allclose(y1_p1, ch.user_channels[(0, 1)] @ pp.p2)
+    assert np.allclose(y2_p2, ch.user_channels[(1, 0)] @ x1)
+    first_col = ch.eve_stacked @ np.vstack([pp.p1[:, :1], pp.p2[:, :1]])
+    assert np.allclose(eve_rx[:, :1], first_col)
 
 
 def test_modified_session_equal_antennas_degenerates():
     # with N_1 = N_2 both pilots span the same slots and Eve's reception is
-    # exactly sigma * H_E [[P1, X1], [P2, X2]]; recover X from the noiseless
-    # user receptions to rebuild her full matrix
+    # exactly H_E [[P1, X1], [P2, X2]]; recover X from the noiseless user
+    # receptions to rebuild her full matrix
     c2u = TwoUserModifiedConfig(2, 2, 4, 3)
     pp = build_square_pilots(c2u, 0)
     ch = draw_channels((2, 2), 3, substream(2, "channels"), ())
-    sigma = 2.0
-    sig = synth_modified_session(c2u, pp, ch, sigma, 1, noise_scale=0.0)
-    pilot_cols = sigma * ch.eve_stacked @ np.vstack([pp.p1, pp.p2])
-    assert np.allclose(sig.eve_rx_full[:, :2], pilot_cols)
-    x1 = np.linalg.solve(sigma * ch.user_channels[(1, 0)], sig.y2_p2)
-    x2 = np.linalg.solve(sigma * ch.user_channels[(0, 1)], sig.y1_p2)
-    symbol_cols = sigma * ch.eve_stacked @ np.vstack([x1, x2])
-    assert np.allclose(sig.eve_rx_full[:, 2:], symbol_cols)
+    _, _, (y1_p2, y2_p2), eve_rx = modified_session(c2u, pp, ch, 1)
+    assert np.allclose(eve_rx[:, :2], ch.eve_stacked @ np.vstack([pp.p1, pp.p2]))
+    x1 = np.linalg.solve(ch.user_channels[(1, 0)], y2_p2)
+    x2 = np.linalg.solve(ch.user_channels[(0, 1)], y1_p2)
+    assert np.allclose(eve_rx[:, 2:], ch.eve_stacked @ np.vstack([x1, x2]))
 
 
 def test_modified_session_rejects_mismatched_channels():
@@ -171,7 +206,7 @@ def test_modified_session_rejects_mismatched_channels():
     pp = build_square_pilots(c2u, 4)
     ch = draw_channels((2, 2), 2, substream(9, "channels"), ())
     with pytest.raises(ValueError):
-        synth_modified_session(c2u, pp, ch, 1.0, 0)
+        modified_session(c2u, pp, ch, 0)
 
 
 # --------------------------------------------------------------------------

@@ -223,7 +223,7 @@ def test_eig_growth_suite_catches_a_dropped_factor_column(monkeypatch):
 
 @pytest.mark.parametrize("antennas", [(2, 2, 2), (1, 2, 3, 4)])
 def test_eig_growth_suite_work(monkeypatch, antennas):
-    # one synthesis, and one linalg call per user and per pair: each factor's
+    # one reception, and one linalg call per user and per pair: each factor's
     # full rank is certified by one Cholesky
     calls = Counter()
 
@@ -237,13 +237,13 @@ def test_eig_growth_suite_work(monkeypatch, antennas):
         fn = getattr(np.linalg, name)
         if callable(fn) and not isinstance(fn, type):
             monkeypatch.setattr(np.linalg, name, counted("linalg", fn))
-    monkeypatch.setattr(capacity, "synth_phase1", counted("synth", capacity.synth_phase1))
+    monkeypatch.setattr(capacity, "receive", counted("receive", capacity.receive))
     cfg = NetworkConfig(antennas, 0, k2=1)
     ps = build_pilots(cfg, 3)
     calls.clear()
     assert all(r.passed for r in eig_growth_suite(ps))
     m = len(antennas)
-    assert calls == {"synth": 1, "linalg": m + m * (m - 1) // 2}
+    assert calls == {"receive": 1, "linalg": m + m * (m - 1) // 2}
 
 
 def test_identity_suite_is_green_and_complete():
