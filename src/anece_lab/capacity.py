@@ -3,14 +3,17 @@
 Every term is a weighted sum of log2|I + s2 * A A^H| over factor matrices
 A, evaluated for a whole SNR grid at once by ``numkernel.log2det_grid`` from
 the squared singular values of each factor: in closed form when its short
-side is 1 or 2, else from the eigenvalues of its short-side Gram, so such a
-factor must have full rank on its short side.  The pilot-phase SKC is
+side is at most 3 (the roots of the Gram's characteristic cubic for 3),
+else from one batched ``eigvalsh`` of its short-side Gram.  Eigenvalues of
+a Gram carry an absolute error of about 1e-16 tr(G), so a factor whose
+short side exceeds 2 must have full rank on it.  The pilot-phase SKC is
 exact: its factors depend only on the pilots, ``build_pilots`` audits the
 rank of each P_(i), and ``verify`` ranks the same factors for its ``eig:*``
 rows.  The symbol-phase terms are Monte Carlo means over channel draws
-from one ``(seed, purpose)`` stream per curve, read in sample order; every
-grid point reuses the same draws (common random numbers), and the means are
-bit-reproducible.
+from one ``(seed, purpose)`` stream per curve, read in sample order in
+blocks of at most ``numkernel.MC_BLOCK_ENTRIES`` entries (or of one sample);
+every grid point reuses the same draws (common random numbers), and the
+means are bit-reproducible.
 """
 
 from __future__ import annotations

@@ -49,7 +49,7 @@ from .model import (
     validate_pairwise_config,
 )
 from .pilots import build_pairwise_matrix, build_pilots, build_square_pilots, write_matrix_text
-from .numkernel import MC_BLOCK, sample_cn, substream, user_channel_dim
+from .numkernel import sample_cn, substream, user_channel_dim
 from .verify import (
     RANK_DRAWS,
     default_grid,
@@ -302,13 +302,11 @@ def _verify_size(cfg: NetworkConfig, phase1: bool) -> list[tuple[str, str]]:
 def _curve_size(sc: Scenario) -> list[tuple[str, str]]:
     """The ``snr_grid`` problem of a verify whose Monte Carlo curve is too large.
 
-    A curve keeps one value per grid point and sample, and ``log2det_grid``
-    holds a log term per grid point, sample of a block and eigenvalue of a
-    factor's short side, at most max(2, N_T / 2) of them.  Nothing is allocated.
+    A curve keeps one value per grid point and sample.  Its scratch is no
+    larger: ``log2det_grid`` sums its log terms one eigenvalue at a time,
+    over a block of at most the curve's samples.  Nothing is allocated.
     """
-    points, samples = len(sc.snr_grid.points), sc.mc_samples
-    short_side = max(2, sc.network.n_total // 2)
-    size = points * max(samples, min(samples, MC_BLOCK) * short_side)
+    size = len(sc.snr_grid.points) * sc.mc_samples
     return _oversized("verify", [("snr_grid", "Monte Carlo curve", size)])
 
 

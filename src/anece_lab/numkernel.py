@@ -19,8 +19,8 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-# Samples per Monte Carlo block; bounds the scratch memory of a curve.
-MC_BLOCK = 256
+# Complex entries drawn per Monte Carlo block; bounds the scratch memory of a curve.
+MC_BLOCK_ENTRIES = 2**15
 
 
 def substream(seed: int, *path: int | str) -> np.random.Generator:
@@ -42,15 +42,19 @@ def sample_cn(rng: np.random.Generator, shape) -> np.ndarray:
 def cn_blocks(seed: int, purpose: str, n_samples: int, dim: int):
     """Yield ``n_samples`` CN(0,1) vectors of length ``dim`` as (b, dim) blocks.
 
-    Each block is one (b, dim, 2) real draw from ``substream(seed, purpose)``,
-    so sample s does not depend on ``n_samples`` or ``MC_BLOCK``.
+    Each block holds ``MC_BLOCK_ENTRIES // dim`` samples, or one if ``dim``
+    is larger, and the last block the rest.  Each is one (b, dim, 2) real
+    draw from ``substream(seed, purpose)``, scaled in place, so sample s does
+    not depend on ``n_samples`` or ``MC_BLOCK_ENTRIES``.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = substream(seed, purpose)
-    for start in range(0, n_samples, MC_BLOCK):
-        b = min(MC_BLOCK, n_samples - start)
-        yield np.sqrt(0.5) * rng.standard_normal((b, dim, 2)).view(np.complex128)[..., 0]
+    step = max(1, MC_BLOCK_ENTRIES // max(dim, 1))
+    for start in range(0, n_samples, step):
+        block = rng.standard_normal((min(step, n_samples - start), dim, 2))
+        block *= np.sqrt(0.5)
+        yield block.view(np.complex128)[..., 0]
 
 
 # --------------------------------------------------------------------------
@@ -160,35 +164,84 @@ def receive(ch: ChannelRealization, tx) -> tuple[tuple[np.ndarray, ...], np.ndar
 def _short_side_spectrum(a: np.ndarray) -> np.ndarray:
     """Squared singular values of each matrix of the (..., p, q) stack ``a``.
 
-    Returns shape (..., min(p, q)).  A short side of 1 gives the squared
-    column norm.  A short side of 2, with columns u and v, gives the pair
-    fixed by its sum and product, largest first: with a = |u|^2, b = |v|^2
-    and g = u^H v, l_max = (a + b)/2 + hypot((a - b)/2, |g|) and
-    l_min = a |v - (g/a) u|^2 / l_max.  The Gram-Schmidt residual avoids the
-    cancellation in ab - |g|^2, so sqrt(l_min) carries an absolute error of
-    about 1e-16 sqrt(l_max), as an SVD's does; a zero column or matrix gives
-    0.  A longer short side takes the eigenvalues of its Gram from one
-    batched ``eigvalsh``, clamped at 0, with an absolute error of about
-    1e-16 l_max.  The size switch is the maths': a pair of eigenvalues is
-    fixed by its sum and product, three are not.
+    Returns shape (min(p, q), ...), the eigenvalue axis first.  A short side
+    of 1 gives the squared column norm.  A short side of 2, with columns u
+    and v, gives the pair fixed by its sum and product, largest first: with
+    a = |u|^2, b = |v|^2 and g = u^H v, l_max = (a + b)/2 + hypot((a - b)/2, |g|)
+    and l_min = a |v - (g/a) u|^2 / l_max.  The Gram-Schmidt residual avoids
+    the cancellation in ab - |g|^2, so sqrt(l_min) carries an absolute error
+    of about 1e-16 sqrt(l_max), as an SVD's does; a zero column or matrix
+    gives 0.  A short side of 3 solves the characteristic cubic of its Gram
+    (``_cubic_spectrum``), and a longer one takes the eigenvalues of its
+    Gram from one batched ``eigvalsh``, clamped at 0; both carry an absolute
+    error of about 1e-16 tr(G).  The size switch: a pair of eigenvalues is
+    fixed by its sum and product and a triple by a cubic, while the closed
+    form of a quartic is neither short nor stable.
     """
     a = np.asarray(a)
     if a.shape[-2] < a.shape[-1]:
         a = np.swapaxes(a, -1, -2)  # A^T has the singular values of A
-    if a.shape[-1] > 2:
-        return np.maximum(np.linalg.eigvalsh(np.conj(np.swapaxes(a, -1, -2)) @ a), 0.0)
-    sq = np.einsum("...ij,...ij->...j", a.conj(), a).real
-    if a.shape[-1] < 2:
+    n = a.shape[-1]
+    if n > 3:
+        gram = np.conj(np.swapaxes(a, -1, -2)) @ a
+        return np.moveaxis(np.maximum(np.linalg.eigvalsh(gram), 0.0), -1, 0)
+    sq = np.einsum("...ij,...ij->j...", a.conj(), a).real
+    if n < 2:
         return sq
-    u, v = a[..., 0], a[..., 1]
-    alpha, beta = sq[..., 0], sq[..., 1]
-    gamma = np.einsum("...i,...i->...", u.conj(), v)
+    cols = [a[..., k] for k in range(n)]
+
+    def inner(k, l):
+        return np.einsum("...i,...i->...", cols[k].conj(), cols[l])
+
+    if n == 3:
+        return _cubic_spectrum(sq, inner(0, 1), inner(0, 2), inner(1, 2))
+    (u, v), (alpha, beta) = cols, sq
+    gamma = inner(0, 1)
     l_max = 0.5 * (alpha + beta) + np.hypot(0.5 * (alpha - beta), np.abs(gamma))
     coef = np.divide(gamma, alpha, out=np.zeros_like(gamma), where=alpha > 0)
     r = v - coef[..., None] * u
     det = alpha * np.einsum("...i,...i->...", r.conj(), r).real
     l_min = np.divide(det, l_max, out=np.zeros_like(det), where=l_max > 0)
-    return np.stack([l_max, l_min], axis=-1)
+    return np.stack([l_max, l_min])
+
+
+def _cubic_spectrum(diag: np.ndarray, x, y, z) -> np.ndarray:
+    """Eigenvalues of Hermitian 3 x 3 Grams G, the eigenvalue axis first.
+
+    ``diag`` is (3, ...) and x = G_01, y = G_02, z = G_12.  The cubic is
+    solved in trigonometric form (O. K. Smith, "Eigenvalues of a symmetric
+    3 x 3 matrix", CACM 4(4), 1961) on G / tr(G), so no intermediate
+    overflows, and a zero Gram gives exactly 0.  With q = tr/3, D = G - qI,
+    p^2 = |D|_F^2 / 6 and r = det(D) / (2 p^3), the eigenvalues of D are
+    2p cos((acos r + 2 pi k) / 3).  Only the extreme one that the sign of r
+    picks, e, is well conditioned in r; the other two, c +- h with
+    c = -e/2, are near a double root of the cubic wherever r is near +-1,
+    and the cubic fixes them only to about 1e-8 tr(G).  So h comes from the
+    matrix instead: M = D - eI maps into the plane where D - cI is +-h, so
+    h = |(D - cI) M|_F / |M|_F.  Each eigenvalue then errs by about
+    1e-16 tr(G), as ``eigvalsh``'s does, double and triple roots included.
+    """
+    t = diag.sum(axis=0)
+    scale = np.where(t > 0, t, 1.0)
+    d, x, y, z = diag / scale, x / scale, y / scale, z / scale
+    q = d.sum(axis=0) / 3
+    d -= q
+    xx, yy, zz = (x.conj() * x).real, (y.conj() * y).real, (z.conj() * z).real
+    p2 = (np.einsum("k...,k...->...", d, d) + 2 * (xx + yy + zz)) / 6
+    p = np.sqrt(p2)
+    det = d[0] * d[1] * d[2] + 2 * (x * z * y.conj()).real - d[0] * zz - d[1] * yy - d[2] * xx
+    den = 2 * p2 * p
+    r = np.clip(np.divide(det, den, out=np.zeros_like(det), where=den > 0), -1.0, 1.0)
+    e = 2 * p * np.copysign(np.cos(np.arccos(np.abs(r)) / 3), r)
+    u, w = d + 0.5 * e, d - e  # the diagonals of D - cI and of M
+    q_diag = (u[0] * w[0] + xx + yy, u[1] * w[1] + xx + zz, u[2] * w[2] + yy + zz)
+    q_off = (x * (u[0] + w[1]) + y * z.conj(), y * (u[0] + w[2]) + x * z,
+             z * (u[1] + w[2]) + x.conj() * y)
+    nq = sum(v * v for v in q_diag) + 2 * sum((v.conj() * v).real for v in q_off)
+    nm = np.einsum("k...,k...->...", w, w) + 2 * (xx + yy + zz)
+    h = np.sqrt(np.divide(nq, nm, out=np.zeros_like(nq), where=nm > 0))
+    c = q - 0.5 * e
+    return np.maximum(np.stack([q + e, c + h, c - h]), 0.0) * t
 
 
 def log2det_grid(a: np.ndarray, sigma2) -> np.ndarray:
@@ -196,17 +249,25 @@ def log2det_grid(a: np.ndarray, sigma2) -> np.ndarray:
 
     Returns shape (len(sigma2), ...): sum_k log2(1 + s2 l_k) over the
     squared singular values l_k of ``_short_side_spectrum``, closed form on a
-    short side of 1 or 2 and one batched ``eigvalsh`` of the short side's Gram
-    (A^H A for a tall A, A A^H for a wide one) on a longer one.  Those
-    eigenvalues carry an absolute error of about 1e-16 l_max, so a factor
-    whose short side exceeds 2 must have full rank on it, as every caller's
-    has: the Monte Carlo factors are Gaussian draws, each P_(i)^T is audited
-    by ``build_pilots``, and the ``eig:joint`` row ranks the joint factor
+    short side of at most 3 and one batched ``eigvalsh`` of the short side's
+    Gram (A^H A for a tall A, A A^H for a wide one) on a longer one.  The
+    sum takes one eigenvalue at a time, so its scratch is two arrays of
+    (len(sigma2), ...) whatever the short side.  Eigenvalues from a Gram
+    carry an absolute error of about 1e-16 tr(G), so a factor whose short
+    side exceeds 2 must have full rank on it, as every caller's has: the
+    Monte Carlo factors are Gaussian draws, each P_(i)^T is audited by
+    ``build_pilots``, and the ``eig:joint`` row ranks the joint factor
     against its column count.
     """
     lam = _short_side_spectrum(a)
     s2 = np.asarray(sigma2, dtype=float)
-    return np.log1p(s2.reshape(s2.shape + (1,) * lam.ndim) * lam).sum(axis=-1) / math.log(2.0)
+    s2 = s2.reshape(s2.shape + (1,) * (lam.ndim - 1))
+    shape = np.broadcast_shapes(s2.shape, lam.shape[1:])
+    total, term = np.zeros(shape), np.empty(shape)
+    for l_k in lam:
+        total += np.log1p(np.multiply(s2, l_k, out=term), out=term)
+    total /= math.log(2.0)
+    return total
 
 
 # Full-rank certificate of ``numerical_rank``: the shift, as a share of tr(G),

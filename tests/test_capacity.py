@@ -293,12 +293,40 @@ def test_cij_curve_matches_per_sample_gram_reference():
     assert np.max(np.abs(got - expected)) <= 1e-6
 
 
-@pytest.mark.parametrize("block", [1, 7, 256])
-def test_curve_does_not_depend_on_the_block_size(monkeypatch, block):
+# entry budgets and the blocks they give a 40-sample curve on [2,2,2], whose
+# draws have 12 user-channel entries: 1 entry still gives 1-sample blocks
+@pytest.mark.parametrize("entries, blocks", [
+    (1, [1] * 40), (7 * 12, [7] * 5 + [5]), (None, [40]),
+], ids=["1", "7", "default"])
+def test_curve_does_not_depend_on_the_block_size(monkeypatch, entries, blocks):
     cfg = NetworkConfig((2, 2, 2), 4, k2=2)
     reference = cij_curve(cfg, 0, 1, default_grid(), 40, 8)
-    monkeypatch.setattr("anece_lab.numkernel.MC_BLOCK", block)
+    if entries is not None:
+        monkeypatch.setattr("anece_lab.numkernel.MC_BLOCK_ENTRIES", entries)
+    assert [len(z) for z in cn_blocks(8, "cij", 40, 12)] == blocks
     assert cij_curve(cfg, 0, 1, default_grid(), 40, 8) == reference
+
+
+def test_cij_curve_with_short_sides_up_to_3_makes_no_linalg_call(monkeypatch):
+    # on [1,2,3,4] the factors of users 1 and 2 are 1 x 9, 2 x 8 and the
+    # 3 x 7 stack: closed forms all, over the three blocks of 2,000 draws
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, counted(fn))
+    cfg = NetworkConfig((1, 2, 3, 4), 6, k2=3)
+    assert len(list(cn_blocks(7, "cij", 2000, 35))) == 3
+    curve = cij_curve(cfg, 0, 1, default_grid(), 2000, 7)
+    assert calls == []
+    assert all(math.isfinite(v) for v in curve.values)
 
 
 @pytest.mark.parametrize("curve, generators", [

@@ -512,11 +512,15 @@ def _refused_in_process(args, write_scenario, monkeypatch, capsys, modules, name
     return code, capsys.readouterr().err, peak
 
 
-# 1,000 points at MAX_MC_SAMPLES keep 10^8 values; 2,049 points on [8, 8] keep
-# 2,049 * 300 values but 2,049 * 256 * 8 log terms per block
+# A curve keeps one value per grid point and sample, and its log terms never
+# take more: 1,000 points at MAX_MC_SAMPLES keep 10^8 values, and 2,049
+# points on [8, 8] at 2,100 samples keep 2,049 * 2,100
+WIDE_HALF_STEP_GRID = [x / 2 for x in range(-1024, 1025)]
+
+
 @pytest.mark.parametrize("network, grid, samples, size", [
     ({"antennas": [2, 2], "n_eve": 1}, list(range(-500, 500)), 100_000, 10**8),
-    ({"antennas": [8, 8], "n_eve": 1}, [x / 2 for x in range(-1024, 1025)], 300, 2049 * 2048),
+    ({"antennas": [8, 8], "n_eve": 1}, WIDE_HALF_STEP_GRID, 2100, 2049 * 2100),
 ])
 def test_verify_refuses_an_oversized_curve(write_scenario, monkeypatch, capsys, network, grid,
                                            samples, size):
@@ -527,6 +531,24 @@ def test_verify_refuses_an_oversized_curve(write_scenario, monkeypatch, capsys, 
     assert err == (f"error: snr_grid: verify needs a Monte Carlo curve of {size} entries "
                    f"> {cli.MAX_VERIFY_ENTRIES}\n")
     assert peak < 2**20
+
+
+def test_verify_runs_a_wide_curve_within_its_values(write_scenario, tmp_path):
+    # 2,049 points on [8, 8] at 300 samples keep 614,700 values, and the log
+    # terms of its 8 x 8 factors, summed one eigenvalue at a time, no more.
+    # Half the grid lies below 0 dB, so slope rows may fail, but none is nan
+    path = write_scenario("all_user", {"antennas": [8, 8], "n_eve": 1},
+                          snr_grid=WIDE_HALF_STEP_GRID, **FAST_MC)
+    out = tmp_path / "v.csv"
+    tracemalloc.start()
+    try:
+        code = cli.main(["verify", "--scenario", path, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code in (0, 1)
+    assert "nan" not in out.read_text(encoding="utf-8").lower()
+    assert peak < 64 * 2**20
 
 
 @pytest.mark.parametrize("scheme, network, grid, samples", [

@@ -7,6 +7,7 @@ from conftest import svd_rank
 
 from anece_lab.model import NetworkConfig, TwoUserModifiedConfig
 from anece_lab.numkernel import (
+    _short_side_spectrum,
     channel_basis,
     cn_blocks,
     draw_channels,
@@ -265,6 +266,65 @@ def test_logdet_matches_singular_values_from_either_side(shape):
         sv = np.linalg.svd(a, compute_uv=False)
         expected = np.stack([np.log2(1.0 + s2 * sv**2).sum(axis=-1) for s2 in grid])
         assert np.max(np.abs(log2det_grid(a, grid) - expected)) <= 1e-9
+
+
+def _gaussian(rng, real, shape):
+    return rng.standard_normal(shape) if real else sample_cn(rng, shape)
+
+
+def _with_singular_values(rng, real, values, shape=(3, 3)):
+    """200 matrices of ``shape`` with singular values ``values``, in random bases."""
+    p, q = shape
+    core = np.zeros(shape)
+    core[range(3), range(3)] = values
+    return np.stack([np.linalg.qr(_gaussian(rng, real, (p, p)))[0] @ core
+                     @ np.linalg.qr(_gaussian(rng, real, (q, q)))[0] for _ in range(200)])
+
+
+def _repeated_and_zero_columns(rng, real):
+    a = _gaussian(rng, real, (60, 5, 3))
+    a[:20, :, 2] = a[:20, :, 1]  # a repeated column: rank 2
+    a[20:40, :, 0] = 0.0  # a zero column: rank 2
+    a[40:, :, 2], a[40:, :, 1] = a[40:, :, 0], 0.0  # both: rank 1
+    return a
+
+
+# 3 x 3 Grams the cubic must solve as accurately as eigvalsh: Gaussian stacks,
+# square, tall and wide; double roots at either end and far below the largest
+# root, and a triple root; ranks 2 and 1; and entries of 2^-300 and 2^300,
+# whose Grams are near float64's ends
+SHORT_SIDE_3_CASES = {
+    "gaussian-square": lambda rng, real: _gaussian(rng, real, (200, 3, 3)),
+    "gaussian-tall": lambda rng, real: _gaussian(rng, real, (200, 7, 3)),
+    "gaussian-wide": lambda rng, real: _gaussian(rng, real, (200, 3, 5)),
+    "two-equal-top": lambda rng, real: _with_singular_values(rng, real, (1.0, 1.0, 0.5)),
+    "two-equal-bottom": lambda rng, real: _with_singular_values(rng, real, (1.0, 0.5, 0.5)),
+    "two-equal-tiny": lambda rng, real: _with_singular_values(rng, real, (1.0, 1e-4, 1e-4)),
+    "three-equal": lambda rng, real: _with_singular_values(rng, real, (2.0, 2.0, 2.0), (4, 3)),
+    "repeated-and-zero-columns": _repeated_and_zero_columns,
+    "scale-2^-300": lambda rng, real: 2.0**-300 * _gaussian(rng, real, (200, 3, 6)),
+    "scale-2^300": lambda rng, real: 2.0**300 * _gaussian(rng, real, (200, 6, 3)),
+}
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("case", list(SHORT_SIDE_3_CASES))
+def test_short_side_3_spectrum_matches_eigvalsh(case, real):
+    # every eigenvalue within 32 u tr(G) of eigvalsh's, with u = 2^-53
+    a = SHORT_SIDE_3_CASES[case](substream(4, "test-cubic"), real)
+    tall = a if a.shape[-2] >= a.shape[-1] else np.swapaxes(a, -1, -2)
+    gram = np.conj(np.swapaxes(tall, -1, -2)) @ tall
+    expected = np.linalg.eigvalsh(gram).T
+    got = np.sort(_short_side_spectrum(a), axis=0)
+    assert got.shape == expected.shape
+    assert np.all(np.abs(got - expected) <= 2.0**-48 * np.trace(gram, axis1=-2, axis2=-1).real)
+
+
+def test_short_side_3_zero_matrix_gives_exactly_zero():
+    for shape in [(4, 3, 3), (4, 3, 5), (4, 6, 3)]:
+        assert np.all(_short_side_spectrum(np.zeros(shape)) == 0.0)
+        grid = [1.0, 2.0**40, 2.0**1000]
+        assert np.all(log2det_grid(np.zeros(shape, dtype=complex), grid) == 0.0)
 
 
 def test_cn_blocks_are_prefix_stable():
