@@ -9,8 +9,9 @@ a Gram carry an absolute error of about 1e-16 tr(G), so a factor whose
 short side exceeds 2 must have full rank on it.  The pilot-phase SKC is
 exact: its factors depend only on the pilots, ``build_pilots`` audits the
 rank of each P_(i), and ``verify`` ranks the same factors for its ``eig:*``
-rows.  The symbol-phase terms are Monte Carlo means over channel draws
-from one ``(seed, purpose)`` stream per curve, read in sample order in
+rows.  The symbol-phase terms are Monte Carlo means whose factors are the
+channel blocks ``ChannelRealization.link(rx)`` of a (weight, rx) table, over
+draws from one ``(seed, purpose)`` stream per curve, read in sample order in
 blocks of at most ``numkernel.MC_BLOCK_ENTRIES`` entries (or of one sample);
 every grid point reuses the same draws (common random numbers), and the
 means are bit-reproducible.
@@ -25,13 +26,12 @@ import numpy as np
 
 from .model import NetworkConfig, SnrGrid, TwoUserModifiedConfig
 from .numkernel import (
-    ChannelRealization,
     channel_basis,
     cn_blocks,
     log2det_grid,
     receive,
-    split_user_channels,
     user_channel_dim,
+    user_realization,
     vec_batch,
 )
 
@@ -81,50 +81,22 @@ def phase1_joint_factors(ps, pairs):
 # --------------------------------------------------------------------------
 
 
-def _mc_mean(spec, sigma2, n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _mc_mean(purpose: str, antennas, terms, sigma2, n_samples: int,
+             seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample mean and standard error of sum_w w * log2|I + s2 A A^H|, per s2.
 
-    ``spec`` is (purpose, dim, factors): ``factors`` maps a (b, dim) block of
-    ``cn_blocks(seed, purpose, ...)`` to (weight, factor stack) pairs.
+    Each block of ``cn_blocks(seed, purpose, ...)`` is a batch of user-channel
+    realizations of the network ``antennas``, and each (w, rx) of ``terms``
+    takes A = ``ChannelRealization.link(rx)``: the channels from every other
+    user to the receivers ``rx``.
     """
-    purpose, dim, factors = spec
-    values = np.concatenate([
-        sum(w * log2det_grid(a, sigma2) for w, a in factors(z))
-        for z in cn_blocks(seed, purpose, n_samples, dim)
-    ], axis=1)
+    blocks = cn_blocks(seed, purpose, n_samples, user_channel_dim(antennas))
+    realizations = (user_realization(antennas, z) for z in blocks)
+    values = np.concatenate([sum(w * log2det_grid(ch.link(rx), sigma2) for w, rx in terms)
+                             for ch in realizations], axis=1)
     if n_samples == 1:
         return values[:, 0], np.zeros(len(values))
     return values.mean(axis=1), values.std(axis=1, ddof=1) / math.sqrt(n_samples)
-
-
-def _cij_spec(cfg: NetworkConfig, i: int, j: int):
-    """R_i, R_j and R_ij factors: H_(i), H_(j) and [H_il; H_jl] over l outside {i, j}."""
-    if i == j:
-        raise ValueError("need two distinct users")
-    others = [l for l in range(cfg.m) if l not in (i, j)]
-
-    def factors(z):
-        h = split_user_channels(cfg.antennas, z)
-        ch = ChannelRealization(cfg.antennas, 0, h, ())
-        terms = [(cfg.k2, ch.channel_to(u)) for u in (i, j)]
-        if others:  # for M = 2 the stack has no columns and adds nothing
-            stack = [np.concatenate([h[(i, l)], h[(j, l)]], axis=-2) for l in others]
-            terms.append((-cfg.k2, np.concatenate(stack, axis=-1)))
-        return terms
-
-    return "cij", user_channel_dim(cfg.antennas), factors
-
-
-def _ckey0_spec(cfg2u: TwoUserModifiedConfig):
-    """|I + s2 H12 H12^H| = |I + s2 H21 H21^H|, so H21 carries both weights."""
-    n1, n2, k = cfg2u.n1, cfg2u.n2, cfg2u.k_total
-    return "ckey0", n1 * n2, lambda z: [(2 * k - n1 - n2, z.reshape(-1, n2, n1))]
-
-
-def _entropy_spec(m: int, n: int, k: int):
-    if min(m, n, k) < 1:
-        raise ValueError("dimensions must be >= 1")
-    return "gauss-entropy", m * n, lambda z: [(k, z.reshape(-1, m, n))]
 
 
 # --------------------------------------------------------------------------
@@ -154,10 +126,15 @@ def cij_curve(cfg: NetworkConfig, i: int, j: int, grid: SnrGrid,
     """Monte Carlo symbol-phase capacity between users i and j over the grid, in bits.
 
     Averages K_2 * [log2|s2*R_i + I| + log2|s2*R_j + I| - log2|s2*R_ij + I|]
-    over channel draws, where R_i sums H_il H_il^H over l != i and R_ij sums
-    the stacked blocks over l outside {i, j} (the zero matrix when M = 2).
+    over channel draws, where R_i is the Gram of H_(i) = ``link([i])`` and R_ij
+    that of ``link([i, j])``, [H_il; H_jl] over l outside {i, j}: the zero
+    matrix when M = 2, whose term is left out.
     """
-    return _curve(grid, n_samples, *_mc_mean(_cij_spec(cfg, i, j), grid.sigma2(), n_samples, seed))
+    if i == j:
+        raise ValueError("need two distinct users")
+    terms = [(cfg.k2, [i]), (cfg.k2, [j])] + ([(-cfg.k2, [i, j])] if cfg.m > 2 else [])
+    return _curve(grid, n_samples, *_mc_mean("cij", cfg.antennas, terms, grid.sigma2(),
+                                             n_samples, seed))
 
 
 def ckey0_curve(cfg2u: TwoUserModifiedConfig, grid: SnrGrid,
@@ -165,18 +142,25 @@ def ckey0_curve(cfg2u: TwoUserModifiedConfig, grid: SnrGrid,
     """Monte Carlo symbol-phase rate sum of the modified two-user scheme.
 
     Averages (K-N_1) * log2|s2*H21 H21^H + I| + (K-N_2) * log2|s2*H12 H12^H + I|
-    over reciprocal channel draws (H12 = H21^T).
+    over reciprocal channel draws.  H12 = H21^T has the singular values of
+    H21, so both weights fold onto the one term of H21 = ``link([0])`` on
+    the network (N_2, N_1), whose N_2 x N_1 block reads each draw row-major.
     """
-    return _curve(grid, n_samples, *_mc_mean(_ckey0_spec(cfg2u), grid.sigma2(), n_samples, seed))
+    n1, n2, k = cfg2u.n1, cfg2u.n2, cfg2u.k_total
+    return _curve(grid, n_samples, *_mc_mean("ckey0", (n2, n1), [(2 * k - n1 - n2, [0])],
+                                             grid.sigma2(), n_samples, seed))
 
 
 def cond_entropy_curve(m: int, n: int, k: int, grid: SnrGrid,
                        n_samples: int, seed: int) -> CapacityCurve:
     """Monte Carlo conditional entropy h(Y|H) for Y = sigma*H*X + W, in bits.
 
-    Y is m x k, H is m x n with i.i.d. CN(0,1) entries; the closed Gaussian
-    form is m*k*log2(e*pi) + k*E{log2|s2*H H^H + I_m|}, whose high-SNR slope
-    is min(m, n)*k.
+    Y is m x k, H is m x n with i.i.d. CN(0,1) entries, drawn as ``link([0])``
+    on the network (m, n); the closed Gaussian form is
+    m*k*log2(e*pi) + k*E{log2|s2*H H^H + I_m|}, whose high-SNR slope is
+    min(m, n)*k.
     """
-    mean, stderr = _mc_mean(_entropy_spec(m, n, k), grid.sigma2(), n_samples, seed)
+    if min(m, n, k) < 1:
+        raise ValueError("dimensions must be >= 1")
+    mean, stderr = _mc_mean("gauss-entropy", (m, n), [(k, [0])], grid.sigma2(), n_samples, seed)
     return _curve(grid, n_samples, m * k * LOG2_E_PI + mean, stderr)

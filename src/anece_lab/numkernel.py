@@ -62,28 +62,35 @@ def cn_blocks(seed: int, purpose: str, n_samples: int, dim: int):
 # --------------------------------------------------------------------------
 
 
+EVE = "eve"  # Eve, among the receivers of ``ChannelRealization.link``
+
+
 @dataclass(frozen=True)
 class ChannelRealization:
     """One coherence period's reciprocal user channels plus Eve's channels.
 
     ``user_channels[(i, j)]`` is the N_i x N_j matrix from user j to user i,
-    with H[(j, i)] stored as the exact transpose of H[(i, j)].
+    with H[(j, i)] stored as the exact transpose of H[(i, j)];
+    ``eve_channels[j]`` is the N_E x N_j matrix from user j to Eve.
     """
 
     antennas: tuple[int, ...]
-    n_eve: int
     user_channels: dict[tuple[int, int], np.ndarray]
     eve_channels: tuple[np.ndarray, ...]
 
-    @property
-    def eve_stacked(self) -> np.ndarray:
-        """N_E x N_T horizontal stack of Eve's per-user channels."""
-        return np.concatenate(self.eve_channels, axis=-1)
-
-    def channel_to(self, i: int) -> np.ndarray:
-        """N_i x (N_T - N_i) stack of H[(i, j)] over j != i, along the last axis."""
-        users = range(len(self.antennas))
-        return np.concatenate([self.user_channels[(i, j)] for j in users if j != i], axis=-1)
+    def link(self, rx, tx=None) -> np.ndarray:
+        """Block matrix [H[(r, t)]], keeping leading batch axes: row blocks from
+        ``rx``, where ``EVE`` is Eve, and column blocks from the users ``tx``,
+        by default every user outside ``rx``.  The one place that lays out
+        channel blocks, for ``receive`` and every Gaussian factor.
+        """
+        if tx is None:
+            tx = [u for u in range(len(self.antennas)) if u not in rx]
+        if not rx or not tx or set(rx) & set(tx) or EVE in tx:
+            raise ValueError("link needs receivers, and transmitting users outside them")
+        return np.concatenate([np.concatenate(
+            [self.eve_channels[t] if r == EVE else self.user_channels[(r, t)] for t in tx],
+            axis=-1) for r in rx], axis=-2)
 
 
 def user_channel_dim(antennas) -> int:
@@ -106,16 +113,21 @@ def split_user_channels(antennas, z: np.ndarray) -> dict[tuple[int, int], np.nda
     return channels
 
 
+def user_realization(antennas, z: np.ndarray) -> ChannelRealization:
+    """Realizations on the leading axes of ``z[..., D]``: the user channels of
+    ``split_user_channels``, and an Eve without antennas."""
+    antennas = tuple(antennas)
+    no_eve = tuple(np.zeros(z.shape[:-1] + (0, n)) for n in antennas)
+    return ChannelRealization(antennas, split_user_channels(antennas, z), no_eve)
+
+
 def channel_basis(antennas) -> ChannelRealization:
     """D realizations on a leading axis, the e-th with only user-channel entry e at 1.
 
     Eve has no antennas.  Through a map linear in the user channels, such as
     ``receive``, it gives that map's Jacobian.
     """
-    dim = user_channel_dim(antennas)
-    no_eve = tuple(np.zeros((dim, 0, n)) for n in antennas)
-    return ChannelRealization(tuple(antennas), 0, split_user_channels(antennas, np.eye(dim)),
-                              no_eve)
+    return user_realization(antennas, np.eye(user_channel_dim(antennas)))
 
 
 def vec_batch(x: np.ndarray) -> np.ndarray:
@@ -133,7 +145,7 @@ def draw_channels(antennas, n_eve: int, rng: np.random.Generator,
     antennas = tuple(int(n) for n in antennas)
     user = split_user_channels(antennas, sample_cn(rng, batch + (user_channel_dim(antennas),)))
     eve = tuple(sample_cn(rng, batch + (n_eve, n)) for n in antennas)
-    return ChannelRealization(antennas, int(n_eve), user, eve)
+    return ChannelRealization(antennas, user, eve)
 
 
 # --------------------------------------------------------------------------
@@ -152,8 +164,8 @@ def receive(ch: ChannelRealization, tx) -> tuple[tuple[np.ndarray, ...], np.ndar
     if [np.shape(x)[0] for x in tx] != list(ch.antennas):
         raise ValueError("each transmit block needs one row per antenna of its user")
     users = range(len(tx))
-    user_rx = tuple(ch.channel_to(i) @ np.vstack([tx[j] for j in users if j != i]) for i in users)
-    return user_rx, ch.eve_stacked @ np.vstack(tx)
+    user_rx = tuple(ch.link([i]) @ np.vstack([tx[j] for j in users if j != i]) for i in users)
+    return user_rx, ch.link([EVE]) @ np.vstack(tx)
 
 
 # --------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .dofcalc import (
 )
 from .model import CheckResult, NetworkConfig, SnrGrid, TwoUserModifiedConfig
 from .numkernel import (
+    EVE,
     channel_basis,
     draw_channels,
     numerical_rank,
@@ -101,26 +102,26 @@ RANK_DRAWS = 100
 def rank_oracle_suite(cfg: NetworkConfig, seed: int) -> list[CheckResult]:
     """Probability-one rank statements checked over RANK_DRAWS channel draws.
 
-    Per draw: each user's channel stack H_(i), the factor of its summed
-    channel Gram, has rank min(N_i, N_T-N_i); the [H_ij; H_Ej] stack has
-    rank min(N_E+N_i, N_j); and (for M >= 3) a fresh pair-wise pilot
-    matrix has full row rank N_T.  The reciprocal-channel covariance J^T J
-    of each pair, J = [J_i, J_j] with J_i the Jacobian of user i's receive
-    channels vec(H_(i)), each taken once from one ``channel_basis``, has
-    rank deficiency N_i*N_j, the entries of H[(i, j)] both users see; it
-    enters no draw and counts RANK_DRAWS passes when it holds.  All draws
-    come from one stream and each row ranks its whole batch with one
-    ``numerical_rank`` call.  The pair-wise row's count is ``build_pairwise_matrix``'s
-    own audit, which ranks every draw's blocks and matrix and rejects the
-    batch on any miss: RANK_DRAWS when it accepts the batch, 0 when it
-    rejects it.  Any miss indicates a tolerance or construction bug, not bad
-    sampling luck.  Result rows carry pass counts against RANK_DRAWS.
+    Per draw: each user's channel stack H_(i) = ``link([i])``, the factor of
+    its summed channel Gram, has rank min(N_i, N_T-N_i); the [H_ij; H_Ej]
+    stack ``link([i, EVE], [j])`` has rank min(N_E+N_i, N_j); and (for
+    M >= 3) a fresh pair-wise pilot matrix has full row rank N_T.  The
+    reciprocal-channel covariance J^T J of each pair, J = [J_i, J_j] with
+    J_i = vec(H_(i)) over one ``channel_basis``, the Jacobian of user i's
+    receive channels, has rank deficiency N_i*N_j, the entries of H[(i, j)]
+    both users see; it enters no draw and counts RANK_DRAWS passes when it
+    holds.  All draws come from one stream and each row ranks its whole
+    batch with one ``numerical_rank`` call.  The pair-wise row's count is
+    ``build_pairwise_matrix``'s own audit, which ranks every draw's blocks
+    and matrix and rejects the batch on any miss: RANK_DRAWS when it accepts
+    the batch, 0 when it rejects it.  Any miss indicates a tolerance or
+    construction bug, not bad sampling luck.  Result rows carry pass counts against RANK_DRAWS.
     """
     m = len(cfg.antennas)
     antennas, n_eve, n_t = cfg.antennas, cfg.n_eve, cfg.n_total
     ch = draw_channels(antennas, n_eve, substream(seed, "rank-draws"), (RANK_DRAWS,))
     basis = channel_basis(antennas)
-    jacobians = [vec_batch(basis.channel_to(u)) for u in range(m)]
+    jacobians = [vec_batch(basis.link([u])) for u in range(m)]
     passes: dict[str, int] = {}
     for i, j in itertools.combinations(range(m), 2):
         jac = np.concatenate([jacobians[i], jacobians[j]], axis=1)
@@ -128,11 +129,11 @@ def rank_oracle_suite(cfg: NetworkConfig, seed: int) -> list[CheckResult]:
         holds = cov.shape[0] - numerical_rank(cov) == antennas[i] * antennas[j]
         passes[f"rank:reciprocal-cov[{i + 1}-{j + 1}]"] = RANK_DRAWS if holds else 0
     for i in range(m):
-        h_i = ch.channel_to(i)
+        h_i = ch.link([i])
         target = min(antennas[i], n_t - antennas[i])
         passes[f"rank:channel-sum[user {i + 1}]"] = np.sum(numerical_rank(h_i) == target)
     for i, j in itertools.permutations(range(m), 2):
-        stack = np.concatenate([ch.user_channels[(i, j)], ch.eve_channels[j]], axis=-2)
+        stack = ch.link([i, EVE], [j])
         target = min(n_eve + antennas[i], antennas[j])
         passes[f"rank:eve-stack[{i + 1}-{j + 1}]"] = np.sum(numerical_rank(stack) == target)
     if m >= 3:

@@ -371,19 +371,29 @@ BENCH_MODIFIED = [(2, 3, 6, 2), (1, 3, 7, 3)]
 
 
 def bench_factors():
-    """Every factor stack that phase1_curve and the three Monte Carlo specs
-    build on the benchmark networks, over every user pair."""
-    specs = [capacity._entropy_spec(2, 3, 4)]
-    specs += [capacity._ckey0_spec(TwoUserModifiedConfig(*c)) for c in BENCH_MODIFIED]
-    for antennas in BENCH_ALL_USER:
-        cfg = NetworkConfig(antennas, 0)
-        pairs = list(itertools.combinations(range(cfg.m), 2))
-        specs += [capacity._cij_spec(cfg, i, j) for i, j in pairs]
-        ps = build_pilots(cfg, 3)
-        yield from (ps.without(u).T for u in range(cfg.m))
-        yield from phase1_joint_factors(ps, pairs)
-    for purpose, dim, factors in specs:
-        yield from (a for _, a in factors(next(cn_blocks(3, purpose, 64, dim))))
+    """Every factor stack that phase1_curve, cij_curve, ckey0_curve and
+    cond_entropy_curve hand to ``log2det_grid`` on the benchmark networks,
+    over every user pair, at 64 samples."""
+    factors = []
+    kernel = capacity.log2det_grid
+
+    def recorded(a, sigma2):
+        factors.append(a)
+        return kernel(a, sigma2)
+
+    grid = default_grid()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(capacity, "log2det_grid", recorded)
+        cond_entropy_curve(2, 3, 4, grid, 64, 3)
+        for c in BENCH_MODIFIED:
+            ckey0_curve(TwoUserModifiedConfig(*c), grid, 64, 3)
+        for antennas in BENCH_ALL_USER:
+            cfg = NetworkConfig(antennas, 0)
+            ps = build_pilots(cfg, 3)
+            for i, j in itertools.combinations(range(cfg.m), 2):
+                phase1_curve(ps, i, j, grid)
+                cij_curve(cfg, i, j, grid, 64, 3)
+    return factors
 
 
 @pytest.mark.parametrize("grid", [

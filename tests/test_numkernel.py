@@ -7,6 +7,7 @@ from conftest import svd_rank
 
 from anece_lab.model import NetworkConfig, TwoUserModifiedConfig
 from anece_lab.numkernel import (
+    EVE,
     _short_side_spectrum,
     channel_basis,
     cn_blocks,
@@ -33,9 +34,9 @@ def test_reciprocity_is_exact():
     for (i, j), h in ch.user_channels.items():
         assert np.max(np.abs(h - ch.user_channels[(j, i)].T)) == 0.0
     assert ch.user_channels[(0, 1)].shape == (2, 3)
-    assert ch.eve_stacked.shape == (2, 6)
-    assert ch.channel_to(0).shape == (2, 4)
-    assert ch.channel_to(2).shape == (1, 5)
+    assert ch.link([EVE]).shape == (2, 6)
+    assert ch.link([0]).shape == (2, 4)
+    assert ch.link([2]).shape == (1, 5)
 
 
 def test_trivial_reciprocity_two_scalars():
@@ -58,7 +59,7 @@ def test_channel_determinism():
     b = draw_channels(cfg.antennas, cfg.n_eve, substream(7, "channels"), ())
     c = draw_channels(cfg.antennas, cfg.n_eve, substream(8, "channels"), ())
     assert np.array_equal(a.user_channels[(0, 1)], b.user_channels[(0, 1)])
-    assert np.array_equal(a.eve_stacked, b.eve_stacked)
+    assert np.array_equal(a.link([EVE]), b.link([EVE]))
     assert not np.array_equal(a.user_channels[(0, 1)], c.user_channels[(0, 1)])
 
 
@@ -75,9 +76,10 @@ def test_receive_sums_every_pair_in_channel_order(channels):
     antennas, k = (1, 2, 3), 4
     rng = substream(3, "receive")
     if channels == "basis":
-        ch = channel_basis(antennas)
+        ch, n_eve = channel_basis(antennas), 0
     else:
-        ch = draw_channels(antennas, 2, rng, () if channels == "one" else (5,))
+        n_eve = 2
+        ch = draw_channels(antennas, n_eve, rng, () if channels == "one" else (5,))
     tx = tuple(sample_cn(rng, (n, k)) for n in antennas)
     user_rx, eve_rx = receive(ch, tx)
     for b in np.ndindex(ch.eve_channels[0].shape[:-2]):
@@ -86,8 +88,49 @@ def test_receive_sums_every_pair_in_channel_order(channels):
             assert user_rx[i][b].shape == (antennas[i], k)
             assert np.allclose(user_rx[i][b], want, rtol=0, atol=1e-12)
         want = sum(h[b] @ x for h, x in zip(ch.eve_channels, tx, strict=True))
-        assert eve_rx[b].shape == (ch.n_eve, k)
+        assert eve_rx[b].shape == (n_eve, k)
         assert np.allclose(eve_rx[b], want, rtol=0, atol=1e-12)
+
+
+def unit_block_receptions(ch, rx, tx):
+    """The receptions of ``rx``, stacked in order, when the users ``tx`` send
+    consecutive row blocks of one identity matrix, in ``tx`` order, and
+    every other user sends zeros."""
+    sizes = [ch.antennas[t] for t in tx]
+    eye = np.eye(sum(sizes))
+    blocks = [np.zeros((n, len(eye))) for n in ch.antennas]
+    for t, lo, n in zip(tx, np.cumsum([0] + sizes), sizes):
+        blocks[t] = eye[lo:lo + n]
+    user_rx, eve_rx = receive(ch, tuple(blocks))
+    return np.concatenate([eve_rx if r == EVE else user_rx[r] for r in rx], axis=-2)
+
+
+@pytest.mark.parametrize("channels", ["one", "batch", "basis"])
+@pytest.mark.parametrize("antennas", [(1, 2, 3), (2, 2, 2)])
+@pytest.mark.parametrize("rx", [[0], [2], [0, 1], [2, 0], [1, EVE], [EVE]],
+                         ids=["i=1", "i=3", "ij=12", "ij=31", "iE=2E", "E"])
+def test_link_is_the_reception_of_unit_blocks(channels, antennas, rx):
+    # link(rx, tx) is what rx hears when each user in tx sends its unit
+    # block; the default tx is every user outside rx, and any order of tx
+    # orders the column blocks
+    rng = substream(4, "link")
+    if channels == "basis":
+        ch = channel_basis(antennas)
+    else:
+        ch = draw_channels(antennas, 2, rng, () if channels == "one" else (5,))
+    default = [u for u in range(len(antennas)) if u not in rx]
+    assert np.array_equal(ch.link(rx), unit_block_receptions(ch, rx, default))
+    for tx in (default[::-1], default[:1], default[-1:]):
+        assert np.array_equal(ch.link(rx, tx), unit_block_receptions(ch, rx, tx))
+
+
+@pytest.mark.parametrize("rx, tx", [
+    ([0], [0, 1]), ([1, EVE], [2, 1]), ([0], [EVE]), ([0, 1, 2], None), ([], None), ([0], []),
+], ids=["overlap", "overlap-with-eve", "eve-sends", "no-one-left", "no-receiver", "no-sender"])
+def test_link_refuses_overlapping_or_empty_ends(rx, tx):
+    ch = draw_channels((1, 2, 3), 2, substream(4, "link"), ())
+    with pytest.raises(ValueError):
+        ch.link(rx, tx)
 
 
 @pytest.mark.parametrize("rows", [(1, 3, 2), (1, 2), (1, 2, 3, 1)])
@@ -109,7 +152,7 @@ def test_phase1_noiseless_matches_orthonormal_factorization():
     cfg = NetworkConfig((2, 3), 4, k2=2)
     ps = build_pilots(cfg, 1)
     ch = draw_channels(cfg.antennas, cfg.n_eve, substream(2, "channels"), ())
-    expected = ch.eve_stacked @ ps.stacked
+    expected = ch.link([EVE]) @ ps.stacked
     resid = np.linalg.norm(receive(ch, ps.blocks)[1] - expected) / np.linalg.norm(expected)
     assert resid <= 1e-10
 
@@ -127,7 +170,7 @@ def test_phase2_two_users_hear_only_each_other():
     user_rx, eve_rx = receive(ch, symbols)
     assert np.allclose(user_rx[1], ch.user_channels[(1, 0)] @ symbols[0])
     assert np.allclose(user_rx[0], ch.user_channels[(0, 1)] @ symbols[1])
-    assert np.allclose(eve_rx, ch.eve_stacked @ np.vstack(symbols))
+    assert np.allclose(eve_rx, ch.link([EVE]) @ np.vstack(symbols))
 
 
 def test_phase2_shapes_and_fresh_symbols():
@@ -148,7 +191,7 @@ def test_phase2_empirical_covariance_matches_model():
     # unit noise; draw d sends the K_2 columns d*K_2 ... (d+1)*K_2 - 1
     cfg = NetworkConfig((2, 2), 0, k2=2)
     ch = draw_channels(cfg.antennas, cfg.n_eve, substream(11, "channels"), ())
-    h1 = ch.channel_to(0)
+    h1 = ch.link([0])
     target = np.kron(np.eye(cfg.k2), h1 @ h1.conj().T + np.eye(2))
     n_draws = 10_000
     y = receive(ch, draw_symbols(cfg.antennas, n_draws * cfg.k2, 12))[0][0]
@@ -184,7 +227,7 @@ def test_modified_session_layout_noiseless():
     assert eve_rx.shape == (2, 3)
     assert np.allclose(y1_p1, ch.user_channels[(0, 1)] @ pp.p2)
     assert np.allclose(y2_p2, ch.user_channels[(1, 0)] @ x1)
-    first_col = ch.eve_stacked @ np.vstack([pp.p1[:, :1], pp.p2[:, :1]])
+    first_col = ch.link([EVE]) @ np.vstack([pp.p1[:, :1], pp.p2[:, :1]])
     assert np.allclose(eve_rx[:, :1], first_col)
 
 
@@ -196,10 +239,10 @@ def test_modified_session_equal_antennas_degenerates():
     pp = build_square_pilots(c2u, 0)
     ch = draw_channels((2, 2), 3, substream(2, "channels"), ())
     _, _, (y1_p2, y2_p2), eve_rx = modified_session(c2u, pp, ch, 1)
-    assert np.allclose(eve_rx[:, :2], ch.eve_stacked @ np.vstack([pp.p1, pp.p2]))
+    assert np.allclose(eve_rx[:, :2], ch.link([EVE]) @ np.vstack([pp.p1, pp.p2]))
     x1 = np.linalg.solve(ch.user_channels[(1, 0)], y2_p2)
     x2 = np.linalg.solve(ch.user_channels[(0, 1)], y1_p2)
-    assert np.allclose(eve_rx[:, 2:], ch.eve_stacked @ np.vstack([x1, x2]))
+    assert np.allclose(eve_rx[:, 2:], ch.link([EVE]) @ np.vstack([x1, x2]))
 
 
 def test_modified_session_rejects_mismatched_channels():
@@ -449,7 +492,7 @@ def reciprocal_covariance(antennas, i, j):
     """Exact covariance of users i and j's stacked receive-channel vectors,
     J^T J for the pair's channel Jacobian J: the rank oracle's reference."""
     basis = channel_basis(antennas)
-    jac = np.concatenate([vec_batch(basis.channel_to(u)) for u in (i, j)], axis=1)
+    jac = np.concatenate([vec_batch(basis.link([u])) for u in (i, j)], axis=1)
     return jac.T @ jac
 
 
