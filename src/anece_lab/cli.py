@@ -274,15 +274,14 @@ def _verify_size(cfg: NetworkConfig, phase1: bool) -> list[tuple[str, str]]:
     With D = sum_{a<b} N_a N_b user-channel entries the arrays are: the
     phase-1 synthesis stack D * N_T * K_1, the receptions that
     ``phase1_joint_factors`` takes from one ``receive`` over ``channel_basis``
-    (with ``phase1``); the rank oracle's draws RANK_DRAWS * (D + N_E * N_T) and,
-    for M >= 3, its pair-wise pilot matrices RANK_DRAWS * N_T * P_0 * max N_i
-    over P_0 = M(M-1)/2 sessions; and (2D)^2, which bounds each array the
-    rank oracle's reciprocal covariances hold: the one D^2 channel basis,
-    all M users' Jacobians together (2D^2) and each pair's covariance.  A
-    problem names ``k1`` or ``n_eve`` when the array would fit with the
-    shortest K_1 or without Eve's channels.  Python integers, so no product
-    overflows; nothing is allocated.  ``_curve_size`` counts the Monte Carlo
-    curves, whose size the grid and sample count set.
+    (with ``phase1``), which also bounds that D^2 basis since D <= N_T * K_1
+    for M >= 2; the rank oracle's draws RANK_DRAWS * (D + N_E * N_T) and, for
+    M >= 3, its pair-wise pilot matrices RANK_DRAWS * N_T * P_0 * max N_i
+    over P_0 = M(M-1)/2 sessions.  A problem names ``k1`` or ``n_eve`` when
+    the array would fit with the shortest K_1 or without Eve's channels.
+    Python integers, so no product overflows; nothing is allocated.
+    ``_curve_size`` counts the Monte Carlo curves, whose size the grid and
+    sample count set.
     """
     d, n_t, m = user_channel_dim(cfg.antennas), cfg.n_total, cfg.m
     sizes = []
@@ -292,7 +291,6 @@ def _verify_size(cfg: NetworkConfig, phase1: bool) -> list[tuple[str, str]]:
                       "phase-1 synthesis stack", d * n_t * cfg.k1))
     sizes.append(("n_eve" if RANK_DRAWS * d <= MAX_VERIFY_ENTRIES else "antennas",
                   "rank-oracle draw batch", RANK_DRAWS * (d + cfg.n_eve * n_t)))
-    sizes.append(("antennas", "reciprocal covariance", (2 * d) ** 2))
     if m >= 3:
         sizes.append(("antennas", "pair-wise pilot batch",
                       RANK_DRAWS * n_t * (m * (m - 1) // 2) * max(cfg.antennas)))

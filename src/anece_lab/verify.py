@@ -36,12 +36,12 @@ from .dofcalc import (
 from .model import CheckResult, NetworkConfig, SnrGrid, TwoUserModifiedConfig
 from .numkernel import (
     EVE,
-    channel_basis,
     draw_channels,
     numerical_rank,
     sample_cn,
     substream,
-    vec_batch,
+    user_channel_dim,
+    user_realization,
 )
 from .pilots import build_pairwise_matrix
 
@@ -106,12 +106,13 @@ def rank_oracle_suite(cfg: NetworkConfig, seed: int) -> list[CheckResult]:
     its summed channel Gram, has rank min(N_i, N_T-N_i); the [H_ij; H_Ej]
     stack ``link([i, EVE], [j])`` has rank min(N_E+N_i, N_j); and (for
     M >= 3) a fresh pair-wise pilot matrix has full row rank N_T.  The
-    reciprocal-channel covariance J^T J of each pair, J = [J_i, J_j] with
-    J_i = vec(H_(i)) over one ``channel_basis``, the Jacobian of user i's
-    receive channels, has rank deficiency N_i*N_j, the entries of H[(i, j)]
-    both users see; it enters no draw and counts RANK_DRAWS passes when it
-    holds.  All draws come from one stream and each row ranks its whole
-    batch with one ``numerical_rank`` call.  The pair-wise row's count is
+    reciprocal-channel covariance J^T J of each pair, J = [J_i, J_j] with J_i
+    the Jacobian of vec(H_(i)), has rank deficiency N_i*N_j, the entries of
+    H[(i, j)] both users see.  J's columns are unit vectors, so that is the
+    count of the pair's labels in ``link([u])`` of one realization whose entry
+    e is e, less the distinct ones; it enters no draw and counts RANK_DRAWS
+    passes when it holds.  All draws come from one stream and each row ranks
+    its whole batch with one ``numerical_rank`` call.  The pair-wise row's count is
     ``build_pairwise_matrix``'s own audit, which ranks every draw's blocks
     and matrix and rejects the batch on any miss: RANK_DRAWS when it accepts
     the batch, 0 when it rejects it.  Any miss indicates a tolerance or
@@ -120,13 +121,12 @@ def rank_oracle_suite(cfg: NetworkConfig, seed: int) -> list[CheckResult]:
     m = len(cfg.antennas)
     antennas, n_eve, n_t = cfg.antennas, cfg.n_eve, cfg.n_total
     ch = draw_channels(antennas, n_eve, substream(seed, "rank-draws"), (RANK_DRAWS,))
-    basis = channel_basis(antennas)
-    jacobians = [vec_batch(basis.link([u])) for u in range(m)]
+    labels = user_realization(antennas, np.arange(user_channel_dim(antennas)))
+    heard = [labels.link([u]).ravel().tolist() for u in range(m)]
     passes: dict[str, int] = {}
     for i, j in itertools.combinations(range(m), 2):
-        jac = np.concatenate([jacobians[i], jacobians[j]], axis=1)
-        cov = jac.T @ jac
-        holds = cov.shape[0] - numerical_rank(cov) == antennas[i] * antennas[j]
+        shared = len(heard[i]) + len(heard[j]) - len(set(heard[i] + heard[j]))
+        holds = shared == antennas[i] * antennas[j]
         passes[f"rank:reciprocal-cov[{i + 1}-{j + 1}]"] = RANK_DRAWS if holds else 0
     for i in range(m):
         h_i = ch.link([i])

@@ -431,7 +431,8 @@ def test_verify_decomposes_only_stacks_whose_short_side_exceeds_2(write_scenario
                                                                    tmp_path):
     # one all-user verify: log2det_grid makes no svd, and its eigvalsh calls
     # are the three phase-1 factors' (the Monte Carlo factors of [2,2,2] all
-    # have a short side of 2); every svd and eigvalsh sees a short side above 2
+    # have a short side of 2); every svd (a rank the certificate rejects, if
+    # any) and eigvalsh sees a short side above 2
     shapes = {"svd": [], "eigvalsh": [], "svd-inside": [], "eigvalsh-inside": []}
     inside = []
     kernel = capacity.log2det_grid
@@ -454,7 +455,7 @@ def test_verify_decomposes_only_stacks_whose_short_side_exceeds_2(write_scenario
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     path = write_scenario("all_user", {"antennas": [2, 2, 2], "n_eve": 4, "k2": 2})
     assert cli.main(["verify", "--scenario", path, "--out", str(tmp_path / "v.csv")]) == 0
-    assert shapes["svd"] and shapes["svd-inside"] == []
+    assert shapes["svd-inside"] == []
     assert sorted(shapes["eigvalsh-inside"]) == [(4, 4), (4, 4), (12, 12)]
     assert all(min(shape) > 2 for calls in shapes.values() for shape in calls)
 

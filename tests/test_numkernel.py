@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -490,22 +489,19 @@ def test_certificate_holds_down_to_its_shift(monkeypatch, p, q, side):
 
 def reciprocal_covariance(antennas, i, j):
     """Exact covariance of users i and j's stacked receive-channel vectors,
-    J^T J for the pair's channel Jacobian J: the rank oracle's reference."""
+    J^T J for the pair's channel Jacobian J: the numeric reference for the
+    rank oracle's count of shared channel labels."""
     basis = channel_basis(antennas)
     jac = np.concatenate([vec_batch(basis.link([u])) for u in (i, j)], axis=1)
     return jac.T @ jac
 
 
-def test_rank_oracle_takes_svds_only_of_the_reciprocal_covariances(monkeypatch):
-    # every drawn stack of all-user [1,2,3,4] is certified at this seed; the
-    # covariances are rank-deficient by construction, so each needs its SVD
-    antennas = (1, 2, 3, 4)
+def test_rank_oracle_takes_no_svd(monkeypatch):
+    # every drawn stack of all-user [1,2,3,4] is certified at this seed, and the
+    # reciprocal-covariance rows count channel labels instead of ranking J^T J
     seen = svd_calls(monkeypatch)
-    assert all(r.passed for r in rank_oracle_suite(NetworkConfig(antennas, 6, k2=1), 5))
-    covs = [reciprocal_covariance(antennas, i, j)
-            for i, j in itertools.combinations(range(len(antennas)), 2)]
-    assert len(seen) == len(covs)
-    assert all(np.array_equal(a, cov) for a, cov in zip(seen, covs))
+    assert all(r.passed for r in rank_oracle_suite(NetworkConfig((1, 2, 3, 4), 6, k2=1), 5))
+    assert seen == []
 
 
 @pytest.mark.parametrize("antennas", [(1, 1), (2, 2), (2, 3), (1, 2, 3), (2, 2, 2)])

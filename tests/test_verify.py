@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import compare_rows, svd_rank
 
-from anece_lab import capacity, cli, pilots, verify
+from anece_lab import capacity, cli, numkernel, pilots, verify
 from anece_lab.capacity import CapacityCurve, cij_curve, phase1_curve
 from anece_lab.model import CheckResult, NetworkConfig, SnrGrid
 from anece_lab.pilots import PilotSet, build_pilots
@@ -98,6 +98,30 @@ def _repeat_a_row_in_draw_0(sample):
     return faulty
 
 
+def _fresh_labels_for_reverse_channels(realize):
+    # H[(b, a)] gets entries of its own instead of H[(a, b)]^T
+    def faulty(antennas, z):
+        ch = realize(antennas, z)
+        start = int(z.max()) + 1
+        for a, b in itertools.combinations(range(len(antennas)), 2):
+            size = antennas[a] * antennas[b]
+            fresh = np.arange(start, start + size).reshape(antennas[b], antennas[a])
+            ch.user_channels[(b, a)] = fresh
+            start += size
+        return ch
+    return faulty
+
+
+def _one_entry_on_two_links(realize):
+    # H[(1, 3)] repeats an entry of H[(1, 2)], so J_1 has two equal columns
+    def faulty(antennas, z):
+        ch = realize(antennas, z)
+        ch.user_channels[(0, 2)] = ch.user_channels[(0, 1)][:, :antennas[2]]
+        ch.user_channels[(2, 0)] = ch.user_channels[(0, 2)].T
+        return ch
+    return faulty
+
+
 def _reject_the_batch(build):
     def faulty(blocks):
         raise RuntimeError("pair-wise pilot matrix failed the full-row-rank audit")
@@ -113,6 +137,12 @@ RANK_FAULTS = {
     "pairwise-block": ("sample_cn", _repeat_a_row_in_draw_0, {"rank:pairwise-pilot": 0.0}),
     # the builder's own full-row-rank audit rejects the batch
     "pairwise-audit": ("build_pairwise_matrix", _reject_the_batch, {"rank:pairwise-pilot": 0.0}),
+    # the channels are no longer reciprocal: no pair shares an entry
+    "reciprocity": ("user_realization", _fresh_labels_for_reverse_channels,
+                    {f"rank:reciprocal-cov[{p}]": 0.0 for p in ("1-2", "1-3", "2-3")}),
+    # every pair now shares one entry more than N_i * N_j
+    "repeated-entry": ("user_realization", _one_entry_on_two_links,
+                       {f"rank:reciprocal-cov[{p}]": 0.0 for p in ("1-2", "1-3", "2-3")}),
 }
 
 
@@ -126,18 +156,13 @@ def test_rank_oracle_suite_catches_a_seeded_fault(monkeypatch, case):
 
 
 @pytest.mark.parametrize("antennas", [(1,) * 6, (1, 2, 3, 4)])
-def test_rank_oracle_builds_one_channel_basis(monkeypatch, antennas):
-    # the M(M-1)/2 reciprocal covariances share one basis
-    calls = []
-    basis = verify.channel_basis
+def test_rank_oracle_needs_no_channel_basis(monkeypatch, antennas):
+    # the reciprocal-covariance rows count channel labels; no D x D basis is built
+    def refused(*args):
+        raise AssertionError("the rank oracle built a channel basis")
 
-    def counted(*args):
-        calls.append(args)
-        return basis(*args)
-
-    monkeypatch.setattr(verify, "channel_basis", counted)
+    monkeypatch.setattr(numkernel, "channel_basis", refused)
     assert all(r.passed for r in rank_oracle_suite(NetworkConfig(antennas, 2, k2=1), 5))
-    assert calls == [(antennas,)]
 
 
 # The distinct (antennas, N_E) that the benchmark's verify ranks.  Each
@@ -169,8 +194,8 @@ def test_ranks_match_an_svd_reference_on_every_benchmark_stack(monkeypatch):
                 assert all(r.passed for r in eig_growth_suite(build_pilots(cfg, 5)))
     for a in stacks:
         assert np.array_equal(rank(a), svd_rank(a)), a.shape
-    # short sides from 1 up: each stack tries the Cholesky certificate, and the
-    # stacks it rejects, such as the reciprocal covariances, take the SVD
+    # short sides from 1 up: each stack tries the Cholesky certificate, and
+    # any matrix it rejects takes the SVD
     assert {min(a.shape[-2:]) for a in stacks} >= {1, 2, 3}
 
 
