@@ -272,7 +272,7 @@ def _verify_size(cfg: NetworkConfig, phase1: bool) -> list[tuple[str, str]]:
     """Each network-sized array of a verify on ``cfg`` above MAX_VERIFY_ENTRIES entries.
 
     With D = sum_{a<b} N_a N_b user-channel entries the arrays are: the
-    phase-1 synthesis stack D * N_T * K_1, the receptions that
+    phase-1 reception stack D * N_T * K_1, the receptions that
     ``phase1_joint_factors`` takes from one ``receive`` over ``channel_basis``
     (with ``phase1``), which also bounds that D^2 basis since D <= N_T * K_1
     for M >= 2; the rank oracle's draws RANK_DRAWS * (D + N_E * N_T) and, for
@@ -288,7 +288,7 @@ def _verify_size(cfg: NetworkConfig, phase1: bool) -> list[tuple[str, str]]:
     if phase1:
         shortest = d * n_t * (n_t - cfg.n_min)
         sizes.append(("k1" if shortest <= MAX_VERIFY_ENTRIES else "antennas",
-                      "phase-1 synthesis stack", d * n_t * cfg.k1))
+                      "phase-1 reception stack", d * n_t * cfg.k1))
     sizes.append(("n_eve" if RANK_DRAWS * d <= MAX_VERIFY_ENTRIES else "antennas",
                   "rank-oracle draw batch", RANK_DRAWS * (d + cfg.n_eve * n_t)))
     if m >= 3:
@@ -369,7 +369,7 @@ def _all_user_pilots(sc: Scenario, out_path: str) -> int:
     _check_keys(_oversized("pilots", [(field, "pilot matrix", cfg.n_total * cfg.k1)]))
     ps = build_pilots(cfg, sc.seed)
     write_matrix_text(out_path, ps.stacked)
-    # build_pilots has audited these ranks
+    # build_pilots has audited rank(P) and every P_(l); each P_i is a row subset of one
     print(f"wrote {out_path}: rank(P)={cfg.n_total - cfg.n_min} OK")
     for i, n in enumerate(cfg.antennas):
         print(f"  rank(P_{i + 1})={n} OK")
@@ -454,9 +454,9 @@ def _modified_compare(cfg: NetworkConfig) -> tuple[int, int]:
     return int(md.upper), n2
 
 
-def _modified_rank_config(c: TwoUserModifiedConfig) -> NetworkConfig:
-    """The two-user network whose pilot factors and ranks verify checks."""
-    return NetworkConfig((c.n1, c.n2), c.n_eve, k2=max(c.k_total - c.n2, 1))
+def _modified_network(c: TwoUserModifiedConfig) -> NetworkConfig:
+    """The network (N_1, N_2), K_2 = K - N_2, that compare reads and whose pilots verify ranks."""
+    return NetworkConfig((c.n1, c.n2), c.n_eve, k2=c.k_total - c.n2)
 
 
 def _modified_checks(sc: Scenario) -> list[CheckResult]:
@@ -467,7 +467,7 @@ def _modified_checks(sc: Scenario) -> list[CheckResult]:
     rows = [verify_slope("slope:modified-ckey0", curve, target),
             CheckResult("negctrl:identity:tampered-modified", float(md.upper + 1),
                         float(md.lower_12), 0.0)]
-    rank_cfg = _modified_rank_config(c)
+    rank_cfg = _modified_network(c)
     ps = build_pilots(rank_cfg, sc.seed)
     return rows + eig_growth_suite(ps) + rank_oracle_suite(rank_cfg, sc.seed)
 
@@ -475,7 +475,7 @@ def _modified_checks(sc: Scenario) -> list[CheckResult]:
 def _modified_pilots(sc: Scenario, out_path: str) -> int:
     _check_keys(_oversized("pilots", [("n2", "pilot matrix", sc.network.n2**2)]))
     pp = build_square_pilots(sc.network, sc.seed)
-    # build_square_pilots has audited that both are nonsingular
+    # build_square_pilots' Q factors are unitary, so both are nonsingular
     for tag, mat, n in (("_p1", pp.p1, sc.network.n1), ("_p2", pp.p2, sc.network.n2)):
         target = _suffixed(out_path, tag)
         write_matrix_text(target, mat)
@@ -486,7 +486,7 @@ def _modified_pilots(sc: Scenario, out_path: str) -> int:
 def _modified_verify_size(c: TwoUserModifiedConfig) -> list[tuple[str, str]]:
     # K_1 = N_2 is fixed, so the antenna counts drive every array; N_2 >= N_1
     return [("n2" if field == "antennas" else field, text)
-            for field, text in _verify_size(_modified_rank_config(c), phase1=True)]
+            for field, text in _verify_size(_modified_network(c), phase1=True)]
 
 
 _USER_KEYS = frozenset({"m", "antennas", "n_eve", "k1", "k2"})
@@ -506,8 +506,7 @@ SCHEMES = {
     "modified_two_user": Scheme(
         frozenset({"n1", "n2", "k_total", "n_eve"}), _parse_modified, validate_modified_config,
         _modified_formula, _modified_compare, _modified_checks, _modified_verify_size,
-        _modified_pilots, lambda c: NetworkConfig((c.n1, c.n2), c.n_eve, k2=c.k_total - c.n2),
-        "k_total"),
+        _modified_pilots, _modified_network, "k_total"),
 }
 
 
@@ -560,9 +559,10 @@ def cmd_verify(sc: Scenario, out_path: str | None, allow_low_samples: bool) -> i
     _check_keys(_curve_size(sc), path="")
     rows = _verify_rows(sc)
     _write_lines(checks_to_csv(rows), out_path)
-    real_ok = all(r.passed for r in rows if not r.name.startswith("negctrl:"))
-    controls_ok = all(not r.passed for r in rows if r.name.startswith("negctrl:"))
-    return EXIT_OK if real_ok and controls_ok else EXIT_CHECK_FAILED
+    deciding = [r.name for r in rows if r.passed == r.name.startswith("negctrl:")]
+    if deciding:  # the real rows that fail and the controls that pass, in name order
+        print(f"verify failed on: {', '.join(deciding)}", file=sys.stderr)
+    return EXIT_CHECK_FAILED if deciding else EXIT_OK
 
 
 def _swept(sc: Scenario, axis: str, value):

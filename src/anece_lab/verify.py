@@ -112,11 +112,12 @@ def rank_oracle_suite(cfg: NetworkConfig, seed: int) -> list[CheckResult]:
     count of the pair's labels in ``link([u])`` of one realization whose entry
     e is e, less the distinct ones; it enters no draw and counts RANK_DRAWS
     passes when it holds.  All draws come from one stream and each row ranks
-    its whole batch with one ``numerical_rank`` call.  The pair-wise row's count is
-    ``build_pairwise_matrix``'s own audit, which ranks every draw's blocks
-    and matrix and rejects the batch on any miss: RANK_DRAWS when it accepts
-    the batch, 0 when it rejects it.  Any miss indicates a tolerance or
-    construction bug, not bad sampling luck.  Result rows carry pass counts against RANK_DRAWS.
+    its whole batch with one ``numerical_rank`` call; the pair-wise row's is
+    ``build_pairwise_matrix``'s audit of every draw's matrix, which covers its
+    blocks, and counts RANK_DRAWS when it accepts the batch and 0 when not.
+    At times one draw of a batch is too ill-conditioned for the full-rank
+    certificate, which then bisects the stack, and the rule still ranks it
+    full.  A miss indicates a tolerance or construction bug, not bad luck.
     """
     m = len(cfg.antennas)
     antennas, n_eve, n_t = cfg.antennas, cfg.n_eve, cfg.n_total
@@ -142,7 +143,7 @@ def rank_oracle_suite(cfg: NetworkConfig, seed: int) -> list[CheckResult]:
         try:
             build_pairwise_matrix(blocks)
             passes["rank:pairwise-pilot"] = RANK_DRAWS
-        except (ValueError, RuntimeError):  # some draw failed the builder's rank audit
+        except RuntimeError:  # some draw's matrix failed the builder's full-row-rank audit
             passes["rank:pairwise-pilot"] = 0
 
     results = [CheckResult(name, float(count), float(RANK_DRAWS), 0.0)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -44,10 +45,15 @@ def run_cli(*args):
     return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
+# the environment of a child interpreter: it imports ``anece_lab`` from where the tests do
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+    os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH"))))}
+
+
 def run_module(*args):
     """Run ``python -m anece_lab.cli`` in a subprocess; returns the completed process."""
     return subprocess.run([sys.executable, "-m", "anece_lab.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CHILD_ENV)
 
 
 COMPARE_FIELDS = ("scheme", "phase1_dof", "phase2_dof", "total_dof", "phase1_slots",

@@ -42,7 +42,7 @@ def phase1_cov_joint(ps, i, j, sigma2):
     """
     def heard(u):
         p = ps.without(u)
-        return sigma2 * p.T @ p.conj() + np.eye(ps.k1)
+        return sigma2 * p.T @ p.conj() + np.eye(p.shape[1])
 
     n_i, n_j = ps.antennas[i], ps.antennas[j]
     cross = sigma2 * np.kron(ps.blocks[j].T, ps.blocks[i].conj())

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import run_cli, run_module
+from conftest import CHILD_ENV, run_cli, run_module
 
 from anece_lab import capacity, cli, numkernel, pilots, verify
 from anece_lab.model import MAX_USERS, NetworkConfig, SnrGrid, TwoUserModifiedConfig
@@ -272,12 +272,19 @@ def test_verify_csv_numbers_round_trip(tmp_path, write_scenario):
 def test_verify_tamper_hook_fails(write_scenario, monkeypatch, tmp_path):
     path = write_scenario("all_user", {"antennas": [2, 2], "n_eve": 3, "k2": 1}, **FAST_MC)
     out = str(tmp_path / "v.csv")
-    assert cli.main(["verify", "--scenario", path, "--out", out]) == 0
+    clean = run_cli("verify", "--scenario", path, "--out", out)
+    assert (clean.returncode, clean.stderr) == (0, "")
     # a pilot-phase target one DoF off fails its slope row
     monkeypatch.setattr(cli, "dof_phase1", lambda n_i, n_j: n_i * n_j + 1)
-    assert cli.main(["verify", "--scenario", path, "--out", out]) == 1
-    failing = [r["name"] for r in read_csv_rows(out) if r["passed"] == "false"]
+    tampered = run_cli("verify", "--scenario", path, "--out", out)
+    assert tampered.returncode == 1
+    rows = read_csv_rows(out)
+    failing = [r["name"] for r in rows if r["passed"] == "false"]
     assert "slope:phase1[1-2]" in failing
+    # stderr names the failing real rows and the passing controls, in name order
+    deciding = sorted(r["name"] for r in rows
+                      if (r["passed"] == "true") == r["name"].startswith("negctrl:"))
+    assert tampered.stderr == f"verify failed on: {', '.join(deciding)}\n"
 
 
 def test_verify_has_no_hidden_tamper_option(write_scenario):
@@ -460,15 +467,15 @@ def test_verify_size_counts_each_array(monkeypatch, cap, problems):
 
 @pytest.mark.parametrize("scheme, network, first", [
     ("all_user", {"antennas": [1] * 128, "n_eve": 0},
-     "network.antennas: verify needs a phase-1 synthesis stack of 132128768 entries"),
+     "network.antennas: verify needs a phase-1 reception stack of 132128768 entries"),
     ("pairwise", {"antennas": [1] * 128, "n_eve": 0},
      "network.antennas: verify needs a pair-wise pilot batch of 104038400 entries"),
     ("all_user", {"antennas": [2, 2, 2], "n_eve": 4, "k1": 10**6},
-     "network.k1: verify needs a phase-1 synthesis stack of 72000000 entries"),
+     "network.k1: verify needs a phase-1 reception stack of 72000000 entries"),
     ("all_user", {"antennas": [2, 2], "n_eve": 10**6},
      "network.n_eve: verify needs a rank-oracle draw batch of 400000400 entries"),
     ("modified_two_user", {"n1": 2**20, "n2": 2**20, "k_total": 2**20, "n_eve": 0},
-     f"network.n2: verify needs a phase-1 synthesis stack of {2**81} entries"),
+     f"network.n2: verify needs a phase-1 reception stack of {2**81} entries"),
 ], ids=["all_user-128", "pairwise-128", "all_user-k1", "all_user-n_eve", "modified-2^20"])
 def test_verify_refuses_an_oversized_working_set(write_scenario, monkeypatch, capsys, scheme,
                                                  network, first):
@@ -637,7 +644,8 @@ def test_usage_error_is_the_same_on_every_call(write_scenario, monkeypatch, caps
 def test_importing_the_package_imports_no_numpy():
     # the modules are the API; the package itself re-exports nothing
     code = "import sys, anece_lab; assert 'numpy' not in sys.modules, 'numpy imported'"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -1,7 +1,9 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import svd_rank
 
 from anece_lab.model import NetworkConfig, TwoUserModifiedConfig
 from anece_lab.numkernel import numerical_rank, sample_cn, substream
@@ -104,13 +106,16 @@ def test_build_pilots_is_deterministic():
 
 
 def test_validate_pilots_flags_zero_row():
+    # P_3 = 0 leaves rank 1 in both stacks that hold it
     blocks = (
         np.array([[1.0 + 0j, 0.0]]),
         np.array([[0.0, 1.0 + 0j]]),
         np.zeros((1, 2), dtype=complex),
     )
-    out = validate_pilots(PilotSet(blocks))
-    assert "rank(P_3) < N_3" in out
+    assert validate_pilots(PilotSet(blocks)) == [
+        "rank of stack without user 1 != 2",
+        "rank of stack without user 2 != 2",
+    ]
 
 
 def test_validate_pilots_accepts_duplicated_scalar():
@@ -152,7 +157,7 @@ def test_pairwise_batch_stacks_the_per_draw_matrices():
     per_draw = [build_pairwise_matrix([b[d] for b in blocks]) for d in range(4)]
     assert np.array_equal(pm, np.stack(per_draw))
     blocks[2][3, 1] = blocks[2][3, 0]  # one rank-deficient block in the last draw
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError, match="full-row-rank audit"):
         build_pairwise_matrix(blocks)
 
 
@@ -209,11 +214,117 @@ def test_square_pilots():
     other = build_square_pilots(TwoUserModifiedConfig(2, 3, 5, 2), 2)
     assert not np.array_equal(first.p2, other.p2)
 
-    # unitary, so perfectly conditioned
-    for n1, n2 in [(1, 1), (2, 3), (4, 4), (3, 8)]:
-        pp = build_square_pilots(TwoUserModifiedConfig(n1, n2, n2 + 1, 0), 3)
-        for p in (pp.p1, pp.p2):
-            assert np.abs(p.conj().T @ p - np.eye(len(p))).max() <= 1e-12
+
+@pytest.mark.parametrize("n1, n2", [(1, 1), (2, 3), (4, 4), (3, 8)])
+def test_square_pilots_are_unitary(n1, n2):
+    # Q factors need no rank audit: unitary, so perfectly conditioned
+    pp = build_square_pilots(TwoUserModifiedConfig(n1, n2, n2 + 1, 0), 3)
+    for p in (pp.p1, pp.p2):
+        assert np.abs(p.conj().T @ p - np.eye(len(p))).max() <= 1e-12
+
+
+def _all_blocks_refuse_all_user(ps):
+    """The audit that also ranks every block P_i, one SVD at a time."""
+    n_t = sum(ps.antennas)
+    return (any(svd_rank(b) != n for b, n in zip(ps.blocks, ps.antennas))
+            or any(svd_rank(ps.without(i)) != n_t - n for i, n in enumerate(ps.antennas))
+            or svd_rank(ps.stacked) != n_t - min(ps.antennas))
+
+
+def _all_blocks_refuse_pairwise(blocks):
+    """The audit that also ranks every block, on a matrix laid out here, one SVD at a time."""
+    pairs = list(itertools.combinations(range(len(blocks)), 2))
+    rows = [np.concatenate([b if i in pair else 0 * b for pair in pairs], axis=-1)
+            for i, b in enumerate(blocks)]
+    return (any(np.any(svd_rank(b) != b.shape[-2]) for b in blocks)
+            or np.any(svd_rank(np.concatenate(rows, axis=-2)) != sum(b.shape[-2] for b in blocks)))
+
+
+def _draws(seed, *shapes):
+    rng = substream(seed, "test-reject-sets")
+    return [sample_cn(rng, shape) for shape in shapes]
+
+
+def _with_row(blocks, index, source=None):
+    """Copies of ``blocks`` with the row at ``index`` (block, ..., row) zeroed, or
+    set to the row at ``source`` of the same block."""
+    blocks = [b.copy() for b in blocks]
+    block, row = blocks[index[0]], index[1:]
+    block[row] = 0 if source is None else block[source]
+    return blocks
+
+
+def _near_singular(n, k1, s_min, seed):
+    # an n x k1 block whose singular values are 1, ..., 1, s_min
+    u, _, vh = np.linalg.svd(_draws(seed, (n, k1))[0], full_matrices=False)
+    return (u * np.r_[np.ones(n - 1), s_min]) @ vh
+
+
+def _low_rank(n, k1, rank, seed):
+    a, b = _draws(seed, (n, rank), (rank, k1))
+    return a @ b
+
+
+HAND = [np.array([[1.0 + 0j, 0.0]]), np.array([[0.0, 1.0 + 0j]]), np.array([[1.0 + 0j, 1.0]])]
+SHORT = np.array([[1, 0], [0, 1], [1, 1], [1, 2]], dtype=complex)
+
+# Gaussian blocks pass only at K_1 = N_T - N_min, which every case but the hand-made
+# and the k1-* ones has
+ALL_USER_INPUTS = {
+    "hand": HAND,
+    "hand-zero-row": HAND[:2] + [np.zeros((1, 2), dtype=complex)],
+    "duplicated-scalar": [np.ones((1, 1), dtype=complex)] * 2,
+    "shorter-than-the-stack-rank": [SHORT[:1], SHORT[1:2], SHORT[2:]],
+    "k1-below-n_i": _draws(1, (2, 1), (1, 1)),
+    "repeated-row": _with_row(_draws(2, (1, 4), (2, 4), (2, 4)), (1, 1), (0,)),
+    "row-repeated-across-blocks": _draws(2, (1, 2), (1, 2)) + _draws(2, (1, 2)),  # P_(2) misses
+    "block-repeated": _draws(15, (1, 2)) * 2 + _draws(16, (1, 2)),  # only P_(3) misses
+    "k1-above-n_t-minus-n_min": _draws(17, (1, 3), (1, 3), (1, 3)),  # only rank(P) misses
+    "zero-row": _with_row(_draws(3, (2, 5), (2, 5), (3, 5)), (2, 0)),
+    "low-rank-block": _draws(4, (1, 7), (2, 7), (2, 7)) + [_low_rank(3, 7, 2, 40)],
+    "near-singular-block": _draws(5, (2, 4), (2, 4)) + [_near_singular(2, 4, 1e-13, 50)],
+    "barely-regular-block": _draws(5, (2, 4), (2, 4)) + [_near_singular(2, 4, 1e-9, 50)],
+    "gaussian": _draws(6, (1, 9), (2, 9), (3, 9), (4, 9)),
+    "gaussian-two-users": _draws(7, (3, 3), (2, 3)),
+    "designed": list(build_pilots(NetworkConfig((1, 2, 3, 4), 0), 5001).blocks),
+}
+
+PAIRWISE_INPUTS = {
+    "hand-ones": [np.ones((1, 1), dtype=complex)] * 3,
+    "zero-row": _with_row(_draws(8, (1, 2), (2, 2), (2, 2)), (1, 0)),
+    "repeated-row-in-one-draw": _with_row(_draws(9, (4, 1, 2), (4, 2, 2), (4, 2, 2)), (2, 3, 1),
+                                          (3, 0)),
+    "k1-below-n_i": _draws(10, (1, 1), (2, 1), (2, 1)),
+    "low-rank-block": _draws(11, (1, 3), (3, 3), (2, 3)) + [_low_rank(3, 3, 2, 110)],
+    "near-singular-block": _draws(12, (2, 3), (2, 3)) + [_near_singular(2, 3, 1e-13, 120)],
+    "barely-regular-block": _draws(12, (2, 3), (2, 3)) + [_near_singular(2, 3, 1e-9, 120)],
+    "gaussian": _draws(13, (2, 2), (2, 2), (2, 2)),
+    "gaussian-batch": _draws(14, (100, 1, 4), (100, 2, 4), (100, 3, 4), (100, 4, 4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ALL_USER_INPUTS))
+def test_validate_pilots_refuses_what_the_all_blocks_audit_refuses(case):
+    ps = PilotSet(tuple(ALL_USER_INPUTS[case]))
+    assert bool(validate_pilots(ps)) == _all_blocks_refuse_all_user(ps)
+
+
+@pytest.mark.parametrize("case", sorted(PAIRWISE_INPUTS))
+def test_pairwise_refuses_what_the_all_blocks_audit_refuses(case):
+    blocks = PAIRWISE_INPUTS[case]
+    try:
+        build_pairwise_matrix(blocks)
+        refused = False
+    except (ValueError, RuntimeError):
+        refused = True
+    assert refused == _all_blocks_refuse_pairwise(blocks)
+
+
+def test_reject_set_inputs_cover_both_verdicts():
+    # each builder's cases hold inputs the reference accepts and inputs it refuses
+    all_user = {_all_blocks_refuse_all_user(PilotSet(tuple(b))) for b in ALL_USER_INPUTS.values()}
+    pairwise = {_all_blocks_refuse_pairwise(b) for b in PAIRWISE_INPUTS.values()}
+    assert all_user == pairwise == {False, True}
 
 
 def test_matrix_file_round_trip(tmp_path):
