@@ -40,17 +40,20 @@ LOG2_E_PI = math.log2(math.e * math.pi)
 
 @dataclass(frozen=True)
 class CapacityCurve:
-    """Capacity values (bits per coherence period) over an SNR grid."""
+    """Capacity values (bits per coherence period) over an SNR grid, with the
+    standard error of each value and of their OLS slope against log2(sigma^2):
+    0 for an exact curve, infinite for a Monte Carlo curve of one sample."""
 
     grid: SnrGrid
     values: tuple[float, ...]
     mc_samples: int
     mc_stderr: tuple[float, ...]
+    slope_stderr: float = 0.0
 
     def __post_init__(self):
         if len(self.values) != len(self.grid.points) or len(self.mc_stderr) != len(self.values):
             raise ValueError("curve values/stderr must match the grid length")
-        if any(s < 0 for s in self.mc_stderr):
+        if any(s < 0 for s in self.mc_stderr) or self.slope_stderr < 0:
             raise ValueError("standard errors must be non-negative")
 
 
@@ -81,22 +84,30 @@ def phase1_joint_factors(ps, pairs):
 # --------------------------------------------------------------------------
 
 
-def _mc_mean(purpose: str, antennas, terms, sigma2, n_samples: int,
-             seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean and standard error of sum_w w * log2|I + s2 A A^H|, per s2.
+def _mc_mean(purpose: str, antennas, terms, grid: SnrGrid, n_samples: int,
+             seed: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Sample mean and standard error of sum_w w * log2|I + s2 A A^H| per grid
+    point, and the standard error of the OLS slope over the grid.
 
     Each block of ``cn_blocks(seed, purpose, ...)`` is a batch of user-channel
     realizations of the network ``antennas``, and each (w, rx) of ``terms``
     takes A = ``ChannelRealization.link(rx)``: the channels from every other
-    user to the receivers ``rx``.
+    user to the receivers ``rx``.  OLS is linear in the values, so the slope
+    of the mean is the mean of the draws' slopes, whose spread gives its error.
     """
     blocks = cn_blocks(seed, purpose, n_samples, user_channel_dim(antennas))
     realizations = (user_realization(antennas, z) for z in blocks)
+    sigma2 = grid.sigma2()
     values = np.concatenate([sum(w * log2det_grid(ch.link(rx), sigma2) for w, rx in terms)
                              for ch in realizations], axis=1)
     if n_samples == 1:
-        return values[:, 0], np.zeros(len(values))
-    return values.mean(axis=1), values.std(axis=1, ddof=1) / math.sqrt(n_samples)
+        return values[:, 0], np.zeros(len(values)), math.inf
+    x = np.asarray(grid.points)
+    x -= x.mean()
+    slopes = x @ values / (x @ x)
+    root_n = math.sqrt(n_samples)
+    return (values.mean(axis=1), values.std(axis=1, ddof=1) / root_n,
+            float(slopes.std(ddof=1)) / root_n)
 
 
 # --------------------------------------------------------------------------
@@ -104,8 +115,9 @@ def _mc_mean(purpose: str, antennas, terms, sigma2, n_samples: int,
 # --------------------------------------------------------------------------
 
 
-def _curve(grid: SnrGrid, n_samples: int, values, stderr) -> CapacityCurve:
-    return CapacityCurve(grid, tuple(values.tolist()), n_samples, tuple(stderr.tolist()))
+def _curve(grid: SnrGrid, n_samples: int, values, stderr, slope_stderr: float) -> CapacityCurve:
+    return CapacityCurve(grid, tuple(values.tolist()), n_samples, tuple(stderr.tolist()),
+                         slope_stderr)
 
 
 def phase1_curve(ps, i: int, j: int, grid: SnrGrid) -> CapacityCurve:
@@ -118,7 +130,7 @@ def phase1_curve(ps, i: int, j: int, grid: SnrGrid) -> CapacityCurve:
     sigma2 = grid.sigma2()
     joint = log2det_grid(next(phase1_joint_factors(ps, [(i, j)])), sigma2)
     values = sum(ps.antennas[u] * log2det_grid(ps.without(u).T, sigma2) for u in (i, j)) - joint
-    return _curve(grid, 0, values, np.zeros(len(values)))
+    return _curve(grid, 0, values, np.zeros(len(values)), 0.0)
 
 
 def cij_curve(cfg: NetworkConfig, i: int, j: int, grid: SnrGrid,
@@ -133,8 +145,7 @@ def cij_curve(cfg: NetworkConfig, i: int, j: int, grid: SnrGrid,
     if i == j:
         raise ValueError("need two distinct users")
     terms = [(cfg.k2, [i]), (cfg.k2, [j])] + ([(-cfg.k2, [i, j])] if cfg.m > 2 else [])
-    return _curve(grid, n_samples, *_mc_mean("cij", cfg.antennas, terms, grid.sigma2(),
-                                             n_samples, seed))
+    return _curve(grid, n_samples, *_mc_mean("cij", cfg.antennas, terms, grid, n_samples, seed))
 
 
 def ckey0_curve(cfg2u: TwoUserModifiedConfig, grid: SnrGrid,
@@ -148,7 +159,7 @@ def ckey0_curve(cfg2u: TwoUserModifiedConfig, grid: SnrGrid,
     """
     n1, n2, k = cfg2u.n1, cfg2u.n2, cfg2u.k_total
     return _curve(grid, n_samples, *_mc_mean("ckey0", (n2, n1), [(2 * k - n1 - n2, [0])],
-                                             grid.sigma2(), n_samples, seed))
+                                             grid, n_samples, seed))
 
 
 def cond_entropy_curve(m: int, n: int, k: int, grid: SnrGrid,
@@ -162,5 +173,6 @@ def cond_entropy_curve(m: int, n: int, k: int, grid: SnrGrid,
     """
     if min(m, n, k) < 1:
         raise ValueError("dimensions must be >= 1")
-    mean, stderr = _mc_mean("gauss-entropy", (m, n), [(k, [0])], grid.sigma2(), n_samples, seed)
-    return _curve(grid, n_samples, m * k * LOG2_E_PI + mean, stderr)
+    mean, stderr, slope_stderr = _mc_mean("gauss-entropy", (m, n), [(k, [0])], grid,
+                                          n_samples, seed)
+    return _curve(grid, n_samples, m * k * LOG2_E_PI + mean, stderr, slope_stderr)

@@ -12,6 +12,7 @@ substreams, so outputs are byte-reproducible.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -56,6 +57,7 @@ from .verify import (
     eig_growth_suite,
     identity_suite,
     rank_oracle_suite,
+    verify_resolution,
     verify_slope,
 )
 
@@ -64,7 +66,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-MIN_TRUSTED_MC_SAMPLES = 100
 # a curve keeps one float per sample and grid point for its mean and error
 MAX_MC_SAMPLES = 100_000
 # entries of the largest array one verify or pilots builds; see _oversized
@@ -219,12 +220,21 @@ def fmt_number(x) -> str:
     return format(float(x), ".12g")
 
 
+@contextlib.contextmanager
+def _writing_out(out_path: str):
+    """Raise an ``OSError`` of writing the ``--out`` file as a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ScenarioError(f"--out {out_path}: cannot write: {exc}") from exc
+
+
 def _write_lines(lines: list[str], out_path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        with _writing_out(out_path), open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
@@ -355,7 +365,8 @@ def _all_user_checks(sc: Scenario) -> list[CheckResult]:
     ]
     if cfg.k2 >= 1:
         c_curve = cij_curve(cfg, 0, 1, sc.snr_grid, sc.mc_samples, sc.seed)
-        rows.append(verify_slope("slope:cij[1-2]", c_curve, int(dof_cij(s))))
+        c_slope = verify_slope("slope:cij[1-2]", c_curve, int(dof_cij(s)))
+        rows += [c_slope, verify_resolution(c_slope, c_curve)]
     rows.append(CheckResult("negctrl:identity:tampered-gap",
                             float(dof_phase2_upper(s) - dof_phase2_lower(s) + 1),
                             float(dof_gap(s)), 0.0))
@@ -368,7 +379,8 @@ def _all_user_pilots(sc: Scenario, out_path: str) -> int:
     field = "k1" if cfg.n_total * (cfg.n_total - cfg.n_min) <= MAX_VERIFY_ENTRIES else "antennas"
     _check_keys(_oversized("pilots", [(field, "pilot matrix", cfg.n_total * cfg.k1)]))
     ps = build_pilots(cfg, sc.seed)
-    write_matrix_text(out_path, ps.stacked)
+    with _writing_out(out_path):
+        write_matrix_text(out_path, ps.stacked)
     # build_pilots has audited rank(P) and every P_(l); each P_i is a row subset of one
     print(f"wrote {out_path}: rank(P)={cfg.n_total - cfg.n_min} OK")
     for i, n in enumerate(cfg.antennas):
@@ -419,7 +431,8 @@ def _pairwise_pilots(sc: Scenario, out_path: str) -> int:
     rng = substream(sc.seed, "pilots-pairwise")
     blocks = [sample_cn(rng, (n, cfg.k1)) for n in cfg.antennas]
     matrix = build_pairwise_matrix(blocks)
-    write_matrix_text(out_path, matrix)
+    with _writing_out(out_path):
+        write_matrix_text(out_path, matrix)
     # build_pairwise_matrix has audited its full row rank
     print(f"wrote {out_path}: rank(P_pair)={cfg.n_total} OK")
     return EXIT_OK
@@ -464,7 +477,8 @@ def _modified_checks(sc: Scenario) -> list[CheckResult]:
     curve = ckey0_curve(c, sc.snr_grid, sc.mc_samples, sc.seed)
     target = c.n1 * (c.k_total - c.n1) + c.n1 * (c.k_total - c.n2)
     md = dof_modified_two_user(c)
-    rows = [verify_slope("slope:modified-ckey0", curve, target),
+    slope = verify_slope("slope:modified-ckey0", curve, target)
+    rows = [slope, verify_resolution(slope, curve),
             CheckResult("negctrl:identity:tampered-modified", float(md.upper + 1),
                         float(md.lower_12), 0.0)]
     rank_cfg = _modified_network(c)
@@ -478,7 +492,8 @@ def _modified_pilots(sc: Scenario, out_path: str) -> int:
     # build_square_pilots' Q factors are unitary, so both are nonsingular
     for tag, mat, n in (("_p1", pp.p1, sc.network.n1), ("_p2", pp.p2, sc.network.n2)):
         target = _suffixed(out_path, tag)
-        write_matrix_text(target, mat)
+        with _writing_out(out_path):
+            write_matrix_text(target, mat)
         print(f"wrote {target}: rank(P{tag[-1]})={n} OK")
     return EXIT_OK
 
@@ -540,8 +555,10 @@ def _verify_rows(sc: Scenario) -> list[CheckResult]:
     first verify calls ``identity_suite()`` itself to see their effect.
     """
     entropy_curve = cond_entropy_curve(2, 3, 4, sc.snr_grid, sc.mc_samples, sc.seed)
+    entropy_slope = verify_slope("slope:cond-entropy[2x3x4]", entropy_curve, 2 * 4)
     rows = [
-        verify_slope("slope:cond-entropy[2x3x4]", entropy_curve, 2 * 4),
+        entropy_slope,
+        verify_resolution(entropy_slope, entropy_curve),
         verify_slope("negctrl:slope:cond-entropy-wrong-target", entropy_curve, 2 * 4 + 3),
         *SCHEMES[sc.scheme].checks(sc),
         *_identity_rows(),
@@ -549,12 +566,7 @@ def _verify_rows(sc: Scenario) -> list[CheckResult]:
     return sorted(rows, key=lambda r: r.name)
 
 
-def cmd_verify(sc: Scenario, out_path: str | None, allow_low_samples: bool) -> int:
-    if sc.mc_samples < MIN_TRUSTED_MC_SAMPLES and not allow_low_samples:
-        raise ScenarioError(
-            f"mc_samples={sc.mc_samples} is below {MIN_TRUSTED_MC_SAMPLES}; slope rows "
-            "would be unreliable (pass --allow-low-samples to proceed anyway)"
-        )
+def cmd_verify(sc: Scenario, out_path: str | None) -> int:
     _check_keys(SCHEMES[sc.scheme].verify_size(sc.network))
     _check_keys(_curve_size(sc), path="")
     rows = _verify_rows(sc)
@@ -675,10 +687,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("formula", help="print all formula values as JSON"), with_out=False)
 
-    p_verify = sub.add_parser("verify", help="run the verification suite, emit CSV")
-    common(p_verify)
-    p_verify.add_argument("--allow-low-samples", action="store_true",
-                          help="run slope checks even with an unreliable sample count")
+    common(sub.add_parser("verify", help="run the verification suite, emit CSV"))
 
     p_sweep = sub.add_parser("sweep", help="sweep one axis, emit one CSV row per value")
     common(p_sweep, with_out=False)
@@ -708,7 +717,7 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(formula_report(sc).entries))
             return EXIT_OK
         if args.command == "verify":
-            return cmd_verify(sc, args.out, args.allow_low_samples)
+            return cmd_verify(sc, args.out)
         if args.command == "sweep":
             return cmd_sweep(sc, args.axis, _parse_span(args.span), args.out)
         if args.command == "pilots":

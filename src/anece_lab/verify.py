@@ -1,6 +1,6 @@
-"""Empirical verification: slope fits, pilot-phase factor ranks, rank
-oracles and exact integer identity suites.  Scheme comparison lives with
-each scheme's record in ``cli.SCHEMES``.
+"""Empirical verification: slope fits and their resolution, pilot-phase
+factor ranks, rank oracles and exact integer identity suites.  Scheme
+comparison lives with each scheme's record in ``cli.SCHEMES``.
 
 Checks are pure and independent of evaluation order; suites sort their
 results by name before returning so that aggregation is reproducible no
@@ -89,6 +89,14 @@ def slope_tolerance(target_dof: int) -> float:
 def verify_slope(name: str, curve: CapacityCurve, target_dof: int) -> CheckResult:
     """One slope-versus-analytic-DoF check."""
     return CheckResult(name, fit_slope(curve).slope, float(target_dof), slope_tolerance(target_dof))
+
+
+def verify_resolution(slope: CheckResult, curve: CapacityCurve) -> CheckResult:
+    """``resolution:<slope row>``: 1 when the Monte Carlo ``curve``'s slope
+    standard error is at most a quarter of the ``slope`` row's tolerance, so
+    that noise cannot decide whether the row tells +-1 DoF apart, else 0."""
+    resolved = curve.slope_stderr <= slope.tolerance / 4
+    return CheckResult(f"resolution:{slope.name}", float(resolved), 1.0, 0.0)
 
 
 # --------------------------------------------------------------------------

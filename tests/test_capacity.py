@@ -293,6 +293,36 @@ def test_cij_curve_matches_per_sample_gram_reference():
     assert np.max(np.abs(got - expected)) <= 1e-6
 
 
+def test_standard_errors_match_a_per_sample_reference():
+    # reference: each sample's curve term by term from the same draws, then the
+    # spread of its values and of its OLS slopes on an unevenly spaced grid
+    from anece_lab.numkernel import split_user_channels, user_channel_dim
+
+    cfg = NetworkConfig((1, 2, 1), 0, k2=2)
+    grid, n = SnrGrid((0.0, 3.0, 7.0, 8.0)), 6
+    z = np.concatenate(list(cn_blocks(3, "cij", n, user_channel_dim(cfg.antennas))))
+
+    def logdet(h, s2):
+        return np.linalg.slogdet(s2 * h @ h.conj().T + np.eye(len(h)))[1] / math.log(2.0)
+
+    curves = []
+    for sample in z:
+        ch = split_user_channels(cfg.antennas, sample)
+        h_0, h_1 = np.hstack([ch[(0, 1)], ch[(0, 2)]]), np.hstack([ch[(1, 0)], ch[(1, 2)]])
+        stack = np.vstack([ch[(0, 2)], ch[(1, 2)]])
+        curves.append([cfg.k2 * (logdet(h_0, s2) + logdet(h_1, s2) - logdet(stack, s2))
+                       for s2 in grid.sigma2()])
+    curves = np.array(curves)
+    slopes = [np.polyfit(grid.points, c, 1)[0] for c in curves]
+    got = cij_curve(cfg, 0, 1, grid, n, 3)
+    np.testing.assert_allclose(got.mc_stderr, curves.std(axis=0, ddof=1) / math.sqrt(n),
+                               rtol=1e-9)
+    assert got.slope_stderr == pytest.approx(np.std(slopes, ddof=1) / math.sqrt(n), rel=1e-9)
+    # one sample has no spread, and the exact pilot-phase curve no error
+    assert cij_curve(cfg, 0, 1, grid, 1, 3).slope_stderr == math.inf
+    assert phase1_curve(build_pilots(cfg, 3), 0, 1, grid).slope_stderr == 0.0
+
+
 # entry budgets and the blocks they give a 40-sample curve on [2,2,2], whose
 # draws have 12 user-channel entries: 1 entry still gives 1-sample blocks
 @pytest.mark.parametrize("entries, blocks", [
@@ -466,6 +496,8 @@ def test_capacity_curve_validation():
         CapacityCurve(grid, (1.0, 2.0), 0, (0.0, 0.0))
     with pytest.raises(ValueError):
         CapacityCurve(grid, (1.0, 2.0, 3.0), 0, (0.0, -1.0, 0.0))
+    with pytest.raises(ValueError):
+        CapacityCurve(grid, (1.0, 2.0, 3.0), 5, (0.0, 0.0, 0.0), -1.0)
 
 
 def test_mc_argument_validation():

@@ -1,10 +1,12 @@
 import argparse
 import csv
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,20 +296,98 @@ def test_verify_has_no_hidden_tamper_option(write_scenario):
     assert "unrecognized arguments: --inject-wrong-target" in proc.stderr
 
 
-def test_verify_refuses_low_samples_without_flag(write_scenario):
+def test_verify_resolution_rows_judge_the_sample_count(write_scenario):
     path = write_scenario("all_user", {"antennas": [2, 2], "n_eve": 3, "k2": 1},
                           mc_samples=1, seed=7)
-    proc = run_cli("verify", "--scenario", path)
+    # one sample has no spread to measure, so no Monte Carlo slope is resolved
+    one = run_cli("verify", "--scenario", path)
+    assert one.returncode == 1
+    assert one.stderr == ("verify failed on: resolution:slope:cij[1-2], "
+                          "resolution:slope:cond-entropy[2x3x4]\n")
+    assert "resolution:slope:cij[1-2],0,1,0,false" in one.stdout
+
+    # the command-line override runs any legal count, and two resolve both slopes here
+    two = run_cli("verify", "--scenario", path, "--mc-samples", "2")
+    assert (two.returncode, two.stderr) == (0, "")
+    assert "resolution:slope:cij[1-2],1,1,0,true" in two.stdout
+
+    removed = run_cli("verify", "--scenario", path, "--allow-low-samples")
+    assert removed.returncode == 2
+    assert "unrecognized arguments: --allow-low-samples" in removed.stderr
+
+
+def test_verify_resolution_fails_a_slope_that_passes_on_noise(write_scenario):
+    # a grid only 1 wide gives 2 samples a slope error above tol/4, though
+    # this draw's slope lands inside the tolerance
+    path = write_scenario("all_user", {"antennas": [8, 8], "n_eve": 2, "k2": 1},
+                          snr_grid=[12, 12.5, 13], seed=7)
+    noisy = run_cli("verify", "--scenario", path, "--mc-samples", "2")
+    assert noisy.returncode == 1
+    assert noisy.stderr == "verify failed on: resolution:slope:cij[1-2]\n"
+    assert "\nslope:cij[1-2],15.7141438681,16,0.48,true\n" in noisy.stdout
+    assert run_cli("verify", "--scenario", path, "--mc-samples", "100").returncode == 0
+
+
+@pytest.mark.parametrize("grid", [[998, 999, 1000], [-1, 0, 1], [-1000, -999, -998],
+                                  [-1000, 0, 1000], [0, 1, 2]])
+@pytest.mark.parametrize("scheme, network", [
+    ("all_user", {"antennas": [2, 2, 2], "n_eve": 4, "k2": 2}),
+    ("pairwise", {"antennas": [2, 2, 2], "n_eve": 4, "k2": 2}),
+    ("modified_two_user", {"n1": 2, "n2": 3, "k_total": 6, "n_eve": 2}),
+])
+def test_verify_reads_the_grids_the_parser_accepts(tmp_path, write_scenario, scheme, network,
+                                                   grid):
+    path = write_scenario(scheme, network, snr_grid=grid, mc_samples=100, seed=7)
+    out = tmp_path / "v.csv"
+    assert run_cli("verify", "--scenario", path, "--out", str(out)).returncode in (0, 1)
+    rows = read_csv_rows(out)
+    for r in rows:
+        assert all(np.isfinite(float(r[field])) for field in ("measured", "target", "tolerance"))
+    resolution = [r["measured"] for r in rows if r["name"].startswith("resolution:")]
+    assert resolution and set(resolution) <= {"0", "1"}
+
+
+@pytest.mark.parametrize("samples, resolved", [(100, "0"), (2000, "1")])
+def test_resolution_rows_tell_noise_from_bias(write_scenario, samples, resolved):
+    # on [0, 1, 2] the slopes are biased low; 100 samples cannot even measure
+    # them, 2,000 can, and the slope rows still fail
+    path = write_scenario("all_user", {"antennas": [2, 2], "n_eve": 3, "k2": 1},
+                          snr_grid=[0, 1, 2], seed=7)
+    proc = run_cli("verify", "--scenario", path, "--mc-samples", str(samples))
+    assert proc.returncode == 1
+    rows = list(csv.DictReader(proc.stdout.splitlines()))
+    resolution = {r["name"]: r["measured"] for r in rows if r["name"].startswith("resolution:")}
+    assert resolution == {"resolution:slope:cij[1-2]": resolved,
+                          "resolution:slope:cond-entropy[2x3x4]": resolved}
+    slopes = {r["name"]: r["passed"] for r in rows if r["name"].startswith("slope:")}
+    assert set(slopes.values()) == {"false"}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("verify", ()), ("compare", ()), ("sweep", ("--axis", "n_eve", "--range", "0:2")),
+    ("pilots", ()),
+])
+@pytest.mark.parametrize("kind", ["directory", "missing-parent"])
+def test_unwritable_out_is_a_usage_error(tmp_path, write_scenario, command, extra, kind):
+    path = write_scenario("all_user", {"antennas": [2, 2], "n_eve": 3, "k2": 1},
+                          mc_samples=100, seed=7)
+    out = tmp_path if kind == "directory" else tmp_path / "missing" / "out.txt"
+    proc = run_cli(command, "--scenario", path, *extra, "--out", str(out))
     assert proc.returncode == 2
-    assert "allow-low-samples" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: --out {out}: cannot write: ")
+    assert proc.stderr.count("\n") == 1
 
-    allowed = run_cli("verify", "--scenario", path, "--allow-low-samples")
-    assert allowed.returncode in (0, 1)
-    assert "name,measured" in allowed.stdout
 
-    # the command-line sample-count override lifts the refusal on its own
-    boosted = run_cli("verify", "--scenario", path, "--mc-samples", "150")
-    assert boosted.returncode == 0
+def test_readme_names_exactly_the_parser_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {option for sub in commands.choices.values() for action in sub._actions
+               if not isinstance(action, argparse._HelpAction)
+               for option in action.option_strings if option.startswith("--")}
+    assert named == options
 
 
 def test_verify_modified_scheme(tmp_path, write_scenario):
