@@ -1,15 +1,10 @@
 """Gaussian-computable secret-key-capacity terms.
 
-Every term is a weighted sum of log2|I + s2 * A A^H| over factor matrices
-A, evaluated for a whole SNR grid at once by ``numkernel.log2det_grid`` from
-the squared singular values of each factor: in closed form when its short
-side is at most 3 (the roots of the Gram's characteristic cubic for 3),
-else from one batched ``eigvalsh`` of its short-side Gram.  Eigenvalues of
-a Gram carry an absolute error of about 1e-16 tr(G), so a factor whose
-short side exceeds 2 must have full rank on it.  The pilot-phase SKC is
-exact: its factors depend only on the pilots, ``build_pilots`` audits the
-rank of each P_(i), and ``verify`` ranks the same factors for its ``eig:*``
-rows.  The symbol-phase terms are Monte Carlo means whose factors are the
+The pilot-phase SKC is exact: a sum over N_i * N_j scalar key channels,
+from one SVD of the other users' pilots and one ``eigvalsh`` per user over
+the whole grid.  The symbol-phase terms are Monte Carlo means of weighted
+sums of log2|I + s2 * A A^H| over factor matrices A, evaluated for a whole
+SNR grid at once by ``numkernel.log2det_grid``.  Their factors are the
 channel blocks ``ChannelRealization.link(rx)`` of a (weight, rx) table, over
 draws from one ``(seed, purpose)`` stream per curve, read in sample order in
 blocks of at most ``numkernel.MC_BLOCK_ENTRIES`` entries (or of one sample);
@@ -25,15 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import NetworkConfig, SnrGrid, TwoUserModifiedConfig
-from .numkernel import (
-    channel_basis,
-    cn_blocks,
-    log2det_grid,
-    receive,
-    user_channel_dim,
-    user_realization,
-    vec_batch,
-)
+from .numkernel import cn_blocks, log2det_grid, user_channel_dim, user_realization
 
 LOG2_E_PI = math.log2(math.e * math.pi)
 
@@ -55,28 +42,6 @@ class CapacityCurve:
             raise ValueError("curve values/stderr must match the grid length")
         if any(s < 0 for s in self.mc_stderr) or self.slope_stderr < 0:
             raise ValueError("standard errors must be non-negative")
-
-
-# --------------------------------------------------------------------------
-# pilot-phase factors
-# --------------------------------------------------------------------------
-
-
-def phase1_joint_factors(ps, pairs):
-    """Yield the joint pilot-phase factor J of each user pair (i, j) in ``pairs``.
-
-    J is the Jacobian of the pilot receptions [vec(Y_i); vec(Y_j^T)] of
-    ``receive`` over the user-channel entries, less the zero columns of
-    entries neither user hears, so that sigma^2 J J^H + I is the pair's joint
-    reception covariance at power sigma^2 under unit noise.  One ``receive``
-    over ``channel_basis`` serves every pair.
-    """
-    rx = receive(channel_basis(ps.antennas), ps.blocks)[0]
-    for i, j in pairs:
-        if i == j:
-            raise ValueError("need two distinct users")
-        jac = np.concatenate([vec_batch(rx[i]), vec_batch(np.swapaxes(rx[j], 1, 2))], axis=1).T
-        yield jac[:, np.any(jac != 0, axis=0)]
 
 
 # --------------------------------------------------------------------------
@@ -123,13 +88,33 @@ def _curve(grid: SnrGrid, n_samples: int, values, stderr, slope_stderr: float) -
 def phase1_curve(ps, i: int, j: int, grid: SnrGrid) -> CapacityCurve:
     """Exact pilot-phase SKC between users i and j, in bits, over the grid.
 
-    Evaluates log2|R_i| + log2|R_j| - log2|R_joint| for the Gaussian
-    reception model; the single-user determinants reduce to N_i times the
-    determinant of the K_1 x K_1 pilot Gram, factored as P_(i)^T.
+    Whitened against Q, the stacked pilots of every other user, user i hears
+    the shared channel H_ij through M_i = conj(P_j) W P_j^T and user j through
+    M_j = conj(P_i) W P_i^T, with W = (I + s2 Q^T conj(Q))^-1.  Their joint
+    form is a Kronecker sum, with eigenvalues mu_a + nu_b over those of M_i
+    and M_j (Horn and Johnson, Topics in Matrix Analysis, 1991, ch. 4), so
+    log2|R_i| + log2|R_j| - log2|R_joint| is N_i * N_j scalar key channels:
+    sum_{a,b} log2(1 + x_a y_b / (1 + x_a + y_b)), x = s2 mu and y = s2 nu.
+    One full SVD Q^T = U diag(s) V^H gives W = U diag(1 / (1 + s2 s^2)) U^H,
+    s = 0 beyond rank Q, and one ``eigvalsh`` per user a spectrum per grid
+    point.  No large logs cancel: s2 = 2^1000 does not overflow, and
+    s2 = 2^-1000 gives exactly 0.
     """
-    sigma2 = grid.sigma2()
-    joint = log2det_grid(next(phase1_joint_factors(ps, [(i, j)])), sigma2)
-    values = sum(ps.antennas[u] * log2det_grid(ps.without(u).T, sigma2) for u in (i, j)) - joint
+    if i == j:
+        raise ValueError("need two distinct users")
+    sigma2 = np.asarray(grid.sigma2())
+    k1 = ps.blocks[i].shape[1]
+    q = np.vstack([np.zeros((0, k1))] + [b for u, b in enumerate(ps.blocks) if u not in (i, j)])
+    u, s, _ = np.linalg.svd(q.T)
+    w = 1.0 / (1.0 + np.multiply.outer(sigma2, np.pad(s * s, (0, k1 - len(s)))))
+
+    def spectrum(p):  # the eigenvalues of conj(p) W p^T at each grid point, (G, N)
+        a = p.conj() @ u
+        return np.maximum(np.linalg.eigvalsh(np.einsum("ak,gk,bk->gab", a, w, a.conj())), 0.0)
+
+    x = sigma2[:, None, None] * spectrum(ps.blocks[j])[:, :, None]
+    y = sigma2[:, None, None] * spectrum(ps.blocks[i])[:, None, :]
+    values = np.log1p(x * (y / (1.0 + x + y))).sum(axis=(1, 2)) / math.log(2.0)
     return _curve(grid, 0, values, np.zeros(len(values)), 0.0)
 
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -283,7 +285,7 @@ def _verify_size(cfg: NetworkConfig, phase1: bool) -> list[tuple[str, str]]:
 
     With D = sum_{a<b} N_a N_b user-channel entries the arrays are: the
     phase-1 reception stack D * N_T * K_1, the receptions that
-    ``phase1_joint_factors`` takes from one ``receive`` over ``channel_basis``
+    ``eig_growth_suite`` takes from one ``receive`` over ``channel_basis``
     (with ``phase1``), which also bounds that D^2 basis since D <= N_T * K_1
     for M >= 2; the rank oracle's draws RANK_DRAWS * (D + N_E * N_T) and, for
     M >= 3, its pair-wise pilot matrices RANK_DRAWS * N_T * P_0 * max N_i
@@ -488,6 +490,9 @@ def _modified_checks(sc: Scenario) -> list[CheckResult]:
 
 def _modified_pilots(sc: Scenario, out_path: str) -> int:
     _check_keys(_oversized("pilots", [("n2", "pilot matrix", sc.network.n2**2)]))
+    if os.path.isdir(out_path) or out_path.endswith(("/", os.sep)):  # no <stem>_p1.<ext>
+        with _writing_out(out_path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out_path)
     pp = build_square_pilots(sc.network, sc.seed)
     # build_square_pilots' Q factors are unitary, so both are nonsingular
     for tag, mat, n in (("_p1", pp.p1, sc.network.n1), ("_p2", pp.p2, sc.network.n2)):
@@ -569,6 +574,9 @@ def _verify_rows(sc: Scenario) -> list[CheckResult]:
 def cmd_verify(sc: Scenario, out_path: str | None) -> int:
     _check_keys(SCHEMES[sc.scheme].verify_size(sc.network))
     _check_keys(_curve_size(sc), path="")
+    if out_path is not None:  # an unwritable --out exits 2 before any row is built
+        with _writing_out(out_path), open(out_path, "w", encoding="utf-8"):
+            pass
     rows = _verify_rows(sc)
     _write_lines(checks_to_csv(rows), out_path)
     deciding = [r.name for r in rows if r.passed == r.name.startswith("negctrl:")]

@@ -125,7 +125,8 @@ def channel_basis(antennas) -> ChannelRealization:
     """D realizations on a leading axis, the e-th with only user-channel entry e at 1.
 
     Eve has no antennas.  Through a map linear in the user channels, such as
-    ``receive``, it gives that map's Jacobian.
+    ``receive``, it gives that map's Jacobian: the pilot-phase joint factors
+    that ``verify.eig_growth_suite`` ranks for its ``eig:joint`` rows.
     """
     return user_realization(antennas, np.eye(user_channel_dim(antennas)))
 
@@ -267,9 +268,7 @@ def log2det_grid(a: np.ndarray, sigma2) -> np.ndarray:
     (len(sigma2), ...) whatever the short side.  Eigenvalues from a Gram
     carry an absolute error of about 1e-16 tr(G), so a factor whose short
     side exceeds 2 must have full rank on it, as every caller's has: the
-    Monte Carlo factors are Gaussian draws, each P_(i)^T is audited by
-    ``build_pilots``, and the ``eig:joint`` row ranks the joint factor
-    against its column count.
+    callers are the Monte Carlo curves, whose factors are Gaussian draws.
     """
     lam = _short_side_spectrum(a)
     s2 = np.asarray(sigma2, dtype=float)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import CapacityCurve, phase1_joint_factors
+from .capacity import CapacityCurve
 from .dofcalc import (
     DofScenario,
     dof_cij,
@@ -36,12 +36,15 @@ from .dofcalc import (
 from .model import CheckResult, NetworkConfig, SnrGrid, TwoUserModifiedConfig
 from .numkernel import (
     EVE,
+    channel_basis,
     draw_channels,
     numerical_rank,
+    receive,
     sample_cn,
     substream,
     user_channel_dim,
     user_realization,
+    vec_batch,
 )
 from .pilots import build_pairwise_matrix
 
@@ -169,8 +172,10 @@ def eig_growth_suite(ps) -> list[CheckResult]:
 
     sigma^2 A A^H + I grows along rank(A) directions, so each count is the
     rank of a factor: N_i * rank(P_(i)) for user i, which must be
-    N_i*(N_T-N_i), and the rank of a pair's ``phase1_joint_factors``, which
-    must be N_i(N_T-N_i) + N_j(N_T-N_j) - N_i*N_j, less the shared entries.
+    N_i*(N_T-N_i), and for a pair the rank of the Jacobian of its receptions
+    [vec(Y_i); vec(Y_j^T)] over the user-channel entries that either user
+    hears, which must be N_i(N_T-N_i) + N_j(N_T-N_j) - N_i*N_j.  One
+    ``receive`` over ``channel_basis`` gives every pair's Jacobian.
     """
     antennas = ps.antennas
     n_t = sum(antennas)
@@ -179,12 +184,13 @@ def eig_growth_suite(ps) -> list[CheckResult]:
         count = n_i * numerical_rank(ps.without(i))
         results.append(CheckResult(f"eig:single[user {i + 1}]", float(count),
                                    float(n_i * (n_t - n_i)), 0.0))
-    pairs = list(itertools.combinations(range(len(antennas)), 2))
-    for (i, j), factor in zip(pairs, phase1_joint_factors(ps, pairs)):
+    rx = receive(channel_basis(antennas), ps.blocks)[0]
+    for i, j in itertools.combinations(range(len(antennas)), 2):
+        jac = np.concatenate([vec_batch(rx[i]), vec_batch(np.swapaxes(rx[j], 1, 2))], axis=1).T
         n_i, n_j = antennas[i], antennas[j]
         target = n_i * (n_t - n_i) + n_j * (n_t - n_j) - n_i * n_j
-        results.append(CheckResult(f"eig:joint[{i + 1}-{j + 1}]",
-                                   float(numerical_rank(factor)), float(target), 0.0))
+        rank = numerical_rank(jac[:, np.any(jac != 0, axis=0)])  # less the entries neither hears
+        results.append(CheckResult(f"eig:joint[{i + 1}-{j + 1}]", float(rank), float(target), 0.0))
     return sorted(results, key=lambda r: r.name)
 
 

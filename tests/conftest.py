@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from anece_lab import cli
+from anece_lab.numkernel import channel_basis, receive, vec_batch
 from anece_lab.verify import default_grid
 
 
@@ -74,3 +75,16 @@ def svd_rank(a):
         s = np.linalg.svd(a[index], compute_uv=False)
         ranks[index] = np.sum(s > max(a.shape[-2:]) * 1e-12 * s[0]) if s.size else 0
     return ranks
+
+
+def joint_jacobian(ps, i, j):
+    """The test reference for the pilot-phase joint factor J of users i and j.
+
+    J is the Jacobian of the pilot receptions [vec(Y_i); vec(Y_j^T)] of
+    ``receive`` over ``channel_basis``, less the zero columns of entries
+    neither user hears, so that sigma^2 J J^H + I is the pair's joint
+    reception covariance at power sigma^2 under unit noise.
+    """
+    rx = receive(channel_basis(ps.antennas), ps.blocks)[0]
+    jac = np.concatenate([vec_batch(rx[i]), vec_batch(np.swapaxes(rx[j], 1, 2))], axis=1).T
+    return jac[:, np.any(jac != 0, axis=0)]

@@ -6,16 +6,10 @@ lines as they are produced.
 
 import time
 
-from conftest import compare_rows, run_cli
+from conftest import compare_rows, joint_jacobian, run_cli
 
 from anece_lab import cli
-from anece_lab.capacity import (
-    cij_curve,
-    ckey0_curve,
-    cond_entropy_curve,
-    phase1_curve,
-    phase1_joint_factors,
-)
+from anece_lab.capacity import cij_curve, ckey0_curve, cond_entropy_curve, phase1_curve
 from anece_lab.model import NetworkConfig, TwoUserModifiedConfig
 from anece_lab.numkernel import numerical_rank
 from anece_lab.pilots import build_pilots
@@ -98,7 +92,7 @@ def test_criterion_05_eigenvalue_growth_counts():
         n_t = cfg.n_total
         n_i, n_j = antennas[0], antennas[1]
         target = n_i * (n_t - n_i) + n_j * (n_t - n_j) - n_i * n_j
-        count = numerical_rank(next(phase1_joint_factors(ps, [(0, 1)])))
+        count = numerical_rank(joint_jacobian(ps, 0, 1))
         ok = ok and count == target
         details.append(f"{antennas}: {count} vs {target}")
     report(5, "joint pilot-factor ranks exact (" + "; ".join(details) + ")", ok)

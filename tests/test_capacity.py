@@ -1,17 +1,18 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from conftest import joint_jacobian
 
-from anece_lab import capacity, cli
+from anece_lab import capacity, cli, verify
 from anece_lab.capacity import (
     CapacityCurve,
     cij_curve,
     ckey0_curve,
     cond_entropy_curve,
     phase1_curve,
-    phase1_joint_factors,
 )
 from anece_lab.model import NetworkConfig, SnrGrid, TwoUserModifiedConfig
 from anece_lab.numkernel import cn_blocks, log2det_grid, numerical_rank
@@ -48,6 +49,62 @@ def phase1_cov_joint(ps, i, j, sigma2):
     cross = sigma2 * np.kron(ps.blocks[j].T, ps.blocks[i].conj())
     return np.block([[np.kron(heard(i), np.eye(n_i)), cross],
                      [cross.conj().T, np.kron(np.eye(n_j), heard(j))]])
+
+
+def phase1_analytic(ps, i, j, sigma2):
+    """log2|R_i| + log2|R_j| - log2|R_joint| from the blocks of ``phase1_cov_joint``."""
+    cov = phase1_cov_joint(ps, i, j, sigma2)
+    n = ps.antennas[i] * ps.blocks[i].shape[1]
+    return sum(s * np.linalg.slogdet(c)[1] for s, c in
+               ((1, cov[:n, :n]), (1, cov[n:, n:]), (-1, cov))) / math.log(2.0)
+
+
+def phase1_jacobian_form(ps, i, j, grid):
+    """The same SKC from log2det_grid of each P_(i)^T and of the pair's joint factor."""
+    sigma2 = grid.sigma2()
+    single = sum(ps.antennas[u] * log2det_grid(ps.without(u).T, sigma2) for u in (i, j))
+    return single - log2det_grid(joint_jacobian(ps, i, j), sigma2)
+
+
+# (antennas, K_1); None is the shortest K_1 = N_T - N_min
+PHASE1_NETWORKS = [((1, 1), None), ((2, 3), None), ((2, 3), 7), ((3, 3, 3), None),
+                   ((1, 2, 3, 4), 12), ((6, 8, 1, 8, 1), None)]
+
+
+@pytest.mark.parametrize("antennas, k1", PHASE1_NETWORKS)
+def test_phase1_matches_the_analytic_covariance(antennas, k1):
+    ps = build_pilots(NetworkConfig(antennas, 0, k1=k1), 3)
+    grid = SnrGrid((-10.0, -4.0, 0.0, 4.0, 8.0, 12.0, 16.0, 20.0))
+    for i, j in itertools.permutations(range(len(antennas)), 2):
+        got = np.array(phase1_curve(ps, i, j, grid).values)
+        expected = np.array([phase1_analytic(ps, i, j, s2) for s2 in grid.sigma2()])
+        assert np.max(np.abs(got - expected) / expected) <= 1e-9
+
+
+@pytest.mark.parametrize("antennas, k1", PHASE1_NETWORKS + [((2, 2, 2), None)])
+def test_phase1_matches_the_receive_jacobian_form(antennas, k1):
+    ps = build_pilots(NetworkConfig(antennas, 0, k1=k1), 3)
+    grids = [default_grid(), SnrGrid(tuple(range(12, 45))), SnrGrid(tuple(range(-10, 41)))]
+    for (i, j), grid in itertools.product(itertools.permutations(range(len(antennas)), 2), grids):
+        got = np.array(phase1_curve(ps, i, j, grid).values)
+        expected = phase1_jacobian_form(ps, i, j, grid)
+        assert np.max(np.abs(got - expected) / expected) <= 1e-11
+
+
+def test_phase1_holds_over_plus_minus_1000():
+    # no overflow at 2^1000 and no warning anywhere; at 2^-1000 the value,
+    # of order sigma^4, is below float64's range and reads exactly 0
+    ps = build_pilots(NetworkConfig((2, 3, 1), 0, k2=1), 3)
+    grid = SnrGrid((-1000.0, -999.0, -500.0, -20.0, 0.0, 20.0, 500.0, 1000.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i, j in itertools.permutations(range(3), 2):
+            values = phase1_curve(ps, i, j, grid).values
+            assert 0.0 <= values[0] <= 1e-290
+            assert all(np.isfinite(values)) and list(values) == sorted(values)
+            # the slope is N_i * N_j up there
+            top = (values[-1] - values[-2]) / 500.0
+            assert abs(top - ps.antennas[i] * ps.antennas[j]) <= 1e-3
 
 
 def test_phase1_hand_value():
@@ -229,28 +286,29 @@ def test_phase1_covariance_matches_synthesized_signals():
 @pytest.mark.parametrize("antennas", [(2, 2, 2), (1, 2, 3, 4), (2, 3)])
 def test_phase1_factor_reproduces_joint_covariance(antennas):
     ps = build_pilots(NetworkConfig(antennas, 0, k2=1), 4)
-    pairs = [(0, 1), (1, 0), (0, len(antennas) - 1)]
-    for (i, j), jac in zip(pairs, phase1_joint_factors(ps, pairs), strict=True):
+    for i, j in [(0, 1), (1, 0), (0, len(antennas) - 1)]:
+        jac = joint_jacobian(ps, i, j)
         cov = phase1_cov_joint(ps, i, j, 1.0)
         assert np.max(np.abs(jac @ jac.conj().T - (cov - np.eye(len(cov))))) <= 1e-12
 
 
 def test_phase1_joint_factors_share_one_synthesis(monkeypatch):
-    # every pair's factor comes from one reception and equals its own pair's
+    # eig_growth_suite takes every pair's factor from one reception, and each
+    # eig:joint row ranks its own pair's reference factor
     calls = []
-    receive = capacity.receive
+    receive = verify.receive
 
     def counted(*args, **kwargs):
         calls.append(args)
         return receive(*args, **kwargs)
 
-    monkeypatch.setattr(capacity, "receive", counted)
+    monkeypatch.setattr(verify, "receive", counted)
     ps = build_pilots(NetworkConfig((1, 2, 3, 4), 0, k2=1), 2)
-    pairs = list(itertools.permutations(range(4), 2))
-    factors = list(phase1_joint_factors(ps, pairs))
+    measured = {r.name: r.measured for r in eig_growth_suite(ps)}
     assert len(calls) == 1
-    for pair, factor in zip(pairs, factors, strict=True):
-        assert np.array_equal(factor, next(phase1_joint_factors(ps, [pair])))
+    for i, j in itertools.combinations(range(4), 2):
+        jac = joint_jacobian(ps, i, j)
+        assert measured[f"eig:joint[{i + 1}-{j + 1}]"] == numerical_rank(jac) == jac.shape[1]
 
 
 def test_phase1_joint_factor_rank_is_its_growth_count():
@@ -258,8 +316,8 @@ def test_phase1_joint_factor_rank_is_its_growth_count():
     # N_j(N_T-N_j) - N_i*N_j, one per channel entry either user hears
     cfg = NetworkConfig((1, 2, 3, 4), 0, k2=1)
     ps = build_pilots(cfg, 5)
-    pairs = list(itertools.combinations(range(4), 2))
-    for (i, j), factor in zip(pairs, phase1_joint_factors(ps, pairs), strict=True):
+    for i, j in itertools.combinations(range(4), 2):
+        factor = joint_jacobian(ps, i, j)
         n_i, n_j, n_t = cfg.antennas[i], cfg.antennas[j], cfg.n_total
         target = n_i * (n_t - n_i) + n_j * (n_t - n_j) - n_i * n_j
         assert factor.shape[1] == target
@@ -401,9 +459,9 @@ BENCH_MODIFIED = [(2, 3, 6, 2), (1, 3, 7, 3)]
 
 
 def bench_factors():
-    """Every factor stack that phase1_curve, cij_curve, ckey0_curve and
-    cond_entropy_curve hand to ``log2det_grid`` on the benchmark networks,
-    over every user pair, at 64 samples."""
+    """Every factor stack that cij_curve, ckey0_curve and cond_entropy_curve
+    hand to ``log2det_grid`` on the benchmark networks, over every user pair,
+    at 64 samples."""
     factors = []
     kernel = capacity.log2det_grid
 
@@ -419,9 +477,7 @@ def bench_factors():
             ckey0_curve(TwoUserModifiedConfig(*c), grid, 64, 3)
         for antennas in BENCH_ALL_USER:
             cfg = NetworkConfig(antennas, 0)
-            ps = build_pilots(cfg, 3)
             for i, j in itertools.combinations(range(cfg.m), 2):
-                phase1_curve(ps, i, j, grid)
                 cij_curve(cfg, i, j, grid, 64, 3)
     return factors
 
@@ -444,50 +500,55 @@ def test_log2det_grid_matches_an_svd_reference_on_every_benchmark_factor(grid):
 
 @pytest.mark.parametrize("antennas", BENCH_ALL_USER + [c[:2] for c in BENCH_MODIFIED])
 def test_phase1_factors_have_full_rank_on_their_short_side(antennas):
-    # log2det_grid needs it: each P_(i)^T is tall with full column rank, and
-    # each joint factor J has exactly as many columns as its eig:joint target
+    # the eig:* rows count on it: each P_(i)^T is tall with full column rank,
+    # and each joint factor J has exactly as many columns as its eig:joint target
     cfg = NetworkConfig(antennas, 0)
     ps = build_pilots(cfg, 3)
     for u in range(cfg.m):
         rows, cols = ps.without(u).T.shape
         assert rows >= cols == numerical_rank(ps.without(u)) == cfg.n_total - antennas[u]
     targets = {r.name: r.target for r in eig_growth_suite(ps)}
-    pairs = list(itertools.combinations(range(cfg.m), 2))
-    for (i, j), jac in zip(pairs, phase1_joint_factors(ps, pairs), strict=True):
+    for i, j in itertools.combinations(range(cfg.m), 2):
+        jac = joint_jacobian(ps, i, j)
         assert jac.shape[0] >= jac.shape[1] == targets[f"eig:joint[{i + 1}-{j + 1}]"]
 
 
 def test_verify_decomposes_only_stacks_whose_short_side_exceeds_2(write_scenario, monkeypatch,
                                                                    tmp_path):
-    # one all-user verify: log2det_grid makes no svd, and its eigvalsh calls
-    # are the three phase-1 factors' (the Monte Carlo factors of [2,2,2] all
-    # have a short side of 2); every svd (a rank the certificate rejects, if
-    # any) and eigvalsh sees a short side above 2
-    shapes = {"svd": [], "eigvalsh": [], "svd-inside": [], "eigvalsh-inside": []}
+    # one all-user verify: log2det_grid makes no svd and, since the Monte
+    # Carlo factors of [2,2,2] all have a short side of 2, no eigvalsh; the
+    # phase-1 curve makes one svd of Q^T and one eigvalsh per user over the
+    # grid; every other svd (a rank the certificate rejects, if any) and
+    # eigvalsh sees a short side above 2
+    shapes = {key: [] for key in ("svd", "eigvalsh", "svd-log2det_grid",
+                                  "eigvalsh-log2det_grid", "svd-phase1", "eigvalsh-phase1")}
     inside = []
-    kernel = capacity.log2det_grid
 
-    def counted_kernel(*args):
-        inside.append(True)
-        try:
-            return kernel(*args)
-        finally:
-            inside.pop()
+    def within(tag, fn):
+        def call(*args):
+            inside.append(tag)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return call
 
     def counted(key, fn):
         def wrapper(a, *args, **kwargs):
-            shapes[f"{key}-inside" if inside else key].append(np.shape(a)[-2:])
+            shapes[f"{key}-{inside[-1]}" if inside else key].append(np.shape(a)[-2:])
             return fn(a, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(capacity, "log2det_grid", counted_kernel)
+    monkeypatch.setattr(capacity, "log2det_grid", within("log2det_grid", capacity.log2det_grid))
+    monkeypatch.setattr(cli, "phase1_curve", within("phase1", cli.phase1_curve))
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     path = write_scenario("all_user", {"antennas": [2, 2, 2], "n_eve": 4, "k2": 2})
     assert cli.main(["verify", "--scenario", path, "--out", str(tmp_path / "v.csv")]) == 0
-    assert shapes["svd-inside"] == []
-    assert sorted(shapes["eigvalsh-inside"]) == [(4, 4), (4, 4), (12, 12)]
-    assert all(min(shape) > 2 for calls in shapes.values() for shape in calls)
+    assert shapes["svd-log2det_grid"] == shapes["eigvalsh-log2det_grid"] == []
+    assert shapes["svd-phase1"] == [(4, 2)]
+    assert shapes["eigvalsh-phase1"] == [(2, 2), (2, 2)]
+    assert all(min(shape) > 2 for key in ("svd", "eigvalsh") for shape in shapes[key])
 
 
 def test_capacity_curve_validation():

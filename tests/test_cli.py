@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -367,16 +368,32 @@ def test_resolution_rows_tell_noise_from_bias(write_scenario, samples, resolved)
     ("verify", ()), ("compare", ()), ("sweep", ("--axis", "n_eve", "--range", "0:2")),
     ("pilots", ()),
 ])
-@pytest.mark.parametrize("kind", ["directory", "missing-parent"])
+@pytest.mark.parametrize("kind", ["directory", "missing-parent", "separator"])
 def test_unwritable_out_is_a_usage_error(tmp_path, write_scenario, command, extra, kind):
-    path = write_scenario("all_user", {"antennas": [2, 2], "n_eve": 3, "k2": 1},
-                          mc_samples=100, seed=7)
-    out = tmp_path if kind == "directory" else tmp_path / "missing" / "out.txt"
-    proc = run_cli(command, "--scenario", path, *extra, "--out", str(out))
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith(f"error: --out {out}: cannot write: ")
-    assert proc.stderr.count("\n") == 1
+    # the modified scheme's pilots go to <stem>_p1.<ext> and <stem>_p2.<ext>,
+    # which a directory or a trailing separator would place beside or inside it
+    out = {"directory": str(tmp_path), "missing-parent": str(tmp_path / "missing" / "out.txt"),
+           "separator": str(tmp_path) + os.sep}[kind]
+    for scheme, network in (("all_user", {"antennas": [2, 2], "n_eve": 3, "k2": 1}),
+                            ("modified_two_user", {"n1": 2, "n2": 3, "k_total": 6, "n_eve": 2})):
+        path = write_scenario(scheme, network, mc_samples=100, seed=7)
+        proc = run_cli(command, "--scenario", path, *extra, "--out", out)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: --out {out}: cannot write: ")
+        assert proc.stderr.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario1.json", "scenario2.json"]
+
+
+def test_verify_refuses_an_unwritable_out_before_building_rows(tmp_path, write_scenario,
+                                                               monkeypatch, capsys):
+    def built(*args, **kwargs):
+        raise AssertionError("verify built its rows")
+
+    monkeypatch.setattr(cli, "_verify_rows", built)
+    path = write_scenario("all_user", {"antennas": [2, 2], "n_eve": 3}, **FAST_MC)
+    assert cli.main(["verify", "--scenario", path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --out {tmp_path}: cannot write: ")
 
 
 def test_readme_names_exactly_the_parser_options():
@@ -562,7 +579,7 @@ def test_verify_refuses_an_oversized_working_set(write_scenario, monkeypatch, ca
     def built(*args, **kwargs):
         raise AssertionError("verify started its work")
 
-    monkeypatch.setattr(capacity, "receive", built)
+    monkeypatch.setattr(verify, "receive", built)
     monkeypatch.setattr(cli, "_verify_rows", built)
     path = write_scenario(scheme, network, **FAST_MC)
     tracemalloc.start()

@@ -87,6 +87,19 @@ def test_every_p_without_i_is_well_conditioned(antennas):
         assert s[-1] ** 2 / s[0] ** 2 >= (1 - 1e-9) / cfg.n_total
 
 
+@pytest.mark.parametrize("m", range(2, 7))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_p_without_i_conditioning_for_equal_antenna_counts(n, m):
+    # user i's complement splits into M - 1 cosets of the N_T-th roots, so
+    # P_(i) is a DFT_N times an (M-1) x (M-1) Vandermonde V on M-th roots of
+    # unity with V V^H = M I - g g^H, |g|^2 = M - 1: sigma_min^2 / sigma_max^2
+    # is exactly 1/M for M >= 3, and 1 for M = 2
+    ps = build_pilots(NetworkConfig((n,) * m, 0, k2=1), 2)
+    for i in range(m):
+        s = np.linalg.svd(ps.without(i), compute_uv=False)
+        assert abs(s[-1] ** 2 / s[0] ** 2 - (1.0 / m if m >= 3 else 1.0)) <= 1e-12
+
+
 def test_equal_antenna_counts_are_dealt_round_robin():
     # antenna a of every user before antenna a + 1 of any: the row of antenna
     # a of user i is the Vandermonde row of the root w^(a * M + i)

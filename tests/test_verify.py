@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import compare_rows, svd_rank
 
-from anece_lab import capacity, cli, numkernel, pilots, verify
+from anece_lab import cli, numkernel, pilots, verify
 from anece_lab.capacity import CapacityCurve, cij_curve, phase1_curve
 from anece_lab.model import CheckResult, NetworkConfig, SnrGrid
 from anece_lab.pilots import PilotSet, build_pilots
@@ -161,7 +161,8 @@ def test_rank_oracle_needs_no_channel_basis(monkeypatch, antennas):
     def refused(*args):
         raise AssertionError("the rank oracle built a channel basis")
 
-    monkeypatch.setattr(numkernel, "channel_basis", refused)
+    for module in (numkernel, verify):  # eig_growth_suite imports its own reference
+        monkeypatch.setattr(module, "channel_basis", refused)
     assert all(r.passed for r in rank_oracle_suite(NetworkConfig(antennas, 2, k2=1), 5))
 
 
@@ -233,17 +234,22 @@ def test_eig_growth_suite_catches_rank_deficient_pilots():
 
 
 def test_eig_growth_suite_catches_a_dropped_factor_column(monkeypatch):
-    factors = verify.phase1_joint_factors
+    # a reception that ignores user-channel entry 0, H_12's first, drops that
+    # column from the joint factor of every pair with user 1 or 2 in it
+    receive = verify.receive
 
-    def dropping(ps, pairs):
-        for pair, factor in zip(pairs, factors(ps, pairs)):
-            yield factor[:, 1:] if pair == (0, 1) else factor
+    def dropping(ch, tx):
+        user_rx, eve_rx = receive(ch, tx)
+        for rx in user_rx:
+            rx[0] = 0
+        return user_rx, eve_rx
 
-    monkeypatch.setattr(verify, "phase1_joint_factors", dropping)
+    monkeypatch.setattr(verify, "receive", dropping)
     cfg = NetworkConfig((2, 2, 2), 0, k2=1)
     rows = eig_growth_suite(build_pilots(cfg, 3))
     assert [(r.name, r.measured, r.target) for r in rows if not r.passed] == [
-        ("eig:joint[1-2]", 11.0, 12.0)]
+        ("eig:joint[1-2]", 11.0, 12.0), ("eig:joint[1-3]", 11.0, 12.0),
+        ("eig:joint[2-3]", 11.0, 12.0)]
 
 
 @pytest.mark.parametrize("antennas", [(2, 2, 2), (1, 2, 3, 4)])
@@ -262,7 +268,7 @@ def test_eig_growth_suite_work(monkeypatch, antennas):
         fn = getattr(np.linalg, name)
         if callable(fn) and not isinstance(fn, type):
             monkeypatch.setattr(np.linalg, name, counted("linalg", fn))
-    monkeypatch.setattr(capacity, "receive", counted("receive", capacity.receive))
+    monkeypatch.setattr(verify, "receive", counted("receive", verify.receive))
     cfg = NetworkConfig(antennas, 0, k2=1)
     ps = build_pilots(cfg, 3)
     calls.clear()
