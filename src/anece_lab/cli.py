@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import errno
 import functools
 import json
-import os
 import sys
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -98,7 +96,7 @@ class Scheme:
     entries, ``compare_row`` its phase-2 SDoF and pilot slots on an all-user
     config and aggregate budget ``k2``, ``checks`` its verify rows,
     ``verify_size`` the arrays over ``MAX_VERIFY_ENTRIES`` that refuse a
-    verify, and ``pilots`` writes and audits its pilot matrices.  ``compare``
+    verify, and ``pilots`` its pilot matrices and their rank-audit lines.  ``compare``
     runs on ``compare_input``'s all-user config; the ``k2`` sweep axis and a
     refused compare budget name ``k2_field``.
     """
@@ -110,7 +108,7 @@ class Scheme:
     compare_row: Callable[[NetworkConfig], tuple[int, int]]
     checks: Callable[[Scenario], list[CheckResult]]
     verify_size: Callable[..., list[tuple[str, str]]]
-    pilots: Callable[[Scenario, str], int]
+    pilots: Callable[[Scenario], tuple[list[np.ndarray], list[str]]]
     compare_input: Callable[..., NetworkConfig]
     k2_field: str
 
@@ -223,21 +221,17 @@ def fmt_number(x) -> str:
 
 
 @contextlib.contextmanager
-def _writing_out(out_path: str):
-    """Raise an ``OSError`` of writing the ``--out`` file as a usage error."""
+def _output(out_path: str | None):
+    """The ``--out`` file, opened once for writing, or stdout without one; an
+    ``OSError`` of opening or writing that file is a usage error."""
+    if out_path is None:
+        yield sys.stdout
+        return
     try:
-        yield
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
     except OSError as exc:
         raise ScenarioError(f"--out {out_path}: cannot write: {exc}") from exc
-
-
-def _write_lines(lines: list[str], out_path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with _writing_out(out_path), open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
 
 
 def checks_to_csv(rows: list[CheckResult]) -> list[str]:
@@ -248,13 +242,6 @@ def checks_to_csv(rows: list[CheckResult]) -> list[str]:
             f"{fmt_number(r.tolerance)},{str(r.passed).lower()}"
         )
     return lines
-
-
-def _suffixed(path: str, suffix: str) -> str:
-    stem, dot, ext = path.rpartition(".")
-    if dot and "/" not in ext:
-        return f"{stem}{suffix}.{ext}"
-    return f"{path}{suffix}"
 
 
 # --------------------------------------------------------------------------
@@ -375,19 +362,15 @@ def _all_user_checks(sc: Scenario) -> list[CheckResult]:
     return rows + eig_growth_suite(ps) + rank_oracle_suite(cfg, sc.seed)
 
 
-def _all_user_pilots(sc: Scenario, out_path: str) -> int:
+def _all_user_pilots(sc: Scenario) -> tuple[list[np.ndarray], list[str]]:
     cfg = sc.network
     # N_T x K_1; the problem names k1 when the shortest K_1 = N_T - N_min fits
     field = "k1" if cfg.n_total * (cfg.n_total - cfg.n_min) <= MAX_VERIFY_ENTRIES else "antennas"
     _check_keys(_oversized("pilots", [(field, "pilot matrix", cfg.n_total * cfg.k1)]))
     ps = build_pilots(cfg, sc.seed)
-    with _writing_out(out_path):
-        write_matrix_text(out_path, ps.stacked)
     # build_pilots has audited rank(P) and every P_(l); each P_i is a row subset of one
-    print(f"wrote {out_path}: rank(P)={cfg.n_total - cfg.n_min} OK")
-    for i, n in enumerate(cfg.antennas):
-        print(f"  rank(P_{i + 1})={n} OK")
-    return EXIT_OK
+    return [ps.stacked], [f"rank(P)={cfg.n_total - cfg.n_min} OK",
+                          *(f"  rank(P_{i + 1})={n} OK" for i, n in enumerate(cfg.antennas))]
 
 
 # pair-wise ANECE: k1 and k2 count the slots of one session
@@ -424,7 +407,7 @@ def _pairwise_checks(sc: Scenario) -> list[CheckResult]:
             *rank_oracle_suite(cfg, sc.seed)]
 
 
-def _pairwise_pilots(sc: Scenario, out_path: str) -> int:
+def _pairwise_pilots(sc: Scenario) -> tuple[list[np.ndarray], list[str]]:
     cfg = sc.network
     # N_T x P_0 * K_1; the problem names k1 when the shortest K_1 = max N_i fits
     per_slot = cfg.n_total * (cfg.m * (cfg.m - 1) // 2)
@@ -432,12 +415,8 @@ def _pairwise_pilots(sc: Scenario, out_path: str) -> int:
     _check_keys(_oversized("pilots", [(field, "pair-wise pilot matrix", per_slot * cfg.k1)]))
     rng = substream(sc.seed, "pilots-pairwise")
     blocks = [sample_cn(rng, (n, cfg.k1)) for n in cfg.antennas]
-    matrix = build_pairwise_matrix(blocks)
-    with _writing_out(out_path):
-        write_matrix_text(out_path, matrix)
-    # build_pairwise_matrix has audited its full row rank
-    print(f"wrote {out_path}: rank(P_pair)={cfg.n_total} OK")
-    return EXIT_OK
+    # build_pairwise_matrix audits its full row rank
+    return [build_pairwise_matrix(blocks)], [f"rank(P_pair)={cfg.n_total} OK"]
 
 
 # modified two-user ANECE
@@ -488,19 +467,12 @@ def _modified_checks(sc: Scenario) -> list[CheckResult]:
     return rows + eig_growth_suite(ps) + rank_oracle_suite(rank_cfg, sc.seed)
 
 
-def _modified_pilots(sc: Scenario, out_path: str) -> int:
-    _check_keys(_oversized("pilots", [("n2", "pilot matrix", sc.network.n2**2)]))
-    if os.path.isdir(out_path) or out_path.endswith(("/", os.sep)):  # no <stem>_p1.<ext>
-        with _writing_out(out_path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out_path)
-    pp = build_square_pilots(sc.network, sc.seed)
+def _modified_pilots(sc: Scenario) -> tuple[list[np.ndarray], list[str]]:
+    c = sc.network
+    _check_keys(_oversized("pilots", [("n2", "pilot matrix", c.n2**2)]))
+    pp = build_square_pilots(c, sc.seed)
     # build_square_pilots' Q factors are unitary, so both are nonsingular
-    for tag, mat, n in (("_p1", pp.p1, sc.network.n1), ("_p2", pp.p2, sc.network.n2)):
-        target = _suffixed(out_path, tag)
-        with _writing_out(out_path):
-            write_matrix_text(target, mat)
-        print(f"wrote {target}: rank(P{tag[-1]})={n} OK")
-    return EXIT_OK
+    return [pp.p1, pp.p2], [f"rank(P1)={c.n1} OK", f"  rank(P2)={c.n2} OK"]
 
 
 def _modified_verify_size(c: TwoUserModifiedConfig) -> list[tuple[str, str]]:
@@ -574,11 +546,9 @@ def _verify_rows(sc: Scenario) -> list[CheckResult]:
 def cmd_verify(sc: Scenario, out_path: str | None) -> int:
     _check_keys(SCHEMES[sc.scheme].verify_size(sc.network))
     _check_keys(_curve_size(sc), path="")
-    if out_path is not None:  # an unwritable --out exits 2 before any row is built
-        with _writing_out(out_path), open(out_path, "w", encoding="utf-8"):
-            pass
-    rows = _verify_rows(sc)
-    _write_lines(checks_to_csv(rows), out_path)
+    with _output(out_path) as fh:  # an unwritable --out exits 2 before any row is built
+        rows = _verify_rows(sc)
+        print("\n".join(checks_to_csv(rows)), file=fh)
     deciding = [r.name for r in rows if r.passed == r.name.startswith("negctrl:")]
     if deciding:  # the real rows that fail and the controls that pass, in name order
         print(f"verify failed on: {', '.join(deciding)}", file=sys.stderr)
@@ -632,7 +602,8 @@ def cmd_sweep(sc: Scenario, axis: str, span: tuple[int, int], out_path: str) -> 
     lines = ["axis,value," + ",".join(columns)]
     for idx, value in enumerate(values):
         lines.append(f"{axis},{value}," + ",".join(str(col[idx]) for col in columns.values()))
-    _write_lines(lines, out_path)
+    with _output(out_path) as fh:
+        print("\n".join(lines), file=fh)
     return EXIT_OK
 
 
@@ -659,7 +630,17 @@ def compare_schemes(sc: Scenario) -> list[tuple[str, int, int, int, int, int]]:
 def cmd_compare(sc: Scenario, out_path: str | None) -> int:
     lines = ["scheme,phase1_dof,phase2_dof,total_dof,phase1_slots,phase2_slots"]
     lines += [",".join(map(str, row)) for row in compare_schemes(sc)]
-    _write_lines(lines, out_path)
+    with _output(out_path) as fh:
+        print("\n".join(lines), file=fh)
+    return EXIT_OK
+
+
+def cmd_pilots(sc: Scenario, out_path: str) -> int:
+    """Write the scheme's pilot matrices one after another, then print their rank audit."""
+    matrices, audit = SCHEMES[sc.scheme].pilots(sc)
+    with _output(out_path) as fh:
+        write_matrix_text(fh, *matrices)
+    print(f"wrote {out_path}: " + "\n".join(audit))
     return EXIT_OK
 
 
@@ -729,7 +710,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(sc, args.axis, _parse_span(args.span), args.out)
         if args.command == "pilots":
-            return SCHEMES[sc.scheme].pilots(sc, args.out)
+            return cmd_pilots(sc, args.out)
         return cmd_compare(sc, args.out)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

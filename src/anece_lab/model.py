@@ -8,7 +8,16 @@ impossible grids) still raise ``ValueError`` at construction time.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+
+
+def antenna_counts(values) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; any integer type is taken, a float raises ``ValueError``."""
+    try:
+        return tuple(operator.index(n) for n in values)
+    except TypeError as exc:
+        raise ValueError(f"antenna counts must be integers, got {tuple(values)!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -29,7 +38,7 @@ class NetworkConfig:
     k2: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "antennas", tuple(int(n) for n in self.antennas))
+        object.__setattr__(self, "antennas", antenna_counts(self.antennas))
         if self.k1 is None:
             object.__setattr__(self, "k1", self.n_total - self.n_min)
 

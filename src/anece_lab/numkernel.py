@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import antenna_counts
+
 _MASK64 = (1 << 64) - 1
 
 # Complex entries drawn per Monte Carlo block; bounds the scratch memory of a curve.
@@ -143,7 +145,7 @@ def draw_channels(antennas, n_eve: int, rng: np.random.Generator,
     All user channels are drawn first, then Eve's channels user by user;
     ``batch`` = () draws one realization.
     """
-    antennas = tuple(int(n) for n in antennas)
+    antennas = antenna_counts(antennas)
     user = split_user_channels(antennas, sample_cn(rng, batch + (user_channel_dim(antennas),)))
     eve = tuple(sample_cn(rng, batch + (n_eve, n)) for n in antennas)
     return ChannelRealization(antennas, user, eve)

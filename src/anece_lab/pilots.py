@@ -10,6 +10,7 @@ its rows of G, well conditioned.  The modified scheme's square pilots are unitar
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,11 @@ class PilotSet:
         """The stack with block i removed."""
         return np.vstack([b for l, b in enumerate(self.blocks) if l != i])
 
+    @functools.cached_property
+    def complement_ranks(self) -> tuple[int, ...]:
+        """rank(P_(i)) of each stack without block i, measured once per pilot set."""
+        return tuple(numerical_rank(self.without(i)) for i in range(len(self.blocks)))
+
 
 @dataclass(frozen=True)
 class ModifiedPilotPair:
@@ -59,8 +65,8 @@ def validate_pilots(ps: PilotSet) -> list[str]:
     antennas = ps.antennas
     n_total = sum(antennas)
     violations = []
-    for i, n in enumerate(antennas):
-        if numerical_rank(ps.without(i)) != n_total - n:
+    for i, (n, rank) in enumerate(zip(antennas, ps.complement_ranks)):
+        if rank != n_total - n:
             violations.append(f"rank of stack without user {i + 1} != {n_total - n}")
     want = n_total - min(antennas)
     if numerical_rank(ps.stacked) != want:
@@ -143,12 +149,13 @@ def build_square_pilots(cfg2u: TwoUserModifiedConfig, seed: int) -> ModifiedPilo
 # --------------------------------------------------------------------------
 
 
-def write_matrix_text(path, m: np.ndarray) -> None:
-    """Write a complex matrix: header "rows cols", then row-major re/im pairs,
-    formatted 4,096 entries at a time so that no string holds the matrix."""
-    a = np.ascontiguousarray(np.atleast_2d(np.asarray(m, dtype=complex)))
+def write_matrix_text(fh, *matrices: np.ndarray) -> None:
+    """Write complex matrices to the open text file ``fh``, one after another: each
+    is a header "rows cols", then its row-major re/im pairs, formatted 4,096
+    entries at a time so that no string holds a matrix."""
     step = 2 * 4096  # re/im floats per chunk
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    for m in matrices:
+        a = np.ascontiguousarray(np.atleast_2d(np.asarray(m, dtype=complex)))
         fh.write(f"{a.shape[0]} {a.shape[1]}\n")
         for row in a.view(float):
             for start in range(0, len(row), step):

@@ -180,8 +180,8 @@ def eig_growth_suite(ps) -> list[CheckResult]:
     antennas = ps.antennas
     n_t = sum(antennas)
     results = []
-    for i, n_i in enumerate(antennas):
-        count = n_i * numerical_rank(ps.without(i))
+    for i, (n_i, rank) in enumerate(zip(antennas, ps.complement_ranks)):
+        count = n_i * rank
         results.append(CheckResult(f"eig:single[user {i + 1}]", float(count),
                                    float(n_i * (n_t - n_i)), 0.0))
     rx = receive(channel_basis(antennas), ps.blocks)[0]

@@ -1,4 +1,5 @@
 import argparse
+import builtins
 import csv
 import json
 import os
@@ -82,7 +83,7 @@ PINNED = [
      "all_user,6,8,14,3,4\nmodified_two_user,6,10,16,3,4\n",
      "dof_phase1,dof_phase2,dof_phase2_lower_12,dof_phase2_lower_21,dof_total,"
      "dof_original_phase2,dof_gain_over_original",
-     "wrote {stem}_p1.txt: rank(P1)=2 OK\nwrote {stem}_p2.txt: rank(P2)=3 OK\n"),
+     "wrote {stem}.txt: rank(P1)=2 OK\n  rank(P2)=3 OK\n"),
 ]
 
 
@@ -370,8 +371,7 @@ def test_resolution_rows_tell_noise_from_bias(write_scenario, samples, resolved)
 ])
 @pytest.mark.parametrize("kind", ["directory", "missing-parent", "separator"])
 def test_unwritable_out_is_a_usage_error(tmp_path, write_scenario, command, extra, kind):
-    # the modified scheme's pilots go to <stem>_p1.<ext> and <stem>_p2.<ext>,
-    # which a directory or a trailing separator would place beside or inside it
+    # every command, the modified scheme's pilots included, writes the one --out it names
     out = {"directory": str(tmp_path), "missing-parent": str(tmp_path / "missing" / "out.txt"),
            "separator": str(tmp_path) + os.sep}[kind]
     for scheme, network in (("all_user", {"antennas": [2, 2], "n_eve": 3, "k2": 1}),
@@ -867,9 +867,27 @@ def test_sweep_refuses_a_huge_range_at_once(tmp_path, write_scenario, monkeypatc
     assert not out.exists()
 
 
+def read_matrices(path):
+    """The matrices of a ``pilots.write_matrix_text`` file, in order, as complex arrays."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    matrices = []
+    while lines:
+        rows, cols = map(int, lines.pop(0).split())
+        body = [np.array(lines.pop(0).split(), dtype=float).view(complex) for _ in range(rows)]
+        matrices.append(np.array(body).reshape(rows, cols))
+    return matrices
+
+
 def read_matrix(path):
-    """A matrix file of ``pilots.write_matrix_text`` as a complex array."""
-    return np.loadtxt(path, skiprows=1, ndmin=2).view(complex)
+    """The one matrix of a ``pilots.write_matrix_text`` file."""
+    (matrix,) = read_matrices(path)
+    return matrix
+
+
+def pairwise_blocks(seed, antennas, k1):
+    """The per-user blocks that `pilots` draws for a pair-wise scenario of ``seed``."""
+    rng = numkernel.substream(seed, "pilots-pairwise")
+    return [numkernel.sample_cn(rng, (n, k1)) for n in antennas]
 
 
 def test_pilots_command_all_user(tmp_path, write_scenario):
@@ -912,8 +930,7 @@ def test_pilots_command_pairwise(tmp_path, write_scenario):
     assert read_matrix(out).shape == (8, 6 * 4)
 
     # the emitted matrix is the library's build from the scenario seed's blocks
-    rng = numkernel.substream(7, "pilots-pairwise")
-    blocks = [numkernel.sample_cn(rng, (n, 4)) for n in network["antennas"]]
+    blocks = pairwise_blocks(7, network["antennas"], 4)
     assert np.array_equal(read_matrix(out), pilots.build_pairwise_matrix(blocks))
 
     again = tmp_path / "P2.txt"
@@ -927,9 +944,61 @@ def test_pilots_command_modified(tmp_path, write_scenario):
     )
     out = tmp_path / "P.txt"
     proc = run_cli("pilots", "--scenario", path, "--out", str(out))
-    assert proc.returncode == 0
-    assert read_matrix(tmp_path / "P_p1.txt").shape == (2, 2)
-    assert read_matrix(tmp_path / "P_p2.txt").shape == (3, 3)
+    assert (proc.returncode, proc.stdout) == (0, f"wrote {out}: rank(P1)=2 OK\n  rank(P2)=3 OK\n")
+    assert [p.name for p in tmp_path.iterdir() if p.suffix == ".txt"] == ["P.txt"]
+    assert [m.shape for m in read_matrices(out)] == [(2, 2), (3, 3)]
+
+
+# one network per scheme for the pilots and --out tests
+PILOT_NETWORKS = {
+    "all_user": {"antennas": [1, 2, 3], "n_eve": 1, "k2": 3},
+    "pairwise": {"antennas": [1, 2, 2], "n_eve": 1, "k1": 3, "k2": 3},
+    "modified_two_user": {"n1": 2, "n2": 3, "k_total": 6, "n_eve": 2},
+}
+
+
+def built_pilots(scheme, seed):
+    """The library's pilot matrices for ``PILOT_NETWORKS[scheme]``, as `pilots` orders them."""
+    if scheme == "all_user":
+        return [pilots.build_pilots(NetworkConfig((1, 2, 3), 1), seed).stacked]
+    if scheme == "pairwise":
+        return [pilots.build_pairwise_matrix(pairwise_blocks(seed, (1, 2, 2), 3))]
+    pp = pilots.build_square_pilots(TwoUserModifiedConfig(2, 3, 6, 2), seed)
+    return [pp.p1, pp.p2]
+
+
+@pytest.mark.parametrize("scheme", PILOT_NETWORKS)
+def test_pilots_file_round_trips_every_scheme(tmp_path, write_scenario, scheme):
+    # one file holds every pilot matrix of the scheme, the modified one's P1 then P2
+    out = tmp_path / "P.txt"
+    path = write_scenario(scheme, PILOT_NETWORKS[scheme], **FAST_MC)
+    assert run_cli("pilots", "--scenario", path, "--out", str(out)).returncode == 0
+    back, expected = read_matrices(out), built_pilots(scheme, FAST_MC["seed"])
+    assert [m.shape for m in back] == [m.shape for m in expected]
+    assert all(np.array_equal(a, b) for a, b in zip(back, expected))
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("verify", ()), ("compare", ()), ("sweep", ("--axis", "n_eve", "--range", "0:2")),
+    ("pilots", ()),
+])
+@pytest.mark.parametrize("scheme", PILOT_NETWORKS)
+def test_each_command_opens_its_out_once(tmp_path, write_scenario, monkeypatch, command, extra,
+                                         scheme):
+    path = write_scenario(scheme, PILOT_NETWORKS[scheme], mc_samples=100, seed=7)
+    out = str(tmp_path / "out.txt")
+    opened = []
+
+    def counted(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open", counted)
+    code = run_cli(command, "--scenario", path, *extra, "--out", out).returncode
+    monkeypatch.undo()
+    assert (code, opened.count(out)) == (0, 1)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "scenario1.json"]
 
 
 def test_pilots_command_invalid_config(write_scenario, tmp_path):

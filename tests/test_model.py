@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from anece_lab.model import (
@@ -47,6 +48,15 @@ def test_derived_counts():
     assert cfg.m == 3
     assert cfg.n_total == 6
     assert cfg.n_min == 1
+
+
+def test_antenna_counts_must_be_integers():
+    # numpy integers are counts; a float is refused, not truncated
+    assert NetworkConfig((np.int64(2), np.int32(3)), 1).antennas == (2, 3)
+    assert all(type(n) is int for n in NetworkConfig((np.int64(2), 3), 1).antennas)
+    for antennas in ((2, 2.7, 2), (2, 2.0), (np.float64(2), 1)):
+        with pytest.raises(ValueError, match="antenna counts must be integers"):
+            NetworkConfig(antennas, 1)
 
 
 def test_negative_counts_are_flagged():

@@ -44,6 +44,13 @@ def test_trivial_reciprocity_two_scalars():
     assert ch.user_channels[(0, 1)][0, 0] == ch.user_channels[(1, 0)][0, 0]
 
 
+def test_draw_channels_takes_integer_antenna_counts_only():
+    ch = draw_channels((np.int64(1), 2), 1, substream(3, "channels"), ())
+    assert ch.antennas == (1, 2) and ch.link([EVE]).shape == (1, 3)
+    with pytest.raises(ValueError, match="antenna counts must be integers"):
+        draw_channels((1, 2.7), 1, substream(3, "channels"), ())
+
+
 def test_unit_total_variance():
     # 10^5 entries in one draw
     cfg = NetworkConfig((100, 1000), 0, k2=1)

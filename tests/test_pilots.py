@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import svd_rank
 
+from anece_lab import pilots
 from anece_lab.model import NetworkConfig, TwoUserModifiedConfig
 from anece_lab.numkernel import numerical_rank, sample_cn, substream
 from anece_lab.pilots import (
@@ -344,7 +345,8 @@ def test_matrix_file_round_trip(tmp_path):
     rng = substream(3, "test-io")
     mat = sample_cn(rng, (4, 3))
     path = tmp_path / "m.txt"
-    write_matrix_text(path, mat)
+    with open(path, "w", encoding="utf-8") as fh:
+        write_matrix_text(fh, mat)
     back = np.loadtxt(path, skiprows=1, ndmin=2).view(complex)
     assert back.shape == (4, 3)
     assert np.array_equal(back, mat)  # 17 significant digits round-trip exactly
@@ -363,10 +365,31 @@ def test_matrix_file_is_written_without_a_whole_matrix_string(tmp_path):
     path = tmp_path / "m.txt"
     tracemalloc.start()
     try:
-        write_matrix_text(path, mat)
+        with open(path, "w", encoding="utf-8") as fh:
+            write_matrix_text(fh, mat)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     text = path.read_text(encoding="utf-8")
     assert text == reference_matrix_text(mat)
     assert peak < len(text) / 4
+
+
+def test_matrix_file_holds_matrices_one_after_another(tmp_path):
+    # each matrix under its own "rows cols" header, in the order given
+    first, second = (sample_cn(substream(seed, "test-io"), (n, n)) for seed, n in ((4, 2), (5, 3)))
+    path = tmp_path / "m.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        write_matrix_text(fh, first, second)
+    expected = reference_matrix_text(first) + reference_matrix_text(second)
+    assert path.read_text(encoding="utf-8") == expected
+
+
+def test_complement_ranks_are_measured_once(monkeypatch):
+    # build_pilots measures each rank(P_(i)); a later audit ranks only the full stack
+    ps = build_pilots(NetworkConfig((1, 2, 3), 0, k2=1), 3)
+    assert ps.complement_ranks == (5, 4, 3)
+    ranked = []
+    monkeypatch.setattr(pilots, "numerical_rank", lambda a: ranked.append(a.shape) or 5)
+    assert validate_pilots(ps) == []
+    assert ranked == [(6, 5)]
