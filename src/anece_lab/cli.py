@@ -38,16 +38,18 @@ from .dofcalc import (
     pos,
 )
 from .model import (
-    MAX_COUNT,
+    ALL_USER_RULES,
     MAX_USERS,
+    PAIRWISE_RULES,
     CheckResult,
     DofReport,
     NetworkConfig,
     SnrGrid,
     TwoUserModifiedConfig,
+    UserRules,
+    pair_count,
     validate_config,
     validate_modified_config,
-    validate_pairwise_config,
 )
 from .pilots import build_pairwise_matrix, build_pilots, build_square_pilots, write_matrix_text
 from .numkernel import sample_cn, substream, user_channel_dim
@@ -91,17 +93,17 @@ class Scenario:
 class Scheme:
     """Everything the CLI knows of one ANECE variant.
 
-    ``parse`` builds the config from the ``network`` object, ``validate``
-    lists its ``(field, message)`` violations, ``formula`` gives its DoF
-    entries, ``compare_row`` its phase-2 SDoF and pilot slots on an all-user
-    config and aggregate budget ``k2``, ``checks`` its verify rows,
-    ``verify_size`` the arrays over ``MAX_VERIFY_ENTRIES`` that refuse a
-    verify, and ``pilots`` its pilot matrices and their rank-audit lines.  ``compare``
-    runs on ``compare_input``'s all-user config; the ``k2`` sweep axis and a
-    refused compare budget name ``k2_field``.
+    ``parse`` builds the config from the ``network`` object and rejects its
+    unknown keys, ``validate`` lists the config's ``(field, message)``
+    violations, ``formula`` gives its DoF entries, ``compare_row`` its
+    phase-2 SDoF and pilot slots on an all-user config and aggregate budget
+    ``k2``, ``checks`` its verify rows, ``verify_size`` the arrays over
+    ``MAX_VERIFY_ENTRIES`` that refuse a verify, and ``pilots`` its pilot
+    matrices and their rank-audit lines.  ``compare`` runs on
+    ``compare_input``'s all-user config; the ``k2`` sweep axis and a refused
+    compare budget name ``k2_field``.
     """
 
-    network_keys: frozenset[str]
     parse: Callable[[dict], NetworkConfig | TwoUserModifiedConfig]
     validate: Callable[..., list[tuple[str, str]]]
     formula: Callable[..., dict[str, Ints]]
@@ -192,7 +194,6 @@ def parse_scenario(path: str) -> Scenario:
     network = _require(raw, "network", "")
     if not isinstance(network, dict):
         raise ScenarioError("network: must be an object")
-    _reject_unknown(network, SCHEMES[scheme].network_keys, "network.")
     cfg = SCHEMES[scheme].parse(network)
     _check_keys(SCHEMES[scheme].validate(cfg))
 
@@ -249,8 +250,9 @@ def checks_to_csv(rows: list[CheckResult]) -> list[str]:
 # --------------------------------------------------------------------------
 
 
-def _parse_users(network: dict) -> tuple[tuple[int, ...], int, int]:
-    """Antenna counts, N_E and K_2 of an all-user or pair-wise network object."""
+def _parse_users(network: dict, rules: UserRules) -> NetworkConfig:
+    """An all-user or pair-wise network object; without ``k1`` it takes the rules' shortest."""
+    _reject_unknown(network, {"m", "antennas", "n_eve", "k1", "k2"}, "network.")
     antennas = _require(network, "antennas", "network.")
     if not isinstance(antennas, list) or not antennas:
         raise ScenarioError("network.antennas: must be a non-empty list")
@@ -258,7 +260,9 @@ def _parse_users(network: dict) -> tuple[tuple[int, ...], int, int]:
     if "m" in network and _integer(network["m"], "network.m") != len(antennas):
         raise ScenarioError("network.m: does not match the antennas list length")
     n_eve = _integer(_require(network, "n_eve", "network."), "network.n_eve")
-    return antennas, n_eve, _integer(network.get("k2", 1), "network.k2")
+    k2, k1 = _integer(network.get("k2", 1), "network.k2"), network.get("k1")
+    k1 = rules.shortest_k1(antennas) if k1 is None else _integer(k1, "network.k1")
+    return NetworkConfig(antennas, n_eve, k1=k1, k2=k2)
 
 
 def _oversized(command: str, sizes) -> list[tuple[str, str]]:
@@ -292,7 +296,7 @@ def _verify_size(cfg: NetworkConfig, phase1: bool) -> list[tuple[str, str]]:
                   "rank-oracle draw batch", RANK_DRAWS * (d + cfg.n_eve * n_t)))
     if m >= 3:
         sizes.append(("antennas", "pair-wise pilot batch",
-                      RANK_DRAWS * n_t * (m * (m - 1) // 2) * max(cfg.antennas)))
+                      RANK_DRAWS * n_t * pair_count(m) * max(cfg.antennas)))
     return _oversized("verify", sizes)
 
 
@@ -308,13 +312,6 @@ def _curve_size(sc: Scenario) -> list[tuple[str, str]]:
 
 
 # all-user ANECE
-def _parse_all_user(network: dict) -> NetworkConfig:
-    antennas, n_eve, k2 = _parse_users(network)
-    k1 = network.get("k1")
-    return NetworkConfig(antennas, n_eve, k2=k2,
-                         k1=None if k1 is None else _integer(k1, "network.k1"))
-
-
 def _all_user_formula(cfg: NetworkConfig) -> dict[str, Ints]:
     """Pair values for the users (1, 2); dof_phase2_lower_plus is the clamped
     better ordering, which dof_total adds on top of the pilot phase."""
@@ -374,12 +371,6 @@ def _all_user_pilots(sc: Scenario) -> tuple[list[np.ndarray], list[str]]:
 
 
 # pair-wise ANECE: k1 and k2 count the slots of one session
-def _parse_pairwise(network: dict) -> NetworkConfig:
-    antennas, n_eve, k2 = _parse_users(network)
-    return NetworkConfig(antennas, n_eve, k2=k2,
-                         k1=_integer(network.get("k1", max(antennas)), "network.k1"))
-
-
 def _pairwise_formula(cfg: NetworkConfig) -> dict[str, Ints]:
     n_i, n_j = cfg.antennas[0], cfg.antennas[1]
     pair = dof_pairwise(n_i, n_j, cfg.n_eve, cfg.k2)
@@ -394,7 +385,7 @@ def _pairwise_formula(cfg: NetworkConfig) -> dict[str, Ints]:
 
 def _pairwise_compare(cfg: NetworkConfig) -> tuple[int, int]:
     """Pair (1, 2)'s bound on an even share of K_2; M(M-1)/2 sessions of max N_i slots."""
-    p0 = cfg.m * (cfg.m - 1) // 2
+    p0 = pair_count(cfg.m)
     pair = dof_pairwise(cfg.antennas[0], cfg.antennas[1], cfg.n_eve, cfg.k2 // p0)
     return int(pair.upper), p0 * max(cfg.antennas)
 
@@ -410,7 +401,7 @@ def _pairwise_checks(sc: Scenario) -> list[CheckResult]:
 def _pairwise_pilots(sc: Scenario) -> tuple[list[np.ndarray], list[str]]:
     cfg = sc.network
     # N_T x P_0 * K_1; the problem names k1 when the shortest K_1 = max N_i fits
-    per_slot = cfg.n_total * (cfg.m * (cfg.m - 1) // 2)
+    per_slot = cfg.n_total * pair_count(cfg.m)
     field = "k1" if per_slot * max(cfg.antennas) <= MAX_VERIFY_ENTRIES else "antennas"
     _check_keys(_oversized("pilots", [(field, "pair-wise pilot matrix", per_slot * cfg.k1)]))
     rng = substream(sc.seed, "pilots-pairwise")
@@ -421,10 +412,10 @@ def _pairwise_pilots(sc: Scenario) -> tuple[list[np.ndarray], list[str]]:
 
 # modified two-user ANECE
 def _parse_modified(network: dict) -> TwoUserModifiedConfig:
+    keys = ("n1", "n2", "k_total", "n_eve")
+    _reject_unknown(network, keys, "network.")
     return TwoUserModifiedConfig(
-        **{key: _integer(_require(network, key, "network."), f"network.{key}")
-           for key in ("n1", "n2", "k_total", "n_eve")}
-    )
+        **{key: _integer(_require(network, key, "network."), f"network.{key}") for key in keys})
 
 
 def _modified_formula(c: TwoUserModifiedConfig) -> dict[str, Ints]:
@@ -456,7 +447,8 @@ def _modified_network(c: TwoUserModifiedConfig) -> NetworkConfig:
 def _modified_checks(sc: Scenario) -> list[CheckResult]:
     c = sc.network
     curve = ckey0_curve(c, sc.snr_grid, sc.mc_samples, sc.seed)
-    target = c.n1 * (c.k_total - c.n1) + c.n1 * (c.k_total - c.n2)
+    # without Eve, lower_12 is the ckey0 slope N_1(K - N_1) + N_1(K - N_2) = N_1(2K - N_T)
+    target = int(dof_modified_two_user(replace(c, n_eve=0)).lower_12)
     md = dof_modified_two_user(c)
     slope = verify_slope("slope:modified-ckey0", curve, target)
     rows = [slope, verify_resolution(slope, curve),
@@ -481,24 +473,21 @@ def _modified_verify_size(c: TwoUserModifiedConfig) -> list[tuple[str, str]]:
             for field, text in _verify_size(_modified_network(c), phase1=True)]
 
 
-_USER_KEYS = frozenset({"m", "antennas", "n_eve", "k1", "k2"})
-
 SCHEMES = {
     "all_user": Scheme(
-        _USER_KEYS, _parse_all_user, validate_config, _all_user_formula, _all_user_compare,
-        _all_user_checks, lambda cfg: _verify_size(cfg, phase1=True), _all_user_pilots,
-        lambda cfg: cfg, "k2"),
+        lambda network: _parse_users(network, ALL_USER_RULES), validate_config,
+        _all_user_formula, _all_user_compare, _all_user_checks,
+        lambda cfg: _verify_size(cfg, phase1=True), _all_user_pilots, lambda cfg: cfg, "k2"),
     # compare splits an aggregate budget over the M(M-1)/2 sessions
     "pairwise": Scheme(
-        _USER_KEYS, _parse_pairwise, validate_pairwise_config, _pairwise_formula, _pairwise_compare,
+        lambda network: _parse_users(network, PAIRWISE_RULES),
+        lambda cfg: validate_config(cfg, PAIRWISE_RULES), _pairwise_formula, _pairwise_compare,
         _pairwise_checks, lambda cfg: _verify_size(cfg, phase1=False), _pairwise_pilots,
-        lambda cfg: NetworkConfig(cfg.antennas, cfg.n_eve, k2=cfg.k2 * cfg.m * (cfg.m - 1) // 2),
-        "k2"),
+        lambda cfg: NetworkConfig(cfg.antennas, cfg.n_eve, k2=cfg.k2 * pair_count(cfg.m)), "k2"),
     # compare runs the two-user schemes over the same K - N_2 symbol slots
     "modified_two_user": Scheme(
-        frozenset({"n1", "n2", "k_total", "n_eve"}), _parse_modified, validate_modified_config,
-        _modified_formula, _modified_compare, _modified_checks, _modified_verify_size,
-        _modified_pilots, _modified_network, "k_total"),
+        _parse_modified, validate_modified_config, _modified_formula, _modified_compare,
+        _modified_checks, _modified_verify_size, _modified_pilots, _modified_network, "k_total"),
 }
 
 
@@ -586,7 +575,7 @@ def cmd_sweep(sc: Scenario, axis: str, span: tuple[int, int], out_path: str) -> 
     ``m``, which changes the antenna layout, evaluates each value on its own."""
     lo, hi = span
     if hi < lo:
-        raise ScenarioError("sweep range must be low:high with high >= low")
+        raise ScenarioError(f"--range {lo}:{hi}: must be low:high with high >= low")
     if hi - lo >= SWEEP_MAX_VALUES:
         raise ScenarioError(f"--range {lo}:{hi} spans {hi - lo + 1} values; "
                             f"at most {SWEEP_MAX_VALUES} are allowed")
@@ -609,16 +598,17 @@ def cmd_sweep(sc: Scenario, axis: str, span: tuple[int, int], out_path: str) -> 
 
 def compare_schemes(sc: Scenario) -> list[tuple[str, int, int, int, int, int]]:
     """Rows (scheme, pair (1, 2)'s phase-1, phase-2 and total SDoF, pilot and symbol
-    slots): all-user, then pair-wise for M >= 3 or modified for M = 2.  A K_2 of
-    ``compare_input`` above MAX_COUNT, or not split evenly over the M(M-1)/2
-    sessions, is refused under ``k2_field``."""
+    slots): all-user, then pair-wise for M >= 3 or modified for M = 2.
+    ``compare_input`` is validated as an all-user config, and a K_2 that the
+    M(M-1)/2 sessions cannot split evenly is refused; a ``k2`` problem names
+    ``k2_field``."""
     scheme = SCHEMES[sc.scheme]
     cfg = scheme.compare_input(sc.network)
-    p0 = cfg.m * (cfg.m - 1) // 2
-    problems = [f"K_2 > {MAX_COUNT}"] if cfg.k2 > MAX_COUNT else []
+    p0 = pair_count(cfg.m)
+    problems = validate_config(cfg)
     if cfg.m >= 3 and cfg.k2 % p0:
-        problems.append(f"phase-2 budget {cfg.k2} is not divisible by {p0} sessions")
-    _check_keys([(scheme.k2_field, text) for text in problems])
+        problems.append(("k2", f"phase-2 budget {cfg.k2} is not divisible by {p0} sessions"))
+    _check_keys([(scheme.k2_field if field == "k2" else field, text) for field, text in problems])
     phase1 = dof_phase1(cfg.antennas[0], cfg.antennas[1])
     rows = []
     for name in ("all_user", "pairwise" if cfg.m >= 3 else "modified_two_user"):
@@ -654,7 +644,7 @@ def _parse_span(text: str) -> tuple[int, int]:
         lo, _, hi = text.partition(":")
         return int(lo), int(hi)
     except ValueError as exc:
-        raise ScenarioError(f"range must look like low:high, got {text!r}") from exc
+        raise ScenarioError(f"--range {text}: must look like low:high") from exc
 
 
 @functools.cache

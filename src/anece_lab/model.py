@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 
 def antenna_counts(values) -> tuple[int, ...]:
@@ -156,11 +157,32 @@ def _count_limits(*counts: tuple[str, str, int]) -> list[tuple[str, str]]:
             for field, symbol, value in counts if value > MAX_COUNT]
 
 
-def validate_config(cfg: NetworkConfig) -> list[tuple[str, str]]:
-    """Return every violated constraint of an all-user config; [] if valid."""
-    violations = [("antennas", f"M > {MAX_USERS}")] if cfg.m > MAX_USERS else []
-    if cfg.m < 2:
-        violations.append(("antennas", "M < 2"))
+def pair_count(m: int) -> int:
+    """P_0 = M(M-1)/2, the user pairs of an M-user network: one pair-wise session each."""
+    return m * (m - 1) // 2
+
+
+class UserRules(NamedTuple):
+    """The two rules in which the all-user and pair-wise networks differ: the
+    fewest users, and the shortest pilot phase ``shortest_k1(antennas)``,
+    written ``k1_symbol`` in a violation, which a network without ``k1`` takes."""
+
+    min_users: int
+    k1_symbol: str
+    shortest_k1: Callable[[tuple[int, ...]], int]
+
+
+ALL_USER_RULES = UserRules(2, "N_T-N_min", lambda n: sum(n) - (min(n) if n else 0))
+# a pair-wise K_1 counts the slots of one session, whose pilots are N_i x K_1
+PAIRWISE_RULES = UserRules(3, "max N_i", lambda n: max(n) if n else 0)
+
+
+def validate_config(cfg: NetworkConfig, rules: UserRules = ALL_USER_RULES) -> list[tuple[str, str]]:
+    """Every violated constraint of an all-user or pair-wise config under ``rules``; [] if valid."""
+    m = len(cfg.antennas)
+    violations = [("antennas", f"M > {MAX_USERS}")] if m > MAX_USERS else []
+    if m < rules.min_users:
+        violations.append(("antennas", f"M < {rules.min_users}"))
     for idx, n in enumerate(cfg.antennas):
         if n < 1:
             violations.append(("antennas", f"antenna count must be >= 1 (user {idx + 1})"))
@@ -168,26 +190,9 @@ def validate_config(cfg: NetworkConfig) -> list[tuple[str, str]]:
         violations.append(("n_eve", "N_E < 0"))
     if cfg.k2 < 0:
         violations.append(("k2", "K_2 < 0"))
-    bound = cfg.n_total - cfg.n_min
+    bound = rules.shortest_k1(cfg.antennas)
     if cfg.k1 < bound:
-        violations.append(("k1", f"K_1 < N_T-N_min (need >= {bound})"))
-    return violations + _count_limits(
-        ("antennas", "N_T", cfg.n_total), ("n_eve", "N_E", cfg.n_eve), ("k2", "K_2", cfg.k2))
-
-
-def validate_pairwise_config(cfg: NetworkConfig) -> list[tuple[str, str]]:
-    """Return every violated constraint of a pair-wise config; k1 is per session."""
-    violations = [("antennas", f"M > {MAX_USERS}")] if cfg.m > MAX_USERS else []
-    if cfg.m < 3:
-        violations.append(("antennas", "M < 3 (pair-wise scheme needs at least 3 users)"))
-    if any(n < 1 for n in cfg.antennas):
-        violations.append(("antennas", "antenna counts must be >= 1"))
-    if cfg.k1 < max(cfg.antennas):
-        violations.append(("k1", f"K_1 < max antenna count (need >= {max(cfg.antennas)})"))
-    if cfg.n_eve < 0:
-        violations.append(("n_eve", "N_E < 0"))
-    if cfg.k2 < 0:
-        violations.append(("k2", "K_2 < 0"))
+        violations.append(("k1", f"K_1 < {rules.k1_symbol} (need >= {bound})"))
     return violations + _count_limits(
         ("antennas", "N_T", cfg.n_total), ("n_eve", "N_E", cfg.n_eve), ("k2", "K_2", cfg.k2))
 

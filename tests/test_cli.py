@@ -112,10 +112,8 @@ def test_outputs_are_pinned(tmp_path, write_scenario, scheme, network, formula, 
      "network.antennas: antenna count must be >= 1 (user 2); network.n_eve: N_E < 0; "
      "network.k2: K_2 < 0"),
     ("pairwise", {"antennas": [0, 2], "n_eve": -1, "k1": 1, "k2": -1},
-     "network.antennas: M < 3 (pair-wise scheme needs at least 3 users); "
-     "network.antennas: antenna counts must be >= 1; "
-     "network.k1: K_1 < max antenna count (need >= 2); network.n_eve: N_E < 0; "
-     "network.k2: K_2 < 0"),
+     "network.antennas: M < 3; network.antennas: antenna count must be >= 1 (user 1); "
+     "network.n_eve: N_E < 0; network.k2: K_2 < 0; network.k1: K_1 < max N_i (need >= 2)"),
     ("modified_two_user", {"n1": 0, "n2": 3, "k_total": 2, "n_eve": -1},
      "network.n1: N_1 < 1; network.k_total: K < N_2 (need >= 3); network.n_eve: N_E < 0"),
     ("all_user", {"antennas": [2, 2], "n_eve": 10**20, "k2": 2**28 + 1},
@@ -128,11 +126,45 @@ def test_invalid_scenario_names_every_violation(write_scenario, scheme, network,
     assert proc.stderr == f"error: {message}\n"
 
 
-def test_unknown_key_is_rejected(write_scenario):
-    path = write_scenario("all_user", {"antennas": [2, 2], "n_eve": 4, "n_eves": 4}, **FAST_MC)
-    proc = run_cli("formula", "--scenario", path)
-    assert proc.returncode == 2
-    assert 'unknown key "network.n_eves"' in proc.stderr
+@pytest.mark.parametrize("scheme, network, key", [
+    ("all_user", {"antennas": [2, 2], "n_eve": 4, "n_eves": 4}, "n_eves"),
+    ("pairwise", {"antennas": [2, 2, 2], "n_eve": 4, "n_eves": 4}, "n_eves"),
+    ("modified_two_user", {"n1": 2, "n2": 3, "k_total": 7, "n_eve": 6, "antennas": [2, 3]},
+     "antennas"),
+], ids=["all_user", "pairwise", "modified_two_user"])
+def test_unknown_key_is_rejected(write_scenario, scheme, network, key):
+    # each scheme's parser knows its own keys
+    proc = run_cli("formula", "--scenario", write_scenario(scheme, network, **FAST_MC))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f'error: unknown key "network.{key}"\n'
+
+
+SCENARIO = {"schema_version": 1, "scheme": "all_user", "network": {"antennas": [2, 2], "n_eve": 1}}
+SWEEP = ("sweep", "--axis", "n_eve", "--out", "never-written.csv")
+
+
+@pytest.mark.parametrize("payload, args, message", [
+    ({**SCENARIO, "network": {"antennas": [2, 2]}}, ("formula",), 'missing key "network.n_eve"'),
+    ([SCENARIO], ("formula",), "scenario file must hold a JSON object"),
+    ({**SCENARIO, "network": [2, 2]}, ("formula",), "network: must be an object"),
+    ({**SCENARIO, "network": {"antennas": [], "n_eve": 1}}, ("formula",),
+     "network.antennas: must be a non-empty list"),
+    ({**SCENARIO, "network": {"antennas": 2, "n_eve": 1}}, ("formula",),
+     "network.antennas: must be a non-empty list"),
+    ({**SCENARIO, "network": {"m": 3, "antennas": [2, 2], "n_eve": 1}}, ("formula",),
+     "network.m: does not match the antennas list length"),
+    (SCENARIO, (*SWEEP, "--range", "5:3"), "--range 5:3: must be low:high with high >= low"),
+    (SCENARIO, (*SWEEP, "--range", "5"), "--range 5: must look like low:high"),
+    (SCENARIO, (*SWEEP, "--range", "a:b"), "--range a:b: must look like low:high"),
+], ids=["missing-n_eve", "not-an-object", "network-not-an-object", "empty-antennas",
+        "scalar-antennas", "m-mismatch", "reversed-range", "malformed-range", "text-range"])
+def test_each_refusal_is_one_error_line_naming_its_key(tmp_path, monkeypatch, payload, args,
+                                                        message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sc.json").write_text(json.dumps(payload), encoding="utf-8")
+    proc = run_cli(args[0], "--scenario", "sc.json", *args[1:])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "never-written.csv").exists()
 
 
 def test_short_pilot_phase_is_rejected_with_bound(write_scenario):
@@ -289,6 +321,28 @@ def test_verify_tamper_hook_fails(write_scenario, monkeypatch, tmp_path):
     deciding = sorted(r["name"] for r in rows
                       if (r["passed"] == "true") == r["name"].startswith("negctrl:"))
     assert tampered.stderr == f"verify failed on: {', '.join(deciding)}\n"
+
+
+def test_modified_slope_target_comes_from_dofcalc(write_scenario, monkeypatch, tmp_path):
+    path = write_scenario("modified_two_user", {"n1": 2, "n2": 3, "k_total": 6, "n_eve": 2},
+                          **FAST_MC)
+    out = str(tmp_path / "v.csv")
+    assert run_cli("verify", "--scenario", path, "--out", out).returncode == 0
+    # the ckey0 slope target is lower_12 without Eve, N_1(2K - N_T) = 14
+    assert {r["name"]: r["target"] for r in read_csv_rows(out)}["slope:modified-ckey0"] == "14"
+    original = cli.dof_modified_two_user
+
+    def off_by_one(c):
+        md = original(c)
+        return replace(md, lower_12=md.lower_12 + 1)
+
+    monkeypatch.setattr(cli, "dof_modified_two_user", off_by_one)
+    tampered = run_cli("verify", "--scenario", path, "--out", out)
+    assert tampered.returncode == 1
+    deciding = tampered.stderr.strip().removeprefix("verify failed on: ").split(", ")
+    assert "slope:modified-ckey0" in deciding
+    row = {r["name"]: r for r in read_csv_rows(out)}["slope:modified-ckey0"]
+    assert (row["target"], row["passed"]) == ("15", "false")
 
 
 def test_verify_has_no_hidden_tamper_option(write_scenario):

@@ -2,17 +2,22 @@ import numpy as np
 import pytest
 
 from anece_lab.model import (
+    ALL_USER_RULES,
     MAX_COUNT,
     MAX_USERS,
+    PAIRWISE_RULES,
     CheckResult,
     DofReport,
     NetworkConfig,
     SnrGrid,
     TwoUserModifiedConfig,
+    pair_count,
     validate_config,
     validate_modified_config,
-    validate_pairwise_config,
 )
+
+BOTH_RULES = pytest.mark.parametrize("rules", [ALL_USER_RULES, PAIRWISE_RULES],
+                                     ids=["all_user", "pairwise"])
 
 
 def test_minimal_config_is_valid():
@@ -70,8 +75,8 @@ def test_counts_above_the_cap_are_flagged():
     # the closed forms compute in int64; every count up to MAX_COUNT is safe
     big = MAX_COUNT + 1
     assert validate_config(NetworkConfig((1, MAX_COUNT - 1), MAX_COUNT, k2=MAX_COUNT)) == []
-    for validate in (validate_config, validate_pairwise_config):
-        assert validate(NetworkConfig((1, 1, MAX_COUNT), big, k2=big)) == [
+    for rules in (ALL_USER_RULES, PAIRWISE_RULES):
+        assert validate_config(NetworkConfig((1, 1, MAX_COUNT), big, k2=big), rules) == [
             ("antennas", f"N_T > {MAX_COUNT}"), ("n_eve", f"N_E > {MAX_COUNT}"),
             ("k2", f"K_2 > {MAX_COUNT}")]
     assert validate_modified_config(TwoUserModifiedConfig(1, 2, MAX_COUNT, MAX_COUNT)) == []
@@ -80,10 +85,31 @@ def test_counts_above_the_cap_are_flagged():
 
 
 def test_user_counts_above_the_cap_are_flagged():
-    for validate in (validate_config, validate_pairwise_config):
-        assert validate(NetworkConfig((1,) * MAX_USERS, 0)) == []
-        assert validate(NetworkConfig((1,) * (MAX_USERS + 1), 0)) == [
+    for rules in (ALL_USER_RULES, PAIRWISE_RULES):
+        assert validate_config(NetworkConfig((1,) * MAX_USERS, 0), rules) == []
+        assert validate_config(NetworkConfig((1,) * (MAX_USERS + 1), 0), rules) == [
             ("antennas", f"M > {MAX_USERS}")]
+
+
+@BOTH_RULES
+def test_an_empty_network_is_a_violation_not_an_exception(rules):
+    # no antenna counts: the shortest K_1 is 0 under both rules, so only M is violated
+    assert validate_config(NetworkConfig((), 0), rules) == [
+        ("antennas", f"M < {rules.min_users}")]
+
+
+@BOTH_RULES
+def test_the_default_k1_is_the_shortest_legal_one(rules):
+    for antennas in ((1, 2, 3), (2, 2, 2), (4, 1, 1, 7)):
+        k1 = rules.shortest_k1(antennas)
+        assert validate_config(NetworkConfig(antennas, 0, k1=k1), rules) == []
+        assert validate_config(NetworkConfig(antennas, 0, k1=k1 - 1), rules) == [
+            ("k1", f"K_1 < {rules.k1_symbol} (need >= {k1})")]
+    assert ALL_USER_RULES.shortest_k1((1, 2, 3)) == NetworkConfig((1, 2, 3), 0).k1 == 5
+
+
+def test_pair_count():
+    assert [pair_count(m) for m in range(1, 7)] == [0, 1, 3, 6, 10, 15]
 
 
 def test_check_result_derives_passed():
