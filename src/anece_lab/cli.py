@@ -549,9 +549,9 @@ def _swept(sc: Scenario, axis: str, value):
     cfg = sc.network
     if axis == "m":
         if sc.scheme != "all_user":
-            raise ScenarioError("the m axis applies only to the all_user scheme")
+            raise ScenarioError("--axis m: applies only to the all_user scheme")
         if len(set(cfg.antennas)) != 1:
-            raise ScenarioError("the m axis needs a symmetric antenna layout")
+            raise ScenarioError("--axis m: needs a symmetric antenna layout")
         if value > MAX_USERS:  # refused before the layout of ``value`` users is built
             raise ScenarioError(f"network.antennas: M > {MAX_USERS}")
         cfg = NetworkConfig((cfg.antennas[0],) * value, cfg.n_eve, k2=cfg.k2)
@@ -685,6 +685,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for k in range(len(argv) - 1, 0, -1):  # argparse would read a separate -2:1 as an option
+        if argv[k - 1] == "--range" and argv[k][:1] == "-" and argv[k][1:2].isdigit():
+            argv[k - 1:k + 1] = ["--range=" + argv[k]]
     args = _build_parser().parse_args(argv)
     try:
         sc = parse_scenario(args.scenario)

@@ -176,12 +176,17 @@ def receive(ch: ChannelRealization, tx) -> tuple[tuple[np.ndarray, ...], np.ndar
 # --------------------------------------------------------------------------
 
 
+def _tall(a: np.ndarray) -> np.ndarray:
+    """The stack ``a`` turned tall: a wide A as A^T, which has A's rank and singular values."""
+    return np.swapaxes(a, -1, -2) if a.shape[-2] < a.shape[-1] else a
+
+
 def _short_side_spectrum(a: np.ndarray) -> np.ndarray:
     """Squared singular values of each matrix of the (..., p, q) stack ``a``.
 
-    Returns shape (min(p, q), ...), the eigenvalue axis first.  A short side
-    of 1 gives the squared column norm.  A short side of 2, with columns u
-    and v, gives the pair fixed by its sum and product, largest first: with
+    Returns shape (min(p, q), ...), the eigenvalue axis first.  The short
+    side is the columns of ``_tall(a)``: one gives its squared norm, and two,
+    u and v, give the pair fixed by its sum and product, largest first: with
     a = |u|^2, b = |v|^2 and g = u^H v, l_max = (a + b)/2 + hypot((a - b)/2, |g|)
     and l_min = a |v - (g/a) u|^2 / l_max.  The Gram-Schmidt residual avoids
     the cancellation in ab - |g|^2, so sqrt(l_min) carries an absolute error
@@ -193,9 +198,7 @@ def _short_side_spectrum(a: np.ndarray) -> np.ndarray:
     fixed by its sum and product and a triple by a cubic, while the closed
     form of a quartic is neither short nor stable.
     """
-    a = np.asarray(a)
-    if a.shape[-2] < a.shape[-1]:
-        a = np.swapaxes(a, -1, -2)  # A^T has the singular values of A
+    a = _tall(np.asarray(a))
     n = a.shape[-1]
     if n > 3:
         gram = np.conj(np.swapaxes(a, -1, -2)) @ a
@@ -264,13 +267,13 @@ def log2det_grid(a: np.ndarray, sigma2) -> np.ndarray:
 
     Returns shape (len(sigma2), ...): sum_k log2(1 + s2 l_k) over the
     squared singular values l_k of ``_short_side_spectrum``, closed form on a
-    short side of at most 3 and one batched ``eigvalsh`` of the short side's
-    Gram (A^H A for a tall A, A A^H for a wide one) on a longer one.  The
-    sum takes one eigenvalue at a time, so its scratch is two arrays of
-    (len(sigma2), ...) whatever the short side.  Eigenvalues from a Gram
-    carry an absolute error of about 1e-16 tr(G), so a factor whose short
-    side exceeds 2 must have full rank on it, as every caller's has: the
-    callers are the Monte Carlo curves, whose factors are Gaussian draws.
+    short side of at most 3 and one batched ``eigvalsh`` of the Gram B^H B of
+    the tall B = ``_tall(a)`` on a longer one.  The sum takes one eigenvalue
+    at a time, so its scratch is two arrays of (len(sigma2), ...) whatever
+    the short side.  Eigenvalues from a Gram carry an absolute error of about
+    1e-16 tr(G), so a factor whose short side exceeds 2 must have full rank
+    on it, as every caller's has: the callers are the Monte Carlo curves,
+    whose factors are Gaussian draws.
     """
     lam = _short_side_spectrum(a)
     s2 = np.asarray(sigma2, dtype=float)
@@ -287,25 +290,6 @@ def log2det_grid(a: np.ndarray, sigma2) -> np.ndarray:
 # and the range every trace must lie in.
 _CERT_SHIFT = 2.0**-20
 _CERT_TRACE = (2.0**-500, 2.0**1000)
-
-
-def _full_rank_certified(a: np.ndarray) -> np.ndarray:
-    """Whether ``numerical_rank``'s certificate proves full rank, per matrix of the stack ``a``."""
-    a = np.asarray(a, dtype=np.result_type(a, 1.0))  # an integer Gram could wrap
-    p, q = a.shape[-2:]
-    with np.errstate(all="ignore"):  # out-of-range traces are refused below
-        if p >= q:
-            gram = np.swapaxes(np.conj(a), -1, -2) @ a
-        else:
-            gram = a @ np.swapaxes(np.conj(a), -1, -2)
-        diag = np.einsum("...ii->...i", gram)  # a writable view
-        trace = diag.real.sum(axis=-1)
-        diag -= _CERT_SHIFT * trace[..., None]
-    lo, hi = _CERT_TRACE
-    certified = np.asarray((trace >= lo) & (trace <= hi))  # writable for one matrix too
-    if certified.any():
-        certified[certified] = _cholesky_completes(gram[certified])
-    return certified
 
 
 def _cholesky_completes(gram: np.ndarray) -> np.ndarray:
@@ -329,30 +313,43 @@ def numerical_rank(m: np.ndarray) -> np.integer | np.ndarray:
     used here; an empty or all-zero matrix has rank 0.  A single matrix
     gives a numpy integer, a stack an integer array of its leading shape.
 
-    Most matrices ranked here have full rank n = min(p, q), so each first
-    tries a certificate of that: with G its short-side Gram (A^H A for a
-    tall A, A A^H for a wide one, one batched matmul), tr(G) must lie in
-    [2^-500, 2^1000] and the Cholesky of G - 2^-20 tr(G) I must complete.
-    The Cholesky is one batched call, split in halves only where it fails.
-    Every matrix the certificate rejects, and so every rank-deficient one,
-    takes the rule from one stacked SVD of those matrices alone.
+    One path ranks every input.  It is cast to float64 or complex128, so no
+    integer Gram wraps and the unit roundoff is u = 2^-53; ``_tall`` turns
+    each wide matrix tall, and the batch axes are flattened, so each A is
+    p x n, p >= n, in one (B, p, n) stack.  Most matrices ranked here have
+    full rank n, so each first tries a certificate of that: with G = A^H A,
+    one batched matmul, tr(G) must lie in [2^-500, 2^1000] and the Cholesky
+    of G - 2^-20 tr(G) I must complete, one batched call split in halves
+    only where it fails.  Every matrix it rejects, every rank-deficient one
+    among them, takes the rule, with its long side p in the threshold, from
+    one SVD of the rejected tall matrices alone.
 
     The certificate is sufficient, never necessary, so every rank is the
     rule's.  In the trace range no entry of G overflows, and the products
     that round as subnormals lose at most 2^-1074 each, below 2^-540 tr(G)
-    in all.  With unit roundoff u = 2^-53, forming G errs by at most about
-    max(p, q) u tr(G), and a Cholesky that completes is exact for a matrix
-    within about n^2 u tr(G) of the shifted one (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 10).  While both stay below
-    2^-21 tr(G), which needs max(p, q) + n^2 below about 2^31, success gives s_min^2 >= 2^-21 tr(G) >= 2^-21 s_max^2, so
+    in all.  Forming G errs by at most about p u tr(G), and a Cholesky that
+    completes is exact for a matrix within about n^2 u tr(G) of the shifted
+    one (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10).
+    While both stay below 2^-21 tr(G), which needs p + n^2 below about
+    2^31, success gives s_min^2 >= 2^-21 tr(G) >= 2^-21 s_max^2, so
     s_min / s_max >= 2^-10.5, about 7e-4, above the rule's threshold for
-    every max(p, q) below 7e8.  Every matrix the CLI ranks is far smaller:
+    every p below 7e8.  Every matrix the CLI ranks is far smaller:
     ``cli.MAX_VERIFY_ENTRIES`` caps each at 2^22 entries.
     """
     a = np.asarray(m)
-    ranks = np.full(a.shape[:-2], min(a.shape[-2:]))
-    rejected = ~_full_rank_certified(a)
-    if rejected.any():
-        s = np.linalg.svd(a[rejected] if a.ndim > 2 else a, compute_uv=False)
-        ranks[rejected] = np.count_nonzero(s > max(a.shape[-2:]) * 1e-12 * s[..., :1], axis=-1)
-    return ranks[()]
+    a = _tall(a.astype(np.result_type(a, np.float64), copy=False))
+    *batch, p, n = a.shape
+    a = a.reshape((math.prod(batch), p, n))
+    with np.errstate(all="ignore"):  # out-of-range traces are refused below
+        gram = np.conj(np.swapaxes(a, -1, -2)) @ a
+        trace = np.einsum("...ii->...", gram).real
+        np.einsum("...ii->...i", gram)[...] -= _CERT_SHIFT * trace[:, None]
+    lo, hi = _CERT_TRACE
+    certified = (trace >= lo) & (trace <= hi)
+    if certified.any():
+        certified[certified] = _cholesky_completes(gram[certified])
+    ranks = np.full(len(a), n)
+    if not certified.all():
+        s = np.linalg.svd(a[~certified], compute_uv=False)
+        ranks[~certified] = np.count_nonzero(s > p * 1e-12 * s[:, :1], axis=-1)
+    return ranks.reshape(batch)[()]

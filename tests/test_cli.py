@@ -156,8 +156,17 @@ SWEEP = ("sweep", "--axis", "n_eve", "--out", "never-written.csv")
     (SCENARIO, (*SWEEP, "--range", "5:3"), "--range 5:3: must be low:high with high >= low"),
     (SCENARIO, (*SWEEP, "--range", "5"), "--range 5: must look like low:high"),
     (SCENARIO, (*SWEEP, "--range", "a:b"), "--range a:b: must look like low:high"),
+    (SCENARIO, (*SWEEP, "--range", "-2:1"), "network.n_eve: N_E < 0"),
+    (SCENARIO, (*SWEEP, "--range=-2:1"), "network.n_eve: N_E < 0"),
+    ({**SCENARIO, "scheme": "pairwise", "network": {"antennas": [2, 2, 2], "n_eve": 1}},
+     ("sweep", "--axis", "m", "--range", "3:4", "--out", "never-written.csv"),
+     "--axis m: applies only to the all_user scheme"),
+    ({**SCENARIO, "network": {"antennas": [2, 3], "n_eve": 1}},
+     ("sweep", "--axis", "m", "--range", "2:3", "--out", "never-written.csv"),
+     "--axis m: needs a symmetric antenna layout"),
 ], ids=["missing-n_eve", "not-an-object", "network-not-an-object", "empty-antennas",
-        "scalar-antennas", "m-mismatch", "reversed-range", "malformed-range", "text-range"])
+        "scalar-antennas", "m-mismatch", "reversed-range", "malformed-range", "text-range",
+        "negative-range", "negative-range-joined", "m-axis-pairwise", "m-axis-asymmetric"])
 def test_each_refusal_is_one_error_line_naming_its_key(tmp_path, monkeypatch, payload, args,
                                                         message):
     monkeypatch.chdir(tmp_path)

@@ -387,6 +387,7 @@ def test_cn_blocks_are_prefix_stable():
 
 def test_numerical_rank_examples():
     assert numerical_rank(np.eye(3)) == 3
+    assert numerical_rank(np.eye(3, dtype=np.float32)) == 3  # ranked in float64
     assert numerical_rank(np.array([[2**40, 1], [2**40, 1]])) == 1
     u = np.array([1.0, 2.0, 0.5])
     v = np.array([3.0, -1.0])
@@ -421,16 +422,23 @@ def rank_cases(rng, p, q):
         v = np.linalg.qr(draw((q, n)))[0]
         yield (u * np.geomspace(1.0, 1e-9, n)) @ v.conj().T, n
         yield (u * np.geomspace(1.0, 1e-15, n)) @ v.conj().T, 1 if n == 1 else n - 1
+        yield draw((2, 3, p, q)), n  # two batch axes
+    if n:
+        ints = rng.integers(-2**40, 2**40, (3, p, q))  # an integer Gram would wrap
+        ints[1] = ints[1, :, :1]  # every column repeated
+        ints[2] = 0
+        yield ints, np.array([n, 1, 0])
 
 
 @pytest.mark.parametrize("p, q", [(0, 3), (1, 1), (1, 4), (5, 1), (2, 2), (2, 6), (7, 2),
                                   (3, 3), (3, 5), (6, 3)])
 def test_numerical_rank_matches_an_svd_reference(p, q):
-    # short sides 0 to 3, tall, wide and square, at entry scales 2^-600, 1 and
-    # 2^600, and 2^-532, where the Gram's entries are subnormal
+    # short sides 0 to 3, tall, wide and square, as given and at entry scales
+    # 2^-600, 1 and 2^600, and 2^-532, where the Gram's entries are subnormal
     for a, rank in rank_cases(substream(4, "test-rank", p, q), p, q):
         expected = svd_rank(a)
         assert np.all(expected == rank)
+        assert np.array_equal(numerical_rank(a), expected), (a.dtype, a.shape, rank)
         for scale in (2.0**-600, 2.0**-532, 1.0, 2.0**600):
             assert np.array_equal(numerical_rank(a * scale), expected), (a.shape, rank, scale)
 
@@ -469,8 +477,10 @@ def test_degenerate_matrices_alone_go_to_the_svd(monkeypatch, p, q, degenerate, 
     expected = svd_rank(stack)
     seen = svd_calls(monkeypatch)
     ranks = numerical_rank(stack)
-    # one SVD, of the rejected matrices only
-    assert len(seen) == 1 and np.array_equal(seen[0], stack[list(bad)])
+    # one SVD, of the rejected matrices only, each turned tall
+    rejected = stack[list(bad)]
+    tall = rejected if p >= q else np.swapaxes(rejected, -1, -2)
+    assert len(seen) == 1 and np.array_equal(seen[0], tall)
     assert np.array_equal(ranks, expected)
     assert np.all(ranks[list(bad)] == min(p, q) - 1)
     assert np.all(np.delete(ranks, bad) == min(p, q))
