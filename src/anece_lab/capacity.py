@@ -1,8 +1,8 @@
 """Gaussian-computable secret-key-capacity terms.
 
 The pilot-phase SKC is exact: a sum over N_i * N_j scalar key channels,
-from one SVD of the other users' pilots and one ``eigvalsh`` per user over
-the whole grid.  The symbol-phase terms are Monte Carlo means of weighted
+from one thin SVD of the other users' pilots and one ``eigvalsh`` per user
+over the whole grid.  The symbol-phase terms are Monte Carlo means of weighted
 sums of log2|I + s2 * A A^H| over factor matrices A, evaluated for a whole
 SNR grid at once by ``numkernel.log2det_grid``.  Their factors are the
 channel blocks ``ChannelRealization.link(rx)`` of a (weight, rx) table, over
@@ -95,22 +95,24 @@ def phase1_curve(ps, i: int, j: int, grid: SnrGrid) -> CapacityCurve:
     and M_j (Horn and Johnson, Topics in Matrix Analysis, 1991, ch. 4), so
     log2|R_i| + log2|R_j| - log2|R_joint| is N_i * N_j scalar key channels:
     sum_{a,b} log2(1 + x_a y_b / (1 + x_a + y_b)), x = s2 mu and y = s2 nu.
-    One full SVD Q^T = U diag(s) V^H gives W = U diag(1 / (1 + s2 s^2)) U^H,
-    s = 0 beyond rank Q, and one ``eigvalsh`` per user a spectrum per grid
-    point.  No large logs cancel: s2 = 2^1000 does not overflow, and
-    s2 = 2^-1000 gives exactly 0.
+    One thin SVD Q^T = U diag(s) V^H, U of K_1 x r with r <= K_1, gives
+    W = I - U U^H + U diag(1 / (1 + s2 s^2)) U^H, so with B = P^T, C = U^H B
+    and R = B - U C, each form is R^H R + C^H diag(1 / (1 + s2 s^2)) C, and
+    one ``eigvalsh`` per user gives a spectrum per grid point.  No array is
+    K_1 x K_1: the largest is K_1 x max(r, N).  No large logs cancel:
+    s2 = 2^1000 does not overflow, and s2 = 2^-1000 gives exactly 0.
     """
     if i == j:
         raise ValueError("need two distinct users")
     sigma2 = np.asarray(grid.sigma2())
-    k1 = ps.blocks[i].shape[1]
-    q = np.vstack([np.zeros((0, k1))] + [b for u, b in enumerate(ps.blocks) if u not in (i, j)])
-    u, s, _ = np.linalg.svd(q.T)
-    w = 1.0 / (1.0 + np.multiply.outer(sigma2, np.pad(s * s, (0, k1 - len(s)))))
+    u, s, _ = np.linalg.svd(ps.without(i, j).T, full_matrices=False)
+    w = 1.0 / (1.0 + np.multiply.outer(sigma2, s * s))
 
     def spectrum(p):  # the eigenvalues of conj(p) W p^T at each grid point, (G, N)
-        a = p.conj() @ u
-        return np.maximum(np.linalg.eigvalsh(np.einsum("ak,gk,bk->gab", a, w, a.conj())), 0.0)
+        a = p.conj() @ u  # C^H
+        r = p.conj() - a @ u.conj().T  # R^H
+        form = r @ r.conj().T + np.einsum("ak,gk,bk->gab", a, w, a.conj())
+        return np.maximum(np.linalg.eigvalsh(form), 0.0)
 
     x = sigma2[:, None, None] * spectrum(ps.blocks[j])[:, :, None]
     y = sigma2[:, None, None] * spectrum(ps.blocks[i])[:, None, :]

@@ -271,14 +271,21 @@ def _oversized(command: str, sizes) -> list[tuple[str, str]]:
             for field, what, size in sizes if size > MAX_VERIFY_ENTRIES]
 
 
-def _verify_size(cfg: NetworkConfig, phase1: bool) -> list[tuple[str, str]]:
+def _pilot_matrix(cfg: NetworkConfig) -> tuple[str, str, int]:
+    """The N_T x K_1 all-user pilot matrix as a ``(field, what, size)`` of ``_oversized``;
+    it names ``k1`` when the shortest K_1 = N_T - N_min would fit."""
+    shortest = cfg.n_total * (cfg.n_total - cfg.n_min)
+    field = "k1" if shortest <= MAX_VERIFY_ENTRIES else "antennas"
+    return field, "pilot matrix", cfg.n_total * cfg.k1
+
+
+def _verify_size(cfg: NetworkConfig, pilots: bool) -> list[tuple[str, str]]:
     """Each network-sized array of a verify on ``cfg`` above MAX_VERIFY_ENTRIES entries.
 
-    With D = sum_{a<b} N_a N_b user-channel entries the arrays are: the
-    phase-1 reception stack D * N_T * K_1, the receptions that
-    ``eig_growth_suite`` takes from one ``receive`` over ``channel_basis``
-    (with ``phase1``), which also bounds that D^2 basis since D <= N_T * K_1
-    for M >= 2; the rank oracle's draws RANK_DRAWS * (D + N_E * N_T) and, for
+    With D = sum_{a<b} N_a N_b user-channel entries the arrays are: with
+    ``pilots``, the N_T x K_1 pilot matrix, which bounds every array of
+    ``build_pilots``, ``phase1_curve`` and ``eig_growth_suite`` that grows
+    with K_1; the rank oracle's draws RANK_DRAWS * (D + N_E * N_T) and, for
     M >= 3, its pair-wise pilot matrices RANK_DRAWS * N_T * P_0 * max N_i
     over P_0 = M(M-1)/2 sessions.  A problem names ``k1`` or ``n_eve`` when
     the array would fit with the shortest K_1 or without Eve's channels.
@@ -287,11 +294,7 @@ def _verify_size(cfg: NetworkConfig, phase1: bool) -> list[tuple[str, str]]:
     sample count set.
     """
     d, n_t, m = user_channel_dim(cfg.antennas), cfg.n_total, cfg.m
-    sizes = []
-    if phase1:
-        shortest = d * n_t * (n_t - cfg.n_min)
-        sizes.append(("k1" if shortest <= MAX_VERIFY_ENTRIES else "antennas",
-                      "phase-1 reception stack", d * n_t * cfg.k1))
+    sizes = [_pilot_matrix(cfg)] if pilots else []
     sizes.append(("n_eve" if RANK_DRAWS * d <= MAX_VERIFY_ENTRIES else "antennas",
                   "rank-oracle draw batch", RANK_DRAWS * (d + cfg.n_eve * n_t)))
     if m >= 3:
@@ -361,9 +364,7 @@ def _all_user_checks(sc: Scenario) -> list[CheckResult]:
 
 def _all_user_pilots(sc: Scenario) -> tuple[list[np.ndarray], list[str]]:
     cfg = sc.network
-    # N_T x K_1; the problem names k1 when the shortest K_1 = N_T - N_min fits
-    field = "k1" if cfg.n_total * (cfg.n_total - cfg.n_min) <= MAX_VERIFY_ENTRIES else "antennas"
-    _check_keys(_oversized("pilots", [(field, "pilot matrix", cfg.n_total * cfg.k1)]))
+    _check_keys(_oversized("pilots", [_pilot_matrix(cfg)]))
     ps = build_pilots(cfg, sc.seed)
     # build_pilots has audited rank(P) and every P_(l); each P_i is a row subset of one
     return [ps.stacked], [f"rank(P)={cfg.n_total - cfg.n_min} OK",
@@ -470,19 +471,19 @@ def _modified_pilots(sc: Scenario) -> tuple[list[np.ndarray], list[str]]:
 def _modified_verify_size(c: TwoUserModifiedConfig) -> list[tuple[str, str]]:
     # K_1 = N_2 is fixed, so the antenna counts drive every array; N_2 >= N_1
     return [("n2" if field == "antennas" else field, text)
-            for field, text in _verify_size(_modified_network(c), phase1=True)]
+            for field, text in _verify_size(_modified_network(c), pilots=True)]
 
 
 SCHEMES = {
     "all_user": Scheme(
         lambda network: _parse_users(network, ALL_USER_RULES), validate_config,
         _all_user_formula, _all_user_compare, _all_user_checks,
-        lambda cfg: _verify_size(cfg, phase1=True), _all_user_pilots, lambda cfg: cfg, "k2"),
+        lambda cfg: _verify_size(cfg, pilots=True), _all_user_pilots, lambda cfg: cfg, "k2"),
     # compare splits an aggregate budget over the M(M-1)/2 sessions
     "pairwise": Scheme(
         lambda network: _parse_users(network, PAIRWISE_RULES),
         lambda cfg: validate_config(cfg, PAIRWISE_RULES), _pairwise_formula, _pairwise_compare,
-        _pairwise_checks, lambda cfg: _verify_size(cfg, phase1=False), _pairwise_pilots,
+        _pairwise_checks, lambda cfg: _verify_size(cfg, pilots=False), _pairwise_pilots,
         lambda cfg: NetworkConfig(cfg.antennas, cfg.n_eve, k2=cfg.k2 * pair_count(cfg.m)), "k2"),
     # compare runs the two-user schemes over the same K - N_2 symbol slots
     "modified_two_user": Scheme(
@@ -686,9 +687,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    for k in range(len(argv) - 1, 0, -1):  # argparse would read a separate -2:1 as an option
-        if argv[k - 1] == "--range" and argv[k][:1] == "-" and argv[k][1:2].isdigit():
-            argv[k - 1:k + 1] = ["--range=" + argv[k]]
+    # argparse would read a separate -2:1 as an option; it takes --r to --range alike
+    for k in range(len(argv) - 1, 0, -1):
+        flag, value = argv[k - 1:k + 1]
+        negative = value[:1] == "-" and value[1:2].isdigit()
+        if negative and len(flag) > 2 and "--range".startswith(flag):
+            argv[k - 1:k + 1] = [f"{flag}={value}"]
     args = _build_parser().parse_args(argv)
     try:
         sc = parse_scenario(args.scenario)

@@ -1,4 +1,4 @@
-"""Channel sampling, the noiseless reception map, and numeric primitives.
+"""Channel sampling and numeric primitives.
 
 Randomness convention: every sampling entry point takes an integer seed and
 derives an independent substream from ``(seed, purpose, index...)``, so
@@ -84,7 +84,7 @@ class ChannelRealization:
         """Block matrix [H[(r, t)]], keeping leading batch axes: row blocks from
         ``rx``, where ``EVE`` is Eve, and column blocks from the users ``tx``,
         by default every user outside ``rx``.  The one place that lays out
-        channel blocks, for ``receive`` and every Gaussian factor.
+        channel blocks, for every Gaussian factor.
         """
         if tx is None:
             tx = [u for u in range(len(self.antennas)) if u not in rx]
@@ -123,21 +123,6 @@ def user_realization(antennas, z: np.ndarray) -> ChannelRealization:
     return ChannelRealization(antennas, split_user_channels(antennas, z), no_eve)
 
 
-def channel_basis(antennas) -> ChannelRealization:
-    """D realizations on a leading axis, the e-th with only user-channel entry e at 1.
-
-    Eve has no antennas.  Through a map linear in the user channels, such as
-    ``receive``, it gives that map's Jacobian: the pilot-phase joint factors
-    that ``verify.eig_growth_suite`` ranks for its ``eig:joint`` rows.
-    """
-    return user_realization(antennas, np.eye(user_channel_dim(antennas)))
-
-
-def vec_batch(x: np.ndarray) -> np.ndarray:
-    """Column-major vec of each matrix of a (B, r, c) stack, as a (B, r*c) array."""
-    return np.swapaxes(x, -1, -2).reshape(len(x), -1)
-
-
 def draw_channels(antennas, n_eve: int, rng: np.random.Generator,
                   batch: tuple[int, ...]) -> ChannelRealization:
     """Draw realizations with leading axes ``batch`` from an existing stream.
@@ -149,26 +134,6 @@ def draw_channels(antennas, n_eve: int, rng: np.random.Generator,
     user = split_user_channels(antennas, sample_cn(rng, batch + (user_channel_dim(antennas),)))
     eve = tuple(sample_cn(rng, batch + (n_eve, n)) for n in antennas)
     return ChannelRealization(antennas, user, eve)
-
-
-# --------------------------------------------------------------------------
-# reception
-# --------------------------------------------------------------------------
-
-
-def receive(ch: ChannelRealization, tx) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Noiseless unit-power receptions ``(user_rx, eve_rx)`` of the N_j x K blocks ``tx``.
-
-    Full duplex: user i hears Y_i = sum_{j != i} H_ij X_j = H_(i) [X_j]_{j != i}
-    and Eve hears H_E [X_1; ...; X_M], whichever phase the blocks X_j belong
-    to.  Channels may carry leading batch axes, as ``channel_basis`` gives
-    them; the blocks are matrices.
-    """
-    if [np.shape(x)[0] for x in tx] != list(ch.antennas):
-        raise ValueError("each transmit block needs one row per antenna of its user")
-    users = range(len(tx))
-    user_rx = tuple(ch.link([i]) @ np.vstack([tx[j] for j in users if j != i]) for i in users)
-    return user_rx, ch.link([EVE]) @ np.vstack(tx)
 
 
 # --------------------------------------------------------------------------

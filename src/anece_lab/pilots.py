@@ -34,9 +34,10 @@ class PilotSet:
     def antennas(self) -> tuple[int, ...]:
         return tuple(b.shape[0] for b in self.blocks)
 
-    def without(self, i: int) -> np.ndarray:
-        """The stack with block i removed."""
-        return np.vstack([b for l, b in enumerate(self.blocks) if l != i])
+    def without(self, *users: int) -> np.ndarray:
+        """The stack with the blocks of ``users`` removed, (0, K_1) when none is left."""
+        kept = [b for l, b in enumerate(self.blocks) if l not in users]
+        return np.vstack(kept) if kept else self.blocks[0][:0]
 
     @functools.cached_property
     def complement_ranks(self) -> tuple[int, ...]:

@@ -36,15 +36,12 @@ from .dofcalc import (
 from .model import CheckResult, NetworkConfig, SnrGrid, TwoUserModifiedConfig
 from .numkernel import (
     EVE,
-    channel_basis,
     draw_channels,
     numerical_rank,
-    receive,
     sample_cn,
     substream,
     user_channel_dim,
     user_realization,
-    vec_batch,
 )
 from .pilots import build_pairwise_matrix
 
@@ -168,11 +165,26 @@ def eig_growth_suite(ps) -> list[CheckResult]:
     """Count the power-scaled eigenvalues of the pilot-phase covariances.
 
     sigma^2 A A^H + I grows along rank(A) directions, so each count is the
-    rank of a factor: N_i * rank(P_(i)) for user i, which must be
-    N_i*(N_T-N_i), and for a pair the rank of the Jacobian of its receptions
-    [vec(Y_i); vec(Y_j^T)] over the user-channel entries that either user
-    hears, which must be N_i(N_T-N_i) + N_j(N_T-N_j) - N_i*N_j.  One
-    ``receive`` over ``channel_basis`` gives every pair's Jacobian.
+    rank of a factor, read from ranks of the pilot stacks P_(S), the stack
+    without the users S (``PilotSet.without``).  User i's factor is
+    P_(i)^T kron I_(N_i), of rank N_i * rank(P_(i)), which must be
+    N_i * (N_T - N_i).  A pair's factor is the Jacobian J of its receptions
+    [vec(Y_i); vec(Y_j^T)] over the user-channel entries either user hears,
+    whose rank must be its column count N_i(N_T-N_i) + N_j(N_T-N_j) - N_i*N_j.
+    Its row is N_i * rank(P_(i)) + N_j * rank(P_(ij)), and P_(ij) is empty,
+    of rank 0, for M = 2.
+
+    Why: order J's columns as user i's channels, then user j's channels from
+    the users outside {i, j}, which i does not hear.  Y_i depends on the
+    first group alone, so up to row and column permutations
+    J = [[A, 0], [C, E]] with A = P_(i)^T kron I_(N_i) and
+    E = P_(ij)^T kron I_(N_j).  Hence rank A + rank E <= rank J <=
+    cols(A) + rank E, and both ends meet once P_(i) has full row rank,
+    rank A = cols(A).  The row is therefore never above rank J, and it
+    reaches its target only if rank P_(i) = N_T - N_i and rank P_(ij) =
+    N_T - N_i - N_j, where it equals rank J = cols(J): a passing row proves
+    that J has full column rank.  ``build_pilots`` refuses any pilot set
+    whose P_(i) lacks full row rank before a row is built.
     """
     antennas = ps.antennas
     n_t = sum(antennas)
@@ -181,13 +193,12 @@ def eig_growth_suite(ps) -> list[CheckResult]:
         count = n_i * rank
         results.append(CheckResult(f"eig:single[user {i + 1}]", float(count),
                                    float(n_i * (n_t - n_i)), 0.0))
-    rx = receive(channel_basis(antennas), ps.blocks)[0]
     for i, j in itertools.combinations(range(len(antennas)), 2):
-        jac = np.concatenate([vec_batch(rx[i]), vec_batch(np.swapaxes(rx[j], 1, 2))], axis=1).T
         n_i, n_j = antennas[i], antennas[j]
+        count = n_i * ps.complement_ranks[i] + n_j * numerical_rank(ps.without(i, j))
         target = n_i * (n_t - n_i) + n_j * (n_t - n_j) - n_i * n_j
-        rank = numerical_rank(jac[:, np.any(jac != 0, axis=0)])  # less the entries neither hears
-        results.append(CheckResult(f"eig:joint[{i + 1}-{j + 1}]", float(rank), float(target), 0.0))
+        results.append(CheckResult(f"eig:joint[{i + 1}-{j + 1}]", float(count),
+                                   float(target), 0.0))
     return sorted(results, key=lambda r: r.name)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from anece_lab import cli
-from anece_lab.numkernel import channel_basis, receive, vec_batch
+from anece_lab.numkernel import EVE, ChannelRealization, user_channel_dim, user_realization
 from anece_lab.verify import default_grid
 
 
@@ -77,13 +77,49 @@ def svd_rank(a):
     return ranks
 
 
+# --------------------------------------------------------------------------
+# the signal-model reference: receptions, and the Jacobians they give
+# --------------------------------------------------------------------------
+
+
+def receive(ch: ChannelRealization, tx):
+    """Noiseless unit-power receptions ``(user_rx, eve_rx)`` of the N_j x K blocks ``tx``.
+
+    Full duplex: user i hears Y_i = sum_{j != i} H_ij X_j = H_(i) [X_j]_{j != i}
+    and Eve hears H_E [X_1; ...; X_M], whichever phase the blocks X_j belong
+    to.  Channels may carry leading batch axes, as ``channel_basis`` gives
+    them; the blocks are matrices.
+    """
+    if [np.shape(x)[0] for x in tx] != list(ch.antennas):
+        raise ValueError("each transmit block needs one row per antenna of its user")
+    users = range(len(tx))
+    user_rx = tuple(ch.link([i]) @ np.vstack([tx[j] for j in users if j != i]) for i in users)
+    return user_rx, ch.link([EVE]) @ np.vstack(tx)
+
+
+def channel_basis(antennas) -> ChannelRealization:
+    """D realizations on a leading axis, the e-th with only user-channel entry e at 1.
+
+    Eve has no antennas.  Through a map linear in the user channels, such as
+    ``receive``, it gives that map's Jacobian.
+    """
+    return user_realization(antennas, np.eye(user_channel_dim(antennas)))
+
+
+def vec_batch(x):
+    """Column-major vec of each matrix of a (B, r, c) stack, as a (B, r*c) array."""
+    return np.swapaxes(x, -1, -2).reshape(len(x), -1)
+
+
 def joint_jacobian(ps, i, j):
     """The test reference for the pilot-phase joint factor J of users i and j.
 
     J is the Jacobian of the pilot receptions [vec(Y_i); vec(Y_j^T)] of
     ``receive`` over ``channel_basis``, less the zero columns of entries
     neither user hears, so that sigma^2 J J^H + I is the pair's joint
-    reception covariance at power sigma^2 under unit noise.
+    reception covariance at power sigma^2 under unit noise.  On pilots that
+    pass the audit each ``eig:joint`` row of ``verify.eig_growth_suite``
+    must equal its rank, and on any pilots it may not exceed it.
     """
     rx = receive(channel_basis(ps.antennas), ps.blocks)[0]
     jac = np.concatenate([vec_batch(rx[i]), vec_batch(np.swapaxes(rx[j], 1, 2))], axis=1).T

@@ -2,21 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from conftest import svd_rank
+from conftest import channel_basis, receive, svd_rank, vec_batch
 
 from anece_lab.model import NetworkConfig, TwoUserModifiedConfig
 from anece_lab.numkernel import (
     EVE,
     _short_side_spectrum,
-    channel_basis,
     cn_blocks,
     draw_channels,
     log2det_grid,
     numerical_rank,
     sample_cn,
-    receive,
     substream,
-    vec_batch,
 )
 from anece_lab.pilots import PilotSet, build_pilots, build_square_pilots
 from anece_lab.verify import rank_oracle_suite
@@ -70,7 +67,7 @@ def test_channel_determinism():
 
 
 # --------------------------------------------------------------------------
-# reception
+# reception: the reference ``receive`` of conftest, and link against it
 # --------------------------------------------------------------------------
 
 

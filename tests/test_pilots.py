@@ -35,6 +35,15 @@ def test_three_single_antenna_users():
         assert numerical_rank(ps.without(i)) == 2
 
 
+def test_without_removes_any_set_of_users():
+    ps = build_pilots(NetworkConfig((1, 2, 3), 0, k2=1), 5)
+    assert np.array_equal(ps.without(1), np.vstack([ps.blocks[0], ps.blocks[2]]))
+    assert np.array_equal(ps.without(2, 0), ps.blocks[1])
+    empty = ps.without(0, 1, 2)
+    assert empty.shape == (0, 5) and empty.dtype == ps.stacked.dtype
+    assert numerical_rank(empty) == 0
+
+
 def test_hand_built_three_user_pilot_is_accepted():
     # rows (1,0), (0,1), (1,1): full stack rank 2 and every sub-stack full rank
     blocks = (
@@ -94,11 +103,15 @@ def test_p_without_i_conditioning_for_equal_antenna_counts(n, m):
     # user i's complement splits into M - 1 cosets of the N_T-th roots, so
     # P_(i) is a DFT_N times an (M-1) x (M-1) Vandermonde V on M-th roots of
     # unity with V V^H = M I - g g^H, |g|^2 = M - 1: sigma_min^2 / sigma_max^2
-    # is exactly 1/M for M >= 3, and 1 for M = 2
-    ps = build_pilots(NetworkConfig((n,) * m, 0, k2=1), 2)
-    for i in range(m):
-        s = np.linalg.svd(ps.without(i), compute_uv=False)
-        assert abs(s[-1] ** 2 / s[0] ** 2 - (1.0 / m if m >= 3 else 1.0)) <= 1e-12
+    # is exactly 1/M for M >= 3, and 1 for M = 2, whatever the draw of Q and
+    # the K_1.  The audit's margin is this value, and the eig:* rows rest on
+    # the audit, so the value is pinned, not only its 1/N_T floor
+    shortest = n * (m - 1)
+    for seed, k1 in itertools.product((0, 1, 2), (shortest, shortest + 3)):
+        ps = build_pilots(NetworkConfig((n,) * m, 0, k1=k1), seed)
+        for i in range(m):
+            s = np.linalg.svd(ps.without(i), compute_uv=False)
+            assert abs(s[-1] ** 2 / s[0] ** 2 - (1.0 / m if m >= 3 else 1.0)) <= 1e-13
 
 
 def test_equal_antenna_counts_are_dealt_round_robin():

@@ -4,12 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import compare_rows, svd_rank
+from conftest import compare_rows, joint_jacobian, svd_rank
 
 from anece_lab import cli, numkernel, pilots, verify
 from anece_lab.capacity import CapacityCurve, cij_curve, phase1_curve
 from anece_lab.model import CheckResult, NetworkConfig, SnrGrid
-from anece_lab.pilots import PilotSet, build_pilots
+from anece_lab.numkernel import numerical_rank
+from anece_lab.pilots import PilotSet, build_pilots, validate_pilots
 from anece_lab.verify import (
     IDENTITY_MANIFEST,
     default_grid,
@@ -156,13 +157,11 @@ def test_rank_oracle_suite_catches_a_seeded_fault(monkeypatch, case):
 
 
 @pytest.mark.parametrize("antennas", [(1,) * 6, (1, 2, 3, 4)])
-def test_rank_oracle_needs_no_channel_basis(monkeypatch, antennas):
-    # the reciprocal-covariance rows count channel labels; no D x D basis is built
-    def refused(*args):
-        raise AssertionError("the rank oracle built a channel basis")
-
-    for module in (numkernel, verify):  # eig_growth_suite imports its own reference
-        monkeypatch.setattr(module, "channel_basis", refused)
+def test_rank_oracle_needs_no_channel_basis(antennas):
+    # the reciprocal-covariance rows count channel labels, and the eig:* rows
+    # read pilot ranks: no D x D basis or reception map is left in the package
+    for module in (numkernel, verify):
+        assert not {"channel_basis", "receive", "vec_batch"} & set(vars(module))
     assert all(r.passed for r in rank_oracle_suite(NetworkConfig(antennas, 2, k2=1), 5))
 
 
@@ -219,43 +218,80 @@ def test_eig_growth_suite_counts():
     assert rows["eig:single[user 1]"].measured == 2.0
 
 
-def test_eig_growth_suite_catches_rank_deficient_pilots():
-    # user 2's second pilot row repeats its first: the pilots heard by
-    # users 1 and 3 lose a direction, and so does the pair (1, 3)
-    cfg = NetworkConfig((1, 2, 2), 0, k2=1)
-    blocks = [b.copy() for b in build_pilots(cfg, 3).blocks]
+def _repeat_a_row(blocks):
+    # user 2's second row repeats its first: P_(1), P_(3) and P_(13) lose a direction
     blocks[1][1] = blocks[1][0]
-    rows = eig_growth_suite(PilotSet(tuple(blocks)))
+
+
+def _zero_a_block(blocks):
+    # user 3 sends zeros: P_(1), P_(2) and P_(12) lose two directions, yet the
+    # Jacobians of the pairs (1, 3) and (2, 3) keep full rank 8 through P_(3)
+    blocks[2][:] = 0
+
+
+DEFICIENT = {"repeated-row": _repeat_a_row, "zero-block": _zero_a_block}
+
+
+def deficient_pilots(case):
+    """The designed pilots of [1, 2, 2] with the fault ``DEFICIENT[case]``."""
+    blocks = [b.copy() for b in build_pilots(NetworkConfig((1, 2, 2), 0, k2=1), 3).blocks]
+    DEFICIENT[case](blocks)
+    return PilotSet(tuple(blocks))
+
+
+def test_eig_growth_suite_catches_rank_deficient_pilots():
+    # the eig:joint row of (1, 2) reads 1 * 3 + 2 * 2 against 8, although its
+    # Jacobian keeps rank 8 through user 2's own complement: a row is a lower
+    # bound of the rank, exact only where P_(i) has full row rank
+    rows = eig_growth_suite(deficient_pilots("repeated-row"))
     assert {r.name: (r.measured, r.target) for r in rows if not r.passed} == {
+        "eig:joint[1-2]": (7.0, 8.0),
         "eig:joint[1-3]": (5.0, 8.0),
         "eig:single[user 1]": (3.0, 4.0),
         "eig:single[user 3]": (4.0, 6.0),
     }
 
 
-def test_eig_growth_suite_catches_a_dropped_factor_column(monkeypatch):
-    # a reception that ignores user-channel entry 0, H_12's first, drops that
-    # column from the joint factor of every pair with user 1 or 2 in it
-    receive = verify.receive
+@pytest.mark.parametrize("case", DEFICIENT)
+def test_eig_joint_rows_bound_the_reference_rank_from_below(case):
+    # the rows never exceed the rank of the reference Jacobian, equal it where
+    # P_(i) has full row rank, and fail on every pilot set the audit refuses
+    ps = deficient_pilots(case)
+    assert validate_pilots(ps)
+    rows = {r.name: r for r in eig_growth_suite(ps)}
+    n_t = sum(ps.antennas)
+    for i, j in itertools.combinations(range(len(ps.antennas)), 2):
+        row, rank = rows[f"eig:joint[{i + 1}-{j + 1}]"], numerical_rank(joint_jacobian(ps, i, j))
+        assert row.measured <= rank
+        if ps.complement_ranks[i] == n_t - ps.antennas[i]:
+            assert row.measured == rank
+    assert not all(r.passed for r in rows.values())
 
-    def dropping(ch, tx):
-        user_rx, eve_rx = receive(ch, tx)
-        for rx in user_rx:
-            rx[0] = 0
-        return user_rx, eve_rx
 
-    monkeypatch.setattr(verify, "receive", dropping)
-    cfg = NetworkConfig((2, 2, 2), 0, k2=1)
-    rows = eig_growth_suite(build_pilots(cfg, 3))
-    assert [(r.name, r.measured, r.target) for r in rows if not r.passed] == [
-        ("eig:joint[1-2]", 11.0, 12.0), ("eig:joint[1-3]", 11.0, 12.0),
-        ("eig:joint[2-3]", 11.0, 12.0)]
+# unequal, equal and M = 2..5 networks, with the shortest K_1 or a longer one
+REFERENCE_NETWORKS = [((1, 1), None), ((1, 3), None), ((2, 3), 7), ((3, 3), None),
+                      ((1, 1, 1), None), ((1, 2, 2), None), ((2, 2, 2), 6), ((1, 2, 3, 4), None),
+                      ((2, 2, 2, 2), 9), ((1, 1, 1, 1, 1), None), ((2, 2, 2, 2, 2), None),
+                      ((6, 8, 1, 8, 1), None)]
+
+
+@pytest.mark.parametrize("antennas, k1", REFERENCE_NETWORKS)
+def test_eig_joint_rows_equal_the_reference_jacobian_rank(antennas, k1):
+    # each eig:joint row, read from pilot ranks, is numerical_rank of the
+    # reference Jacobian that conftest synthesizes from the reception map
+    for seed in (0, 3, 11):
+        ps = build_pilots(NetworkConfig(antennas, 0, k1=k1), seed)
+        rows = {r.name: r for r in eig_growth_suite(ps)}
+        for i, j in itertools.combinations(range(len(antennas)), 2):
+            jac = joint_jacobian(ps, i, j)
+            row = rows[f"eig:joint[{i + 1}-{j + 1}]"]
+            assert row.measured == numerical_rank(jac) == jac.shape[1] == row.target
 
 
 @pytest.mark.parametrize("antennas", [(2, 2, 2), (1, 2, 3, 4)])
 def test_eig_growth_suite_work(monkeypatch, antennas):
-    # one reception, and one linalg call per pair: each factor's full rank is
-    # certified by one Cholesky; build_pilots has already ranked every P_(i)
+    # one rank per pair, of P_(ij), each certified by one Cholesky;
+    # build_pilots has already ranked every P_(i)
     calls = Counter()
 
     def counted(key, fn):
@@ -268,13 +304,13 @@ def test_eig_growth_suite_work(monkeypatch, antennas):
         fn = getattr(np.linalg, name)
         if callable(fn) and not isinstance(fn, type):
             monkeypatch.setattr(np.linalg, name, counted("linalg", fn))
-    monkeypatch.setattr(verify, "receive", counted("receive", verify.receive))
+    monkeypatch.setattr(verify, "numerical_rank", counted("rank", verify.numerical_rank))
     cfg = NetworkConfig(antennas, 0, k2=1)
     ps = build_pilots(cfg, 3)
     calls.clear()
     assert all(r.passed for r in eig_growth_suite(ps))
     m = len(antennas)
-    assert calls == {"receive": 1, "linalg": m * (m - 1) // 2}
+    assert calls == {"rank": m * (m - 1) // 2, "linalg": m * (m - 1) // 2}
 
 
 def test_identity_suite_is_green_and_complete():
