@@ -101,6 +101,13 @@ def phase1_curve(ps, i: int, j: int, grid: SnrGrid) -> CapacityCurve:
     one ``eigvalsh`` per user gives a spectrum per grid point.  No array is
     K_1 x K_1: the largest is K_1 x max(r, N).  No large logs cancel:
     s2 = 2^1000 does not overflow, and s2 = 2^-1000 gives exactly 0.
+
+    On designed pilots P = G V (``pilots.build_pilots``), V of r x K_1 with
+    conj(V) V^T = I, the push-through identity gives
+    conj(V) (I + s2 V^T A conj(V))^-1 V^T = (I + s2 A)^-1, A = G_(ij)^T conj(G_(ij)),
+    so M_i = conj(G_j) (I + s2 A)^-1 G_j^T, and M_j likewise: the curve is
+    the same on the basis G's row blocks, and ``verify`` passes it
+    ``pilots.pilot_basis``, which refuses rank-deficient pilots.
     """
     if i == j:
         raise ValueError("need two distinct users")

@@ -51,7 +51,13 @@ from .model import (
     validate_config,
     validate_modified_config,
 )
-from .pilots import build_pairwise_matrix, build_pilots, build_square_pilots, write_matrix_text
+from .pilots import (
+    build_pairwise_matrix,
+    build_pilots,
+    build_square_pilots,
+    pilot_basis,
+    write_matrix_text,
+)
 from .numkernel import sample_cn, substream, user_channel_dim
 from .verify import (
     RANK_DRAWS,
@@ -271,30 +277,22 @@ def _oversized(command: str, sizes) -> list[tuple[str, str]]:
             for field, what, size in sizes if size > MAX_VERIFY_ENTRIES]
 
 
-def _pilot_matrix(cfg: NetworkConfig) -> tuple[str, str, int]:
-    """The N_T x K_1 all-user pilot matrix as a ``(field, what, size)`` of ``_oversized``;
-    it names ``k1`` when the shortest K_1 = N_T - N_min would fit."""
-    shortest = cfg.n_total * (cfg.n_total - cfg.n_min)
-    field = "k1" if shortest <= MAX_VERIFY_ENTRIES else "antennas"
-    return field, "pilot matrix", cfg.n_total * cfg.k1
-
-
 def _verify_size(cfg: NetworkConfig, pilots: bool) -> list[tuple[str, str]]:
     """Each network-sized array of a verify on ``cfg`` above MAX_VERIFY_ENTRIES entries.
 
     With D = sum_{a<b} N_a N_b user-channel entries the arrays are: with
-    ``pilots``, the N_T x K_1 pilot matrix, which bounds every array of
-    ``build_pilots``, ``phase1_curve`` and ``eig_growth_suite`` that grows
-    with K_1; the rank oracle's draws RANK_DRAWS * (D + N_E * N_T) and, for
-    M >= 3, its pair-wise pilot matrices RANK_DRAWS * N_T * P_0 * max N_i
-    over P_0 = M(M-1)/2 sessions.  A problem names ``k1`` or ``n_eve`` when
-    the array would fit with the shortest K_1 or without Eve's channels.
+    ``pilots``, the N_T x (N_T - N_min) pilot basis of ``pilot_basis``, which
+    ``phase1_curve`` and ``eig_growth_suite`` read (for M = 2 it can exceed
+    the cap where no rank-oracle array does, as on [1, 40000]); the rank
+    oracle's draws RANK_DRAWS * (D + N_E * N_T) and, for M >= 3, its
+    pair-wise pilot matrices RANK_DRAWS * N_T * P_0 * max N_i over
+    P_0 = M(M-1)/2 sessions.  A problem names ``n_eve`` when the array would
+    fit without Eve's channels.
     Python integers, so no product overflows; nothing is allocated.
-    ``_curve_size`` counts the Monte Carlo curves, whose size the grid and
-    sample count set.
+    ``_curve_size`` counts the curves, whose size the grid sets.
     """
     d, n_t, m = user_channel_dim(cfg.antennas), cfg.n_total, cfg.m
-    sizes = [_pilot_matrix(cfg)] if pilots else []
+    sizes = [("antennas", "pilot basis", n_t * (n_t - cfg.n_min))] if pilots else []
     sizes.append(("n_eve" if RANK_DRAWS * d <= MAX_VERIFY_ENTRIES else "antennas",
                   "rank-oracle draw batch", RANK_DRAWS * (d + cfg.n_eve * n_t)))
     if m >= 3:
@@ -304,14 +302,22 @@ def _verify_size(cfg: NetworkConfig, pilots: bool) -> list[tuple[str, str]]:
 
 
 def _curve_size(sc: Scenario) -> list[tuple[str, str]]:
-    """The ``snr_grid`` problem of a verify whose Monte Carlo curve is too large.
+    """The ``snr_grid`` problems of a verify whose curves are too large.
 
-    A curve keeps one value per grid point and sample.  Its scratch is no
-    larger: ``log2det_grid`` sums its log terms one eigenvalue at a time,
-    over a block of at most the curve's samples.  Nothing is allocated.
+    A Monte Carlo curve keeps one value per grid point and sample.  Its
+    scratch is no larger: ``log2det_grid`` sums its log terms one eigenvalue
+    at a time, over a block of at most the curve's samples.  The all-user
+    phase-1 curve of users 1 and 2 keeps, per grid point, an N_i x N_i form
+    of each user and a weight of each of the other N_T - N_1 - N_2 pilot
+    rows.  Nothing is allocated.
     """
-    size = len(sc.snr_grid.points) * sc.mc_samples
-    return _oversized("verify", [("snr_grid", "Monte Carlo curve", size)])
+    points = len(sc.snr_grid.points)
+    sizes = [("snr_grid", "Monte Carlo curve", points * sc.mc_samples)]
+    if sc.scheme == "all_user":
+        n_1, n_2 = sc.network.antennas[:2]
+        sizes.append(("snr_grid", "phase-1 curve",
+                      points * max(n_1**2, n_2**2, sc.network.n_total - n_1 - n_2)))
+    return _oversized("verify", sizes)
 
 
 # all-user ANECE
@@ -346,7 +352,7 @@ def _all_user_compare(cfg: NetworkConfig) -> tuple[int, int]:
 def _all_user_checks(sc: Scenario) -> list[CheckResult]:
     cfg = sc.network
     s = DofScenario.pair(cfg, 0, 1)
-    ps = build_pilots(cfg, sc.seed)
+    ps = pilot_basis(cfg.antennas)
     p1_curve = phase1_curve(ps, 0, 1, sc.snr_grid)
     rows = [
         verify_slope("slope:phase1[1-2]", p1_curve, dof_phase1(s.n_i, s.n_j)),
@@ -364,7 +370,9 @@ def _all_user_checks(sc: Scenario) -> list[CheckResult]:
 
 def _all_user_pilots(sc: Scenario) -> tuple[list[np.ndarray], list[str]]:
     cfg = sc.network
-    _check_keys(_oversized("pilots", [_pilot_matrix(cfg)]))
+    # the N_T x K_1 pilot matrix; the problem names k1 when the shortest K_1 fits
+    field = "k1" if cfg.n_total * (cfg.n_total - cfg.n_min) <= MAX_VERIFY_ENTRIES else "antennas"
+    _check_keys(_oversized("pilots", [(field, "pilot matrix", cfg.n_total * cfg.k1)]))
     ps = build_pilots(cfg, sc.seed)
     # build_pilots has audited rank(P) and every P_(l); each P_i is a row subset of one
     return [ps.stacked], [f"rank(P)={cfg.n_total - cfg.n_min} OK",
@@ -456,7 +464,7 @@ def _modified_checks(sc: Scenario) -> list[CheckResult]:
             CheckResult("negctrl:identity:tampered-modified", float(md.upper + 1),
                         float(md.lower_12), 0.0)]
     rank_cfg = _modified_network(c)
-    ps = build_pilots(rank_cfg, sc.seed)
+    ps = pilot_basis(rank_cfg.antennas)
     return rows + eig_growth_suite(ps) + rank_oracle_suite(rank_cfg, sc.seed)
 
 
@@ -469,7 +477,7 @@ def _modified_pilots(sc: Scenario) -> tuple[list[np.ndarray], list[str]]:
 
 
 def _modified_verify_size(c: TwoUserModifiedConfig) -> list[tuple[str, str]]:
-    # K_1 = N_2 is fixed, so the antenna counts drive every array; N_2 >= N_1
+    # the antenna counts drive every array; N_2 >= N_1
     return [("n2" if field == "antennas" else field, text)
             for field, text in _verify_size(_modified_network(c), pilots=True)]
 

@@ -278,7 +278,8 @@ def numerical_rank(m: np.ndarray) -> np.integer | np.ndarray:
     used here; an empty or all-zero matrix has rank 0.  A single matrix
     gives a numpy integer, a stack an integer array of its leading shape.
 
-    One path ranks every input.  It is cast to float64 or complex128, so no
+    One path ranks every input with no empty side; a stack with one has
+    rank 0 and calls no LAPACK.  The input is cast to float64 or complex128, so no
     integer Gram wraps and the unit roundoff is u = 2^-53; ``_tall`` turns
     each wide matrix tall, and the batch axes are flattened, so each A is
     p x n, p >= n, in one (B, p, n) stack.  Most matrices ranked here have
@@ -304,6 +305,8 @@ def numerical_rank(m: np.ndarray) -> np.integer | np.ndarray:
     a = np.asarray(m)
     a = _tall(a.astype(np.result_type(a, np.float64), copy=False))
     *batch, p, n = a.shape
+    if n == 0:  # an empty side: rank 0, and no Gram to certify
+        return np.zeros(batch, dtype=int)[()]
     a = a.reshape((math.prod(batch), p, n))
     with np.errstate(all="ignore"):  # out-of-range traces are refused below
         gram = np.conj(np.swapaxes(a, -1, -2)) @ a

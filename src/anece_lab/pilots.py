@@ -5,7 +5,10 @@ designed, not drawn.  The all-user stack is G Q: G is Vandermonde on the N_T-th
 roots of unity, with each user's roots spread round the circle, and Q has
 orthonormal rows.  Any N_T - N_min rows of G are independent in exact
 arithmetic, and the spread keeps each P_(i), which has the singular values of
-its rows of G, well conditioned.  The modified scheme's square pilots are unitary.
+its rows of G, well conditioned.  Q moves no singular value, so ``verify`` reads
+every pilot rank and the pilot-phase SKC from G's row blocks (``pilot_basis``)
+and only the ``pilots`` command draws Q.  The modified scheme's square pilots are
+unitary.
 """
 
 from __future__ import annotations
@@ -75,27 +78,49 @@ def validate_pilots(ps: PilotSet) -> list[str]:
     return violations
 
 
+def _audited(stacked: np.ndarray, antennas) -> PilotSet:
+    """The row blocks of ``stacked``, one per user; a RuntimeError if ``validate_pilots`` fails."""
+    offsets = np.cumsum((0,) + tuple(antennas))
+    ps = PilotSet(tuple(stacked[offsets[i]:offsets[i + 1]] for i in range(len(antennas))))
+    violations = validate_pilots(ps)
+    if violations:
+        raise RuntimeError("designed pilots failed the rank audit: " + "; ".join(violations))
+    return ps
+
+
+def _basis(antennas) -> np.ndarray:
+    """G, N_T x r with r = N_T - N_min: rows (1, w^k, ..., w^(k(r-1))) for the N_T-th
+    roots of unity w^k, dealt in the order of the key ((a + 1/2) / N_i, i) of antenna
+    a of user i, which is round-robin when all N_i are equal."""
+    n_total = sum(antennas)
+    # a stable sort breaks ties by i
+    spread = np.hstack([(np.arange(n) + 0.5) / n for n in antennas])
+    nodes = np.exp(2j * np.pi * np.argsort(np.argsort(spread, kind="stable")) / n_total)
+    return np.vander(nodes, n_total - min(antennas), increasing=True)
+
+
+def pilot_basis(antennas) -> PilotSet:
+    """The row blocks G_i of the pilot basis G, audited by ``validate_pilots``.
+
+    Every stack ``build_pilots`` returns is G Q with conj(Q) Q^T = I, so each
+    P_(S) = G_(S) Q has the singular values of G_(S): every pilot rank, and the
+    pilot-phase SKC (``capacity.phase1_curve``), is a function of the antenna
+    vector alone, not of K_1 or the seed.
+    """
+    return _audited(_basis(antennas), antennas)
+
+
 def build_pilots(cfg: NetworkConfig, seed: int) -> PilotSet:
     """The designed pilots G Q, deterministic per seed; ``validate_pilots`` audits them.
 
-    G is N_T x r, r = N_T - N_min; its rows are (1, w^k, ..., w^(k(r-1))) for the
-    N_T-th roots of unity w^k, dealt in the order of the key ((a + 1/2) / N_i, i)
-    of antenna a of user i, which is round-robin when all N_i are equal.  Q is
+    G is ``pilot_basis``' N_T x r matrix, r = N_T - N_min, and Q (r x K_1) is
     the .T of the reduced QR's Q factor of a K_1 x r Gaussian draw.
     """
     rank_target = cfg.n_total - cfg.n_min
     if cfg.k1 < rank_target:
         raise ValueError(f"K_1 < N_T-N_min (need >= {rank_target})")
-    spread = np.hstack([(np.arange(n) + 0.5) / n for n in cfg.antennas])  # a stable sort breaks ties by i
-    nodes = np.exp(2j * np.pi * np.argsort(np.argsort(spread, kind="stable")) / cfg.n_total)
     q = np.linalg.qr(sample_cn(substream(seed, "pilots"), (cfg.k1, rank_target)))[0]
-    stacked = np.vander(nodes, rank_target, increasing=True) @ q.T
-    offsets = np.cumsum((0,) + tuple(cfg.antennas))
-    ps = PilotSet(tuple(stacked[offsets[i]:offsets[i + 1]] for i in range(cfg.m)))
-    violations = validate_pilots(ps)
-    if violations:
-        raise RuntimeError("designed pilots failed the rank audit: " + "; ".join(violations))
-    return ps
+    return _audited(_basis(cfg.antennas) @ q.T, cfg.antennas)
 
 
 def build_pairwise_matrix(blocks) -> np.ndarray:

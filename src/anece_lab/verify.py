@@ -183,8 +183,10 @@ def eig_growth_suite(ps) -> list[CheckResult]:
     rank A = cols(A).  The row is therefore never above rank J, and it
     reaches its target only if rank P_(i) = N_T - N_i and rank P_(ij) =
     N_T - N_i - N_j, where it equals rank J = cols(J): a passing row proves
-    that J has full column rank.  ``build_pilots`` refuses any pilot set
-    whose P_(i) lacks full row rank before a row is built.
+    that J has full column rank.  ``verify`` passes the basis G of
+    ``pilots.pilot_basis``, whose stacks have the singular values of every
+    G Q that ``build_pilots`` returns, and which refuses any pilot set whose
+    P_(i) lacks full row rank before a row is built.
     """
     antennas = ps.antennas
     n_t = sum(antennas)

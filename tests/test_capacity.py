@@ -17,7 +17,7 @@ from anece_lab.capacity import (
 )
 from anece_lab.model import NetworkConfig, SnrGrid, TwoUserModifiedConfig
 from anece_lab.numkernel import cn_blocks, log2det_grid, numerical_rank
-from anece_lab.pilots import PilotSet, build_pilots
+from anece_lab.pilots import PilotSet, build_pilots, pilot_basis
 from anece_lab.verify import (
     default_grid,
     eig_growth_suite,
@@ -90,6 +90,24 @@ def test_phase1_matches_the_receive_jacobian_form(antennas, k1):
         got = np.array(phase1_curve(ps, i, j, grid).values)
         expected = phase1_jacobian_form(ps, i, j, grid)
         assert np.max(np.abs(got - expected) / expected) <= 1e-11
+
+
+@pytest.mark.parametrize("antennas", [(1, 1), (2, 3), (6, 8, 1, 8, 1), (7,) * 4])
+def test_phase1_and_eig_rows_are_those_of_the_pilot_basis(antennas):
+    # P = G Q with conj(Q) Q^T = I: by push-through, conj(Q) (I + s2 Q^T A conj(Q))^-1 Q^T
+    # = (I + s2 A)^-1, so no curve or rank depends on the seed or K_1
+    basis = pilot_basis(antennas)
+    grid = SnrGrid(tuple(range(-10, 41)))
+    pairs = list(itertools.permutations(range(len(antennas)), 2))
+    curves = {pair: np.array(phase1_curve(basis, *pair, grid).values) for pair in pairs}
+    rows = eig_growth_suite(basis)
+    shortest = sum(antennas) - min(antennas)
+    for seed, k1 in itertools.product(range(3), (shortest, shortest + 5, shortest + 40)):
+        ps = build_pilots(NetworkConfig(antennas, 0, k1=k1), seed)
+        for pair in pairs:
+            got = np.array(phase1_curve(ps, *pair, grid).values)
+            assert np.max(np.abs(got - curves[pair]) / curves[pair]) <= 1e-12
+        assert eig_growth_suite(ps) == rows
 
 
 def test_phase1_holds_over_plus_minus_1000():

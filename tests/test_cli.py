@@ -613,19 +613,24 @@ def test_mc_samples_above_the_cap_is_refused_before_drawing(write_scenario, monk
     assert capsys.readouterr().err == f"error: mc_samples: must be <= {cli.MAX_MC_SAMPLES}\n"
 
 
-# (K_1 = 9, D = 35, N_T = 10): pilot matrix 10 * 9, draws 100 * (35 + 6 * 10)
+# (N_T - N_min = 9, D = 35, N_T = 10): pilot basis 10 * 9, draws 100 * (35 + 6 * 10)
 # and pair-wise pilots 100 * 10 * 6 * 4; the draws name n_eve once the 100 * 35
-# user-channel draws alone fit
+# user-channel draws alone fit.  No array depends on K_1
+BASIS, DRAWS, PAIRWISE = "pilot basis", "rank-oracle draw batch", "pair-wise pilot batch"
+
+
 @pytest.mark.parametrize("cap, problems", [
-    (0, [("antennas", 90), ("antennas", 9500), ("antennas", 24000)]),
-    (9499, [("n_eve", 9500), ("antennas", 24000)]),
-    (9500, [("antennas", 24000)]),
+    (0, [("antennas", BASIS, 90), ("antennas", DRAWS, 9500), ("antennas", PAIRWISE, 24000)]),
+    (9499, [("n_eve", DRAWS, 9500), ("antennas", PAIRWISE, 24000)]),
+    (9500, [("antennas", PAIRWISE, 24000)]),
     (24000, []),
 ])
 def test_verify_size_counts_each_array(monkeypatch, cap, problems):
     monkeypatch.setattr(cli, "MAX_VERIFY_ENTRIES", cap)
-    found = cli._verify_size(NetworkConfig((1, 2, 3, 4), 6, k2=6), pilots=True)
-    assert [(field, int(text.split(" of ")[1].split()[0])) for field, text in found] == problems
+    for k1 in (9, 2**27):
+        found = cli._verify_size(NetworkConfig((1, 2, 3, 4), 6, k1=k1, k2=6), pilots=True)
+        assert found == [(field, f"verify needs a {what} of {size} entries > {cap}")
+                         for field, what, size in problems]
 
 
 @pytest.mark.parametrize("scheme, network, first", [
@@ -633,13 +638,14 @@ def test_verify_size_counts_each_array(monkeypatch, cap, problems):
      "network.antennas: verify needs a pair-wise pilot batch of 104038400 entries"),
     ("pairwise", {"antennas": [1] * 128, "n_eve": 0},
      "network.antennas: verify needs a pair-wise pilot batch of 104038400 entries"),
-    ("all_user", {"antennas": [2, 2, 2], "n_eve": 4, "k1": 10**6},
-     "network.k1: verify needs a pilot matrix of 6000000 entries"),
+    # for M = 2 the N_T x (N_T - N_min) basis exceeds the cap where the draws do not
+    ("all_user", {"antennas": [1, 40000], "n_eve": 0},
+     "network.antennas: verify needs a pilot basis of 1600040000 entries"),
     ("all_user", {"antennas": [2, 2], "n_eve": 10**6},
      "network.n_eve: verify needs a rank-oracle draw batch of 400000400 entries"),
     ("modified_two_user", {"n1": 2**20, "n2": 2**20, "k_total": 2**20, "n_eve": 0},
-     f"network.n2: verify needs a pilot matrix of {2**41} entries"),
-], ids=["all_user-128", "pairwise-128", "all_user-k1", "all_user-n_eve", "modified-2^20"])
+     f"network.n2: verify needs a pilot basis of {2**41} entries"),
+], ids=["all_user-128", "pairwise-128", "all_user-basis", "all_user-n_eve", "modified-2^20"])
 def test_verify_refuses_an_oversized_working_set(write_scenario, monkeypatch, capsys, scheme,
                                                  network, first):
     def built(*args, **kwargs):
@@ -675,13 +681,11 @@ def test_verify_runs_a_pairwise_network_of_d_above_the_covariance_bound(write_sc
 
 @pytest.mark.parametrize("network", [
     {"antennas": [16] * 4, "n_eve": 2},
-    {"antennas": [1, 1], "n_eve": 0, "k1": 2**21},
-], ids=["16x4", "k1-2^21"])
+], ids=["16x4"])
 def test_verify_runs_networks_that_only_a_reception_stack_bound_refused(write_scenario,
                                                                          tmp_path, network):
-    # D * N_T * K_1 is 196,608 * 48 on [16]x4 and 2^22 on [1,1] at K_1 = 2^21;
-    # the pilot matrix N_T * K_1 fits both, and phase1_curve holds no K_1 x K_1
-    # array.  Exit 1 is allowed: on [16]x4 the +3 control
+    # D * N_T * K_1 is 196,608 * 48 on [16]x4; the pilot basis N_T * (N_T - N_min)
+    # fits.  Exit 1 is allowed: on [16]x4 the +3 control
     # negctrl:slope:phase1-wrong-target passes at target 256, whose tolerance
     # max(0.15, 0.03 * 256) exceeds 3, a known defect of slope_tolerance
     path = write_scenario("all_user", network, mc_samples=100, seed=7)
@@ -695,6 +699,63 @@ def test_verify_runs_networks_that_only_a_reception_stack_bound_refused(write_sc
     assert all(ok for name, ok in passed.items() if not name.startswith("negctrl:"))
     assert {name for name, ok in passed.items() if name.startswith("negctrl:") and ok} <= {
         "negctrl:slope:phase1-wrong-target"}
+
+
+def test_verify_pilot_rows_depend_on_neither_k1_nor_the_seed(write_scenario, tmp_path):
+    # verify reads its pilot phase from the basis G, whose stacks have the
+    # singular values of every drawn G Q, so neither K_1 nor the seed moves it
+    network = {"antennas": [2, 2, 2], "n_eve": 4, "k2": 2}
+
+    def verify_csv(seed, **k1):
+        path = write_scenario("all_user", {**network, **k1}, mc_samples=300, seed=seed)
+        out = tmp_path / "v.csv"
+        assert run_cli("verify", "--scenario", path, "--out", str(out)).returncode == 0
+        return out.read_bytes()
+
+    assert verify_csv(7, k1=2**27) == verify_csv(7)
+    by_seed = [{r["name"]: r for r in csv.DictReader(verify_csv(seed).decode().splitlines())}
+               for seed in range(3)]
+    pilot_rows = [name for name in by_seed[0] if "slope:phase1" in name or name.startswith("eig:")]
+    assert len(pilot_rows) == 8  # slope:phase1[1-2], its control, three eig:single, three eig:joint
+    for name in pilot_rows:
+        assert by_seed[0][name] == by_seed[1][name] == by_seed[2][name]
+    assert len({rows["slope:cij[1-2]"]["measured"] for rows in by_seed}) == 3
+
+
+@pytest.mark.parametrize("scheme, network", [
+    ("all_user", {"antennas": [2, 3, 1], "n_eve": 2, "k2": 2}),
+    ("modified_two_user", {"n1": 2, "n2": 3, "k_total": 6, "n_eve": 2}),
+])
+def test_verify_builds_no_pilot_matrix(write_scenario, monkeypatch, scheme, network):
+    def built(*args, **kwargs):
+        raise AssertionError("verify built a pilot matrix")
+
+    monkeypatch.setattr(cli, "build_pilots", built)
+    path = write_scenario(scheme, network, **FAST_MC)
+    proc = run_cli("verify", "--scenario", path)
+    assert proc.returncode == 0, proc.stderr
+
+
+# [16, 16]'s phase-1 curve keeps two 16 x 16 forms a grid point, so 16,384
+# points reach the cap and one more exceeds it, whatever the sample count
+PHASE1_GRID = [-500 + k / 32 for k in range(16385)]
+
+
+def test_verify_refuses_an_oversized_phase1_curve(write_scenario, monkeypatch, capsys):
+    network = {"antennas": [16, 16], "n_eve": 0}
+    code, err, _ = _refused_in_process(
+        ["verify"], write_scenario, monkeypatch, capsys, (cli,), "_verify_rows", "all_user",
+        network, snr_grid=PHASE1_GRID, mc_samples=1, seed=7)
+    assert code == 2
+    assert err == (f"error: snr_grid: verify needs a phase-1 curve of {16385 * 256} entries "
+                   f"> {cli.MAX_VERIFY_ENTRIES}\n")
+    sc = cli.Scenario("all_user", NetworkConfig((16, 16), 0), SnrGrid(tuple(PHASE1_GRID[:-1])),
+                      1, 7)
+    assert cli._curve_size(sc) == []
+    # the modified and pair-wise verify build no phase-1 curve
+    for scheme, cfg in (("modified_two_user", TwoUserModifiedConfig(16, 16, 17, 0)),
+                        ("pairwise", NetworkConfig((16, 16, 16), 0))):
+        assert cli._curve_size(replace(sc, scheme=scheme, network=cfg)) == []
 
 
 def _refused_in_process(args, write_scenario, monkeypatch, capsys, modules, name, scheme, network,

@@ -13,6 +13,7 @@ from anece_lab.pilots import (
     build_pairwise_matrix,
     build_pilots,
     build_square_pilots,
+    pilot_basis,
     validate_pilots,
     write_matrix_text,
 )
@@ -122,6 +123,26 @@ def test_equal_antenna_counts_are_dealt_round_robin():
     places = [a * cfg.m + i for i in range(cfg.m) for a in range(2)]
     g = np.vander(np.exp(2j * np.pi * np.array(places) / 6), 4, increasing=True)
     assert np.allclose(ps.stacked @ ps.stacked.conj().T, g @ g.conj().T)
+    assert np.allclose(pilot_basis(cfg.antennas).stacked, g)
+
+
+@pytest.mark.parametrize("antennas", [(1, 1), (2, 3), (1, 2, 3, 4), (6, 8, 1, 8, 1)])
+def test_build_pilots_are_the_basis_times_orthonormal_rows(antennas):
+    # G Q with conj(Q) Q^T = I has G's Gram, so every P_(S) = G_(S) Q has the
+    # singular values of G_(S), whatever the seed and K_1
+    basis = pilot_basis(antennas)
+    g = basis.stacked
+    assert g.shape == (sum(antennas), sum(antennas) - min(antennas))
+    assert basis.antennas == antennas and validate_pilots(basis) == []
+    for seed, extra in itertools.product((0, 1), (0, 9)):
+        ps = build_pilots(NetworkConfig(antennas, 0, k1=g.shape[1] + extra), seed)
+        assert np.allclose(ps.stacked @ ps.stacked.conj().T, g @ g.conj().T, atol=1e-12)
+
+
+def test_pilot_basis_refuses_pilots_that_fail_the_audit(monkeypatch):
+    monkeypatch.setattr(pilots, "numerical_rank", lambda m: 0)
+    with pytest.raises(RuntimeError, match="designed pilots failed the rank audit"):
+        pilot_basis((2, 3))
 
 
 def test_build_pilots_is_deterministic():

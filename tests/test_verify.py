@@ -10,7 +10,7 @@ from anece_lab import cli, numkernel, pilots, verify
 from anece_lab.capacity import CapacityCurve, cij_curve, phase1_curve
 from anece_lab.model import CheckResult, NetworkConfig, SnrGrid
 from anece_lab.numkernel import numerical_rank
-from anece_lab.pilots import PilotSet, build_pilots, validate_pilots
+from anece_lab.pilots import PilotSet, build_pilots, pilot_basis, validate_pilots
 from anece_lab.verify import (
     IDENTITY_MANIFEST,
     default_grid,
@@ -288,10 +288,10 @@ def test_eig_joint_rows_equal_the_reference_jacobian_rank(antennas, k1):
             assert row.measured == numerical_rank(jac) == jac.shape[1] == row.target
 
 
-@pytest.mark.parametrize("antennas", [(2, 2, 2), (1, 2, 3, 4)])
+@pytest.mark.parametrize("antennas", [(2, 3), (2, 2, 2), (1, 2, 3, 4)])
 def test_eig_growth_suite_work(monkeypatch, antennas):
-    # one rank per pair, of P_(ij), each certified by one Cholesky;
-    # build_pilots has already ranked every P_(i)
+    # one rank per pair, of P_(ij), each certified by one Cholesky, or by
+    # none where P_(ij) is empty (M = 2); pilot_basis has already ranked every P_(i)
     calls = Counter()
 
     def counted(key, fn):
@@ -305,12 +305,11 @@ def test_eig_growth_suite_work(monkeypatch, antennas):
         if callable(fn) and not isinstance(fn, type):
             monkeypatch.setattr(np.linalg, name, counted("linalg", fn))
     monkeypatch.setattr(verify, "numerical_rank", counted("rank", verify.numerical_rank))
-    cfg = NetworkConfig(antennas, 0, k2=1)
-    ps = build_pilots(cfg, 3)
+    ps = pilot_basis(antennas)
     calls.clear()
     assert all(r.passed for r in eig_growth_suite(ps))
-    m = len(antennas)
-    assert calls == {"rank": m * (m - 1) // 2, "linalg": m * (m - 1) // 2}
+    pairs = len(antennas) * (len(antennas) - 1) // 2
+    assert (calls["rank"], calls["linalg"]) == (pairs, pairs if len(antennas) > 2 else 0)
 
 
 def test_identity_suite_is_green_and_complete():
