@@ -638,14 +638,15 @@ def test_verify_size_counts_each_array(monkeypatch, cap, problems):
      "network.antennas: verify needs a pair-wise pilot batch of 104038400 entries"),
     ("pairwise", {"antennas": [1] * 128, "n_eve": 0},
      "network.antennas: verify needs a pair-wise pilot batch of 104038400 entries"),
-    # for M = 2 the N_T x (N_T - N_min) basis exceeds the cap where the draws do not
-    ("all_user", {"antennas": [1, 40000], "n_eve": 0},
+    # for M = 2 the N_T x (N_T - N_min) basis exceeds the cap where the draws do
+    # not; K_1 = 2^27, whose N_T x K_1 pilot matrix verify once built, adds nothing
+    ("all_user", {"antennas": [1, 40000], "n_eve": 0, "k1": 2**27},
      "network.antennas: verify needs a pilot basis of 1600040000 entries"),
     ("all_user", {"antennas": [2, 2], "n_eve": 10**6},
      "network.n_eve: verify needs a rank-oracle draw batch of 400000400 entries"),
     ("modified_two_user", {"n1": 2**20, "n2": 2**20, "k_total": 2**20, "n_eve": 0},
      f"network.n2: verify needs a pilot basis of {2**41} entries"),
-], ids=["all_user-128", "pairwise-128", "all_user-basis", "all_user-n_eve", "modified-2^20"])
+], ids=["all_user-128", "pairwise-128", "all_user-k1", "all_user-n_eve", "modified-2^20"])
 def test_verify_refuses_an_oversized_working_set(write_scenario, monkeypatch, capsys, scheme,
                                                  network, first):
     def built(*args, **kwargs):
@@ -663,6 +664,7 @@ def test_verify_refuses_an_oversized_working_set(write_scenario, monkeypatch, ca
     err = capsys.readouterr().err
     assert err.startswith(f"error: {first} > {cli.MAX_VERIFY_ENTRIES}")
     assert "Traceback" not in err
+    assert "network.k1" not in err
     assert peak < 2**20
     # only verify is bounded
     assert cli.main(["formula", "--scenario", path]) == 0
@@ -681,11 +683,12 @@ def test_verify_runs_a_pairwise_network_of_d_above_the_covariance_bound(write_sc
 
 @pytest.mark.parametrize("network", [
     {"antennas": [16] * 4, "n_eve": 2},
-], ids=["16x4"])
+    {"antennas": [1, 1], "n_eve": 0, "k1": 2**21},
+], ids=["16x4", "k1-2^21"])
 def test_verify_runs_networks_that_only_a_reception_stack_bound_refused(write_scenario,
                                                                          tmp_path, network):
-    # D * N_T * K_1 is 196,608 * 48 on [16]x4; the pilot basis N_T * (N_T - N_min)
-    # fits.  Exit 1 is allowed: on [16]x4 the +3 control
+    # D * N_T * K_1 is 196,608 * 48 on [16]x4 and 2^22 on [1,1] at K_1 = 2^21;
+    # the pilot basis N_T * (N_T - N_min) fits both.  Exit 1 is allowed: on [16]x4 the +3 control
     # negctrl:slope:phase1-wrong-target passes at target 256, whose tolerance
     # max(0.15, 0.03 * 256) exceeds 3, a known defect of slope_tolerance
     path = write_scenario("all_user", network, mc_samples=100, seed=7)
